@@ -1,34 +1,31 @@
-// Streaming / vectorized / morsel-parallel SQL execution vs the seed
-// scalar engine.
+// The streaming, morsel-parallel SQL engine vs the seed scalar engine.
 //
 // The paper's thesis is that at Reasonable Scale one beefy function
 // running a decent columnar engine beats a distributed framework. This
 // bench quantifies the "decent engine" part: the same logical plans run
-// through (a) the row-at-a-time scalar operators the repo seeded with,
-// (b) the typed vectorized kernels, (c) vectorized + morsel-parallel
-// execution on 8 threads, and (d) the push-based streaming engine on 8
-// threads (pipelines instead of materialize-per-operator; peak
-// intermediate bytes reported next to the materialized baseline).
-// Workloads are ~1M-row filter / group-by aggregate / hash join / top-N
-// sort over the synthetic taxi table.
+// through (a) the row-at-a-time scalar operators the repo seeded with
+// (kept as the test oracle), (b) the push-based streaming engine on one
+// thread, and (c) the streaming engine on 8 threads. Workloads are
+// ~1M-row filter / group-by aggregate / hash join / top-N sort over the
+// synthetic taxi table.
 //
 // Invariants enforced (exit 1 on violation):
 //   - every mode returns the same row count per workload
-//   - the 8-thread run is BIT-IDENTICAL to the 1-thread vectorized run
-//     (serialized table bytes compared), and the streaming run is
-//     bit-identical to both
-//   - the streaming aggregate's peak intermediate stays a small
-//     fraction of the materialized engine's (the O(morsel) claim)
+//   - the 8-thread streaming run is BIT-IDENTICAL to the 1-thread run
+//     (serialized table bytes compared)
+//   - (full runs) the filter_agg streaming peak intermediate stays a
+//     small fraction of the filter-only intermediate — the table a
+//     materialize-per-operator plan would hold (the O(morsel) claim)
 //   - the join/sort/aggregate workloads rerun under a 32 MiB memory
-//     budget must spill (nonzero exec.spill.* counters) and stay
-//     bit-identical to the unlimited in-memory results
+//     budget must spill (nonzero exec.spill.* counters; the join's
+//     build side is the wide taxi table, so it turns into a Grace
+//     breaker) and stay bit-identical to the unlimited in-memory results
 //   - lineage-driven dead-column trimming (required_output_columns)
 //     must cut the wide workload's materialized bytes by more than
 //     half without changing its row count
-//
-//   - (full runs) every per-workload speedup over the scalar baseline
-//     must be >= 1.0 unless the (workload, mode) pair is explicitly
-//     allowlisted with a reason — a regression cannot hide in the JSON
+//   - (full runs) every per-workload streaming speedup over the scalar
+//     baseline must be >= 1.0; the 8-thread mode is gated only when the
+//     host has more than one hardware thread
 //   - `--threads-sweep 1,2,4,8` reruns the breaker workloads on the
 //     streaming engine with an external pool per thread count (external
 //     pools are never clamped to the core count, so the partitioned
@@ -39,7 +36,10 @@
 //     recorded as skipped otherwise
 //
 // `--smoke` runs a small dataset once (wired into ctest so tier-1
-// exercises the bench cheaply); the full run writes BENCH_query.json.
+// exercises the bench cheaply); every passing run writes
+// BENCH_query.json.
+// Flags are strict: `--help` prints usage, an unknown flag or a
+// malformed `--threads-sweep` list exits 2.
 
 #include <chrono>
 #include <cstdio>
@@ -79,9 +79,9 @@ constexpr Workload kWorkloads[] = {
      "SELECT pickup_location_id, COUNT(*) AS trips, SUM(fare) AS revenue, "
      "AVG(trip_distance) AS avg_distance FROM taxi "
      "GROUP BY pickup_location_id"},
-    // The streaming engine's showcase: the filter output is a large
-    // materialized intermediate for the vectorized engine but streams
-    // morsel-by-morsel into the aggregate under the streaming engine.
+    // The streaming engine's showcase: the filter output would be a
+    // large intermediate if materialized, but streams morsel-by-morsel
+    // into the aggregate.
     {"filter_agg",
      "SELECT pickup_location_id, COUNT(*) AS trips, SUM(fare) AS revenue "
      "FROM taxi WHERE passenger_count >= 1 AND fare > 5.0 "
@@ -95,10 +95,20 @@ constexpr Workload kWorkloads[] = {
      "LIMIT 1000"},
 };
 
+// filter_agg's WHERE over the three columns its aggregate reads: the
+// table a materialize-per-operator plan holds between filter and
+// aggregate, which the O(morsel) peak gate measures the streaming peak
+// against.
+constexpr const char* kFilterAggIntermediateSql =
+    "SELECT pickup_location_id, fare, passenger_count FROM taxi "
+    "WHERE passenger_count >= 1 AND fare > 5.0";
+
 // Budget-mode variants carry wide payloads so the operator inputs exceed
 // the 32 MiB full-size budget (the headline workloads are pruned to 2-3
 // columns, ~16-24 MB at 1M rows, and would never spill). Six referenced
-// taxi columns put the join/sort/aggregate inputs at ~48 MB.
+// taxi columns put the join/sort/aggregate inputs at ~48 MB. A streaming
+// join spills only when its build (right) side busts the budget — the
+// probe side streams — so the join builds on taxi and probes zones.
 constexpr Workload kBudgetWorkloads[] = {
     {"aggregate",
      "SELECT pickup_location_id, COUNT(*) AS trips, SUM(fare) AS revenue, "
@@ -107,8 +117,8 @@ constexpr Workload kBudgetWorkloads[] = {
      "GROUP BY pickup_location_id"},
     {"join",
      "SELECT t.trip_id, t.pickup_at, t.fare, t.trip_distance, "
-     "t.passenger_count, z.zone_name FROM taxi t "
-     "JOIN zones z ON t.pickup_location_id = z.location_id "
+     "t.passenger_count, z.zone_name FROM zones z "
+     "JOIN taxi t ON z.location_id = t.pickup_location_id "
      "WHERE z.location_id % 2 = 0"},
     {"sort",
      "SELECT trip_id, fare, trip_distance, pickup_at, dropoff_location_id "
@@ -118,7 +128,8 @@ constexpr Workload kBudgetWorkloads[] = {
 struct ModeTiming {
   double seconds = 0;
   int64_t rows = 0;
-  int64_t peak_bytes = 0;  // largest intermediate the engine held
+  int64_t result_bytes = 0;  // EstimatedBytes of the result table
+  int64_t peak_bytes = 0;    // largest intermediate the engine held
   int64_t spill_partitions = 0;
   int64_t spill_bytes_written = 0;
   int64_t breaker_partitions = 0;  // parallel join-build/agg partitions
@@ -151,8 +162,7 @@ Result<ModeTiming> RunMode(MemoryTableProvider& provider, const char* sql,
     if (engine == ExecOptions::Engine::kScalar) {
       // The scalar mode reproduces the seed engine end-to-end:
       // row-at-a-time operators AND the seed optimizer, which had no
-      // filter-through-join rewrite (that rewrite ships with the
-      // vectorized engine).
+      // filter-through-join rewrite.
       options.optimizer.pushdown_filters = false;
     }
     auto start = std::chrono::steady_clock::now();
@@ -163,6 +173,7 @@ Result<ModeTiming> RunMode(MemoryTableProvider& provider, const char* sql,
         std::chrono::steady_clock::now() - start;
     timing.seconds = std::min(timing.seconds, elapsed.count());
     timing.rows = result.table.num_rows();
+    timing.result_bytes = result.table.EstimatedBytes();
     timing.peak_bytes = result.stats.peak_bytes;
     timing.spill_partitions = result.stats.spill_partitions;
     timing.spill_bytes_written = result.stats.spill_bytes_written;
@@ -207,34 +218,81 @@ Result<Table> MakeDetailsTable(int64_t num_rows) {
       {keys.Finish(), payloads.Finish()});
 }
 
+/// Thread counts a --threads-sweep entry may request.
+constexpr int64_t kMaxSweepThreads = 1024;
+
+void PrintUsage(std::FILE* out) {
+  std::fprintf(out,
+               "usage: bench_query_engine [--smoke] "
+               "[--threads-sweep N[,N...]]\n"
+               "  --smoke                  20K rows, one iteration per mode\n"
+               "  --threads-sweep N[,N...] rerun the breaker workloads at "
+               "each thread count\n"
+               "                           (integers in [1, %lld])\n"
+               "  --help                   print this message and exit\n",
+               static_cast<long long>(kMaxSweepThreads));
+}
+
+/// Appends the comma-separated thread counts in `list` to `out`; false on
+/// any token that is not an integer in [1, kMaxSweepThreads].
+bool ParseSweepList(const std::string& list, std::vector<int>* out) {
+  std::stringstream ss(list);
+  std::string tok;
+  size_t before = out->size();
+  while (std::getline(ss, tok, ',')) {
+    int64_t threads = 0;
+    if (!bauplan::ParseInt64(tok, &threads) || threads < 1 ||
+        threads > kMaxSweepThreads) {
+      return false;
+    }
+    out->push_back(static_cast<int>(threads));
+  }
+  return out->size() > before;
+}
+
 }  // namespace
 
 int main(int argc, char** argv) {
   bool smoke = false;
   std::vector<int> sweep_threads;
   for (int i = 1; i < argc; ++i) {
-    if (std::strcmp(argv[i], "--smoke") == 0) smoke = true;
     std::string arg = argv[i];
+    if (arg == "--help" || arg == "-h") {
+      PrintUsage(stdout);
+      return 0;
+    }
+    if (arg == "--smoke") {
+      smoke = true;
+      continue;
+    }
     std::string list;
     if (arg.rfind("--threads-sweep=", 0) == 0) {
       list = arg.substr(std::strlen("--threads-sweep="));
-    } else if (arg == "--threads-sweep" && i + 1 < argc) {
-      list = argv[++i];
-    }
-    if (!list.empty()) {
-      std::stringstream ss(list);
-      std::string tok;
-      while (std::getline(ss, tok, ',')) {
-        int t = std::atoi(tok.c_str());
-        if (t >= 1) sweep_threads.push_back(t);
+    } else if (arg == "--threads-sweep") {
+      if (i + 1 >= argc) {
+        std::fprintf(stderr, "--threads-sweep needs a value\n");
+        PrintUsage(stderr);
+        return 2;
       }
+      list = argv[++i];
+    } else {
+      std::fprintf(stderr, "unknown flag: %s\n", arg.c_str());
+      PrintUsage(stderr);
+      return 2;
+    }
+    if (!ParseSweepList(list, &sweep_threads)) {
+      std::fprintf(stderr,
+                   "--threads-sweep: \"%s\" is not a comma-separated list "
+                   "of integers in [1, %lld]\n",
+                   list.c_str(), static_cast<long long>(kMaxSweepThreads));
+      return 2;
     }
   }
   const int64_t rows = smoke ? 20000 : 1000000;
   const int iters = smoke ? 1 : 3;
   const int parallel_threads = 8;
 
-  std::printf("=== Vectorized, morsel-parallel SQL engine vs scalar "
+  std::printf("=== Streaming, morsel-parallel SQL engine vs scalar "
               "baseline (%lld rows) ===\n\n",
               static_cast<long long>(rows));
 
@@ -258,137 +316,104 @@ int main(int argc, char** argv) {
   provider.AddTable("zones", *zones);
   provider.AddTable("details", *details);
 
-  std::printf("%10s | %10s %10s %11s %11s | %8s %8s | %s\n", "workload",
-              "scalar", "vector", "parallel(8)", "streaming", "par_x",
-              "str_x", "peak str/mat");
+  std::printf("%10s | %10s %10s %11s | %8s %8s | %s\n", "workload",
+              "scalar", "streaming", "parallel(8)", "str_x", "par_x",
+              "peak 1t / 8t");
 
+  const int hw_threads =
+      static_cast<int>(std::thread::hardware_concurrency());
   std::vector<std::string> json_rows;
   bool ok = true;
   for (const Workload& w : kWorkloads) {
     auto scalar = RunMode(provider, w.sql, ExecOptions::Engine::kScalar, 1,
                           iters);
-    auto vectorized = RunMode(provider, w.sql,
-                              ExecOptions::Engine::kVectorized, 1, iters);
-    auto parallel = RunMode(provider, w.sql,
-                            ExecOptions::Engine::kVectorized,
-                            parallel_threads, iters);
     auto streaming = RunMode(provider, w.sql,
-                             ExecOptions::Engine::kStreaming,
-                             parallel_threads, iters);
-    if (!scalar.ok() || !vectorized.ok() || !parallel.ok() ||
-        !streaming.ok()) {
-      std::fprintf(stderr, "%s failed: %s%s%s%s\n", w.name,
+                             ExecOptions::Engine::kStreaming, 1, iters);
+    auto parallel = RunMode(provider, w.sql,
+                            ExecOptions::Engine::kStreaming,
+                            parallel_threads, iters);
+    if (!scalar.ok() || !streaming.ok() || !parallel.ok()) {
+      std::fprintf(stderr, "%s failed: %s%s%s\n", w.name,
                    scalar.status().ToString().c_str(),
-                   vectorized.status().ToString().c_str(),
-                   parallel.status().ToString().c_str(),
-                   streaming.status().ToString().c_str());
+                   streaming.status().ToString().c_str(),
+                   parallel.status().ToString().c_str());
       return 1;
     }
-    if (scalar->rows != vectorized->rows ||
-        vectorized->rows != parallel->rows ||
-        parallel->rows != streaming->rows) {
+    if (scalar->rows != streaming->rows ||
+        streaming->rows != parallel->rows) {
       std::fprintf(stderr,
-                   "FAIL: %s row counts diverge (%lld/%lld/%lld/%lld)\n",
+                   "FAIL: %s row counts diverge (%lld/%lld/%lld)\n",
                    w.name, static_cast<long long>(scalar->rows),
-                   static_cast<long long>(vectorized->rows),
-                   static_cast<long long>(parallel->rows),
-                   static_cast<long long>(streaming->rows));
+                   static_cast<long long>(streaming->rows),
+                   static_cast<long long>(parallel->rows));
       ok = false;
     }
-    if (vectorized->bytes != parallel->bytes) {
+    bool identical = streaming->bytes == parallel->bytes;
+    if (!identical) {
       std::fprintf(stderr,
-                   "FAIL: %s parallel result not bit-identical to serial\n",
-                   w.name);
-      ok = false;
-    }
-    if (vectorized->bytes != streaming->bytes) {
-      std::fprintf(stderr,
-                   "FAIL: %s streaming result not bit-identical to "
-                   "materialized\n",
+                   "FAIL: %s 8-thread result not bit-identical to "
+                   "1-thread\n",
                    w.name);
       ok = false;
     }
     // The O(morsel) peak claim: the filter->project->aggregate chain's
     // streaming intermediates (morsel chunks + cuts + the ~250-row
-    // result) must be a small fraction of the materialized engine's
-    // full filter output. Skipped in smoke mode, where the whole input
-    // fits in one morsel and the two peaks degenerate to the same
-    // table-sized chunk.
-    if (std::strcmp(w.name, "filter_agg") == 0 && !smoke &&
-        streaming->peak_bytes * 4 >= parallel->peak_bytes) {
-      std::fprintf(stderr,
-                   "FAIL: %s streaming peak %lld not << materialized "
-                   "peak %lld\n",
-                   w.name, static_cast<long long>(streaming->peak_bytes),
-                   static_cast<long long>(parallel->peak_bytes));
-      ok = false;
+    // result) must be a small fraction of the full filter output. The
+    // gate is skipped in smoke mode, where the whole input fits in one
+    // morsel and the peak degenerates to that table-sized chunk.
+    int64_t filter_intermediate_bytes = -1;
+    if (std::strcmp(w.name, "filter_agg") == 0) {
+      auto filtered = RunMode(provider, kFilterAggIntermediateSql,
+                              ExecOptions::Engine::kStreaming, 1, 1);
+      if (!filtered.ok()) {
+        std::fprintf(stderr, "filter_agg intermediate failed: %s\n",
+                     filtered.status().ToString().c_str());
+        return 1;
+      }
+      filter_intermediate_bytes = filtered->result_bytes;
+      if (!smoke && parallel->peak_bytes * 4 >= filter_intermediate_bytes) {
+        std::fprintf(stderr,
+                     "FAIL: %s streaming peak %lld not << filter "
+                     "intermediate %lld\n",
+                     w.name, static_cast<long long>(parallel->peak_bytes),
+                     static_cast<long long>(filter_intermediate_bytes));
+        ok = false;
+      }
     }
-    double vec_x = scalar->seconds / vectorized->seconds;
-    double par_x = scalar->seconds / parallel->seconds;
     double str_x = scalar->seconds / streaming->seconds;
+    double par_x = scalar->seconds / parallel->seconds;
     // Regression gate (full runs only; smoke timings are noise): every
-    // speedup over the scalar baseline must clear 1.0, or the
-    // (workload, mode) pair must be allowlisted here with a reason.
-    // The parallel mode is gated only when the host has spare cores:
-    // with hw_threads == 1 the owned pool clamps to one thread and
-    // "parallel" is the vectorized run plus scheduling noise.
-    struct AllowedRegression {
-      const char* workload;
-      const char* mode;
-      const char* reason;
-    };
-    constexpr AllowedRegression kAllowedRegressions[] = {
-        {"filter", "vectorized",
-         "a bare 3-conjunct filter materializes one boolean array per "
-         "conjunct while the scalar engine fuses the whole predicate "
-         "into its row loop; at 1M rows the extra passes offset the "
-         "typed-kernel win (~0.93x). Predicate-column pruning recovered "
-         "most of the former 0.91x gap; the streaming engine (the "
-         "default) clears 1.0 on this workload."}};
+    // streaming speedup over the scalar baseline must clear 1.0. The
+    // 8-thread mode is gated only when the host has spare cores: with
+    // hw_threads == 1 the owned pool clamps to one thread and "parallel"
+    // is the 1-thread run plus scheduling noise.
     if (!smoke) {
-      const int hw =
-          static_cast<int>(std::thread::hardware_concurrency());
       const struct {
         const char* mode;
         double speedup;
         bool gated;
-      } kGated[] = {{"vectorized", vec_x, true},
-                    {"parallel", par_x, hw > 1},
-                    {"streaming", str_x, true}};
+      } kGated[] = {{"streaming", str_x, true},
+                    {"parallel", par_x, hw_threads > 1}};
       for (const auto& g : kGated) {
         if (g.speedup >= 1.0) continue;
         if (!g.gated) {
           std::printf("  (gate skipped: %s/%s %.2fx — hw_threads=%d "
                       "leaves no room for parallel speedup)\n",
-                      w.name, g.mode, g.speedup, hw);
+                      w.name, g.mode, g.speedup, hw_threads);
           continue;
         }
-        bool allowed = false;
-        for (const AllowedRegression& a : kAllowedRegressions) {
-          if (a.workload != nullptr &&
-              std::strcmp(a.workload, w.name) == 0 &&
-              std::strcmp(a.mode, g.mode) == 0) {
-            std::printf("  (allowlisted regression: %s/%s — %s)\n",
-                        w.name, g.mode, a.reason);
-            allowed = true;
-          }
-        }
-        if (!allowed) {
-          std::fprintf(stderr,
-                       "FAIL: %s %s speedup %.2fx < 1.0 over scalar "
-                       "(not allowlisted)\n",
-                       w.name, g.mode, g.speedup);
-          ok = false;
-        }
+        std::fprintf(stderr,
+                     "FAIL: %s %s speedup %.2fx < 1.0 over scalar\n",
+                     w.name, g.mode, g.speedup);
+        ok = false;
       }
     }
     double scalar_rps = static_cast<double>(rows) / scalar->seconds;
     double parallel_rps = static_cast<double>(rows) / parallel->seconds;
     std::printf(
-        "%10s | %9.1fms %9.1fms %10.1fms %10.1fms | %7.1fx %7.1fx | "
-        "%s / %s\n",
-        w.name, scalar->seconds * 1e3, vectorized->seconds * 1e3,
-        parallel->seconds * 1e3, streaming->seconds * 1e3, par_x, str_x,
+        "%10s | %9.1fms %9.1fms %10.1fms | %7.1fx %7.1fx | %s / %s\n",
+        w.name, scalar->seconds * 1e3, streaming->seconds * 1e3,
+        parallel->seconds * 1e3, str_x, par_x,
         bauplan::FormatBytes(static_cast<uint64_t>(streaming->peak_bytes))
             .c_str(),
         bauplan::FormatBytes(static_cast<uint64_t>(parallel->peak_bytes))
@@ -397,23 +422,18 @@ int main(int argc, char** argv) {
     j << "{\"workload\": \"" << w.name << "\", \"rows_in\": " << rows
       << ", \"rows_out\": " << parallel->rows
       << ", \"scalar_seconds\": " << scalar->seconds
-      << ", \"vectorized_seconds\": " << vectorized->seconds
-      << ", \"parallel_seconds\": " << parallel->seconds
       << ", \"streaming_seconds\": " << streaming->seconds
+      << ", \"parallel_seconds\": " << parallel->seconds
       << ", \"scalar_rows_per_sec\": " << scalar_rps
       << ", \"parallel_rows_per_sec\": " << parallel_rps
-      << ", \"vectorized_speedup\": " << (scalar->seconds /
-                                          vectorized->seconds)
-      << ", \"parallel_speedup\": " << par_x
       << ", \"streaming_speedup\": " << str_x
+      << ", \"parallel_speedup\": " << par_x
       << ", \"streaming_peak_bytes\": " << streaming->peak_bytes
-      << ", \"materialized_peak_bytes\": " << parallel->peak_bytes
-      << ", \"bit_identical\": "
-      << (vectorized->bytes == parallel->bytes &&
-                  vectorized->bytes == streaming->bytes
-              ? "true"
-              : "false")
-      << "}";
+      << ", \"parallel_peak_bytes\": " << parallel->peak_bytes;
+    if (filter_intermediate_bytes >= 0) {
+      j << ", \"filter_intermediate_bytes\": " << filter_intermediate_bytes;
+    }
+    j << ", \"bit_identical\": " << (identical ? "true" : "false") << "}";
     json_rows.push_back(j.str());
   }
 
@@ -428,9 +448,9 @@ int main(int argc, char** argv) {
               bauplan::FormatBytes(static_cast<uint64_t>(budget)).c_str());
   for (const Workload& w : kBudgetWorkloads) {
     auto unlimited = RunMode(provider, w.sql,
-                             ExecOptions::Engine::kVectorized, 1, iters);
+                             ExecOptions::Engine::kStreaming, 1, iters);
     auto spilled = RunMode(provider, w.sql,
-                           ExecOptions::Engine::kVectorized,
+                           ExecOptions::Engine::kStreaming,
                            parallel_threads, iters, budget);
     if (!unlimited.ok() || !spilled.ok()) {
       std::fprintf(stderr, "%s budgeted run failed: %s%s\n", w.name,
@@ -551,8 +571,6 @@ int main(int argc, char** argv) {
   // engagement counters stay at the serial values. The 8-vs-1 >= 2x
   // timing gate needs real cores; it records itself as skipped when the
   // host has fewer than 8 hardware threads.
-  const int hw_threads =
-      static_cast<int>(std::thread::hardware_concurrency());
   std::string sweep_gate = "not_run";
   if (!sweep_threads.empty()) {
     struct SweepWorkload {
@@ -647,13 +665,12 @@ int main(int argc, char** argv) {
 
   if (!ok) return 1;
 
-  std::printf("\nvectorized: typed kernels replace boxed per-row Values; "
-              "parallel adds\nmorsel-driven execution (64K-row morsels, "
-              "deterministic merge order —\n8-thread output is "
-              "bit-identical to 1-thread). streaming pushes morsels\n"
-              "through operator pipelines instead of materializing every "
-              "intermediate\n(peak str/mat compares the largest "
-              "intermediate each engine held).\n");
+  std::printf("\nstreaming: typed kernels replace boxed per-row Values "
+              "and morsels flow\nthrough operator pipelines instead of "
+              "materializing every intermediate;\nparallel runs the same "
+              "pipelines on 8 threads (64K-row morsels,\ndeterministic "
+              "merge order — output is bit-identical to 1 thread). peak\n"
+              "1t / 8t is the largest intermediate each run held.\n");
 
   std::ofstream json_out("BENCH_query.json");
   if (json_out) {

@@ -157,14 +157,9 @@ Result<RunReport> PipelineRunner::Execute(
           ? ExecuteFused(dag, ref, SelectOrAll(dag, options.selected),
                          options.exec, options.trim_unused_columns,
                          keys_ptr, run_span)
-          : (options.parallelism > 1
-                 ? ExecuteParallelNaive(dag, ref,
-                                        SelectOrAll(dag, options.selected),
-                                        options.exec, options.parallelism,
-                                        keys_ptr, run_span)
-                 : ExecuteNaive(dag, ref,
-                                SelectOrAll(dag, options.selected),
-                                options.exec, keys_ptr, run_span));
+          : ExecuteWavefront(dag, ref, SelectOrAll(dag, options.selected),
+                             options.exec, options.parallelism, keys_ptr,
+                             run_span);
 
   // Memoize what this run actually computed — post-audit only: a run
   // with a failing expectation vouches for nothing.
@@ -549,63 +544,7 @@ void PipelineRunner::InsertFreshArtifacts(
   }
 }
 
-Result<RunReport> PipelineRunner::ExecuteNaive(
-    const Dag& dag, const std::string& ref,
-    const std::vector<std::string>& selected,
-    const sql::ExecOptions& exec, const cache::NodeFingerprints* keys,
-    uint64_t run_span) {
-  RunReport report;
-  uint64_t start = clock_->NowMicros();
-
-  internal::NaiveRunContext ctx;
-  ctx.dag = &dag;
-  ctx.ref = ref;
-  ctx.selected_set = std::set<std::string>(selected.begin(),
-                                           selected.end());
-  ctx.exec = exec;
-  ctx.report = &report;
-
-  for (const auto& name : dag.execution_order()) {
-    if (ctx.selected_set.count(name) == 0) continue;
-    NodeExecution node_report;
-    // Sequential walk: the node span brackets the whole invocation
-    // (placement, startup, body) on the shared clock.
-    uint64_t node_span = 0;
-    if (tracer_ != nullptr) {
-      node_span = tracer_->StartSpan(
-          name, observability::span_kind::kNode, run_span);
-    }
-    if (TryServeFromCache(ctx, keys, name,
-                          HasSelectedConsumer(dag, ctx.selected_set,
-                                              name),
-                          &node_report, node_span)) {
-      if (tracer_ != nullptr) {
-        tracer_->AddAttribute(node_span, "cache_hit", "true");
-        tracer_->EndSpan(node_span);
-      }
-      report.nodes.push_back(std::move(node_report));
-      continue;
-    }
-    runtime::FunctionRequest request =
-        BuildNaiveRequest(ctx, name, &node_report, node_span);
-    Result<runtime::InvocationReport> invocation =
-        executor_->Invoke(request);
-    if (tracer_ != nullptr) tracer_->EndSpan(node_span);
-    BAUPLAN_RETURN_NOT_OK(invocation.status());
-    node_report.ApplyInvocation(*invocation);
-    if (tracer_ != nullptr) {
-      tracer_->AddAttribute(node_span, "worker",
-                            StrCat(invocation->worker));
-    }
-    report.nodes.push_back(std::move(node_report));
-  }
-
-  report.total_micros = clock_->NowMicros() - start;
-  report.spill_metrics = spill_store_->metrics();
-  return report;
-}
-
-Result<RunReport> PipelineRunner::ExecuteParallelNaive(
+Result<RunReport> PipelineRunner::ExecuteWavefront(
     const Dag& dag, const std::string& ref,
     const std::vector<std::string>& selected,
     const sql::ExecOptions& exec, int parallelism,
@@ -620,12 +559,6 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
                                            selected.end());
   ctx.exec = exec;
   ctx.report = &report;
-
-  // Wave bodies run on forked timelines only when the executor's clock
-  // can fork; otherwise InvokeWave degrades to sequential invocations on
-  // the shared clock and span intervals need no queue fixup.
-  const bool forked_waves =
-      dynamic_cast<ForkableClock*>(clock_) != nullptr;
 
   // Ready-set bookkeeping: indegree among selected nodes only (replayed
   // upstreams are already materialized, hence never block).
@@ -703,7 +636,6 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
     }
     if (completed >= indegree.size()) break;
 
-    uint64_t wave_start = clock_->NowMicros();
     uint64_t wave_span = 0;
     if (tracer_ != nullptr) {
       wave_span = tracer_->StartSpan(
@@ -713,7 +645,9 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
     ++wave_index;
 
     // The next wave: every undispatched node whose selected upstreams
-    // all finished, in execution order (deterministic).
+    // all finished, in execution order (deterministic). Width 1 takes
+    // only the first, so waves replay the execution order one node at a
+    // time — the sequential walk.
     std::vector<runtime::FunctionRequest> ready;
     for (const auto& name : dag.execution_order()) {
       auto it = indegree.find(name);
@@ -740,6 +674,7 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
       }
       ready.push_back(BuildNaiveRequest(ctx, name, slot, node_span));
       dispatched.insert(name);
+      if (parallelism <= 1) break;
     }
     if (ready.empty()) {
       if (tracer_ != nullptr) tracer_->EndSpan(wave_span);
@@ -747,28 +682,34 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
           "pipeline wavefront stalled with nodes unfinished");
     }
 
+    // Building requests may itself charge the clock (sizing replayed
+    // upstreams reads catalog metadata), so member intervals are placed
+    // from the clock at dispatch.
+    const uint64_t dispatch_start = clock_->NowMicros();
     Result<runtime::WaveReport> wave =
         executor_->InvokeWave(std::move(ready), parallelism);
     if (tracer_ != nullptr) tracer_->EndSpan(wave_span);
     BAUPLAN_RETURN_NOT_OK(wave.status());
 
-    // Degraded (sequential) waves run members back to back; track the
-    // running offset to place their spans.
+    // Span placement follows what InvokeWave actually did: forked members
+    // sit at their queue offset on the wave clock; degraded (sequential)
+    // waves run members back to back, tracked by a running offset.
     uint64_t sequential_offset = 0;
     for (runtime::InvocationReport& invocation : wave->reports) {
       const std::string node_name = invocation.name;
       if (tracer_ != nullptr) {
         uint64_t span = span_of.at(node_name);
-        uint64_t begin = forked_waves
-                             ? wave_start + invocation.queue_micros
-                             : wave_start + sequential_offset;
-        uint64_t end = forked_waves
-                           ? wave_start + invocation.total_micros
+        uint64_t begin = wave->forked
+                             ? dispatch_start + invocation.queue_micros
+                             : dispatch_start + sequential_offset;
+        uint64_t end = wave->forked
+                           ? dispatch_start + invocation.total_micros
                            : begin + invocation.total_micros;
         tracer_->SetSpanInterval(span, begin, end);
-        if (forked_waves && invocation.queue_micros > 0) {
+        if (wave->forked && invocation.queue_micros > 0) {
           // Body children were stamped on a fork starting at
-          // wave_start + prelude; slide them to the member's real slot.
+          // dispatch_start + prelude; slide them to the member's real
+          // slot.
           tracer_->ShiftDescendants(
               span, static_cast<int64_t>(invocation.queue_micros));
         }
@@ -785,8 +726,8 @@ Result<RunReport> PipelineRunner::ExecuteParallelNaive(
     }
   }
 
-  // Merge per-node reports deterministically, in execution order — the
-  // same order the sequential walk emits.
+  // Merge per-node reports deterministically, in execution order, for
+  // every width.
   for (const auto& name : dag.execution_order()) {
     auto it = slot_of.find(name);
     if (it == slot_of.end()) continue;

@@ -32,11 +32,12 @@ struct PipelineRunOptions {
   /// isomorphic plan-to-execution mapping the paper's first version used
   /// (section 4.4.2).
   bool fused = true;
-  /// Naive mode only: with > 1, independent nodes dispatch together as
-  /// wavefronts and their bodies run on up to this many threads; the
+  /// Naive mode only: the wavefront width. Ready nodes dispatch as
+  /// waves whose bodies run on up to this many threads, so with > 1 the
   /// run's latency reflects the DAG's critical path instead of the sum
-  /// of nodes. 1 = the classic sequential walk. Ignored in fused mode
-  /// (one function has nothing to parallelize over).
+  /// of nodes. 1 = each wave holds the next node in execution order,
+  /// i.e. a sequential walk. Ignored in fused mode (one function has
+  /// nothing to parallelize over).
   int parallelism = 1;
   /// Run only these nodes (replay selection); empty = all. Upstream
   /// artifacts of unselected nodes are read from the catalog.
@@ -113,17 +114,12 @@ class PipelineRunner {
                                  bool trim_unused_columns,
                                  const cache::NodeFingerprints* keys,
                                  uint64_t run_span);
-  Result<RunReport> ExecuteNaive(const pipeline::Dag& dag,
-                                 const std::string& ref,
-                                 const std::vector<std::string>& selected,
-                                 const sql::ExecOptions& exec,
-                                 const cache::NodeFingerprints* keys,
-                                 uint64_t run_span);
-  /// Wavefront variant of ExecuteNaive: ready nodes dispatch together
-  /// through ServerlessExecutor::InvokeWave. Produces the same artifacts,
-  /// expectation outcomes and spill metrics as the sequential walk (the
-  /// bodies are identical; only the schedule differs).
-  Result<RunReport> ExecuteParallelNaive(
+  /// The naive scheduler: ready nodes dispatch as waves through
+  /// ServerlessExecutor::InvokeWave, up to `parallelism` bodies at a
+  /// time. Width 1 dispatches one node per wave in execution order. Every
+  /// width produces the same artifacts, expectation outcomes and spill
+  /// metrics (the bodies are identical; only the schedule differs).
+  Result<RunReport> ExecuteWavefront(
       const pipeline::Dag& dag, const std::string& ref,
       const std::vector<std::string>& selected,
       const sql::ExecOptions& exec, int parallelism,
@@ -151,10 +147,11 @@ class PipelineRunner {
   void InsertFreshArtifacts(const RunReport& report,
                             const cache::NodeFingerprints& keys);
 
-  /// The per-node FunctionRequest both naive paths dispatch: inputs list
-  /// every upstream artifact, memory is sized from their bytes, and the
-  /// body (scan sources, fetch spills, run the node, spill the output)
-  /// writes its results into `node_report` and the shared context.
+  /// The per-node FunctionRequest the naive scheduler dispatches: inputs
+  /// list every upstream artifact, memory is sized from their bytes, and
+  /// the body (scan sources, fetch spills, run the node, spill the
+  /// output) writes its results into `node_report` and the shared
+  /// context.
   /// `node_span` parents the body's scan/sql/expectation/spill spans.
   runtime::FunctionRequest BuildNaiveRequest(
       internal::NaiveRunContext& ctx, const std::string& name,

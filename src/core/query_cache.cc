@@ -64,15 +64,6 @@ bool QueryResultCache::Lookup(const std::string& sql,
   return true;
 }
 
-bool QueryResultCache::Lookup(const std::string& sql,
-                              const std::string& commit_id,
-                              columnar::Table* out) {
-  sql::QueryResult result;
-  if (!Lookup(sql, commit_id, /*need_plans=*/false, &result)) return false;
-  *out = std::move(result.table);
-  return true;
-}
-
 void QueryResultCache::Insert(const std::string& sql,
                               const std::string& commit_id,
                               const sql::QueryResult& result,
@@ -104,14 +95,6 @@ void QueryResultCache::Insert(const std::string& sql,
   used_bytes_ += entry.bytes;
   lru_.push_front(std::move(entry));
   entries_[key] = lru_.begin();
-}
-
-void QueryResultCache::Insert(const std::string& sql,
-                              const std::string& commit_id,
-                              const columnar::Table& table) {
-  sql::QueryResult result;
-  result.table = table;
-  Insert(sql, commit_id, result, /*has_plans=*/false);
 }
 
 void QueryResultCache::EvictUntilFits(uint64_t incoming) {

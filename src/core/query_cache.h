@@ -48,20 +48,12 @@ class QueryResultCache {
   bool Lookup(const std::string& sql, const std::string& commit_id,
               bool need_plans, sql::QueryResult* out);
 
-  /// Compat shim (table-only): hit copies just the table.
-  bool Lookup(const std::string& sql, const std::string& commit_id,
-              columnar::Table* out);
-
   /// Stores a result payload; `has_plans` marks whether `result` carries
   /// captured plans/lints. Re-inserting under an existing key is a no-op
   /// unless the newcomer has plans and the incumbent does not (upgrade).
   /// No-op when disabled or the table alone exceeds capacity.
   void Insert(const std::string& sql, const std::string& commit_id,
               const sql::QueryResult& result, bool has_plans);
-
-  /// Compat shim (table-only, no plans).
-  void Insert(const std::string& sql, const std::string& commit_id,
-              const columnar::Table& table);
 
   /// Snapshot by value; call again for fresh numbers.
   Stats stats() const;

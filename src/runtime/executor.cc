@@ -134,6 +134,7 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
     return wave;
   }
 
+  wave.forked = true;
   const uint64_t wave_start = fork_clock->NowMicros();
   std::vector<WaveMember> members;
   members.reserve(requests.size());

@@ -67,6 +67,11 @@ struct InvocationReport {
 struct WaveReport {
   /// One report per function that ran, in request order.
   std::vector<InvocationReport> reports;
+  /// True when the members ran on forked timelines from one wave clock
+  /// (each report's interval is [wave start + queue_micros, wave start +
+  /// total_micros]); false when the wave degraded to back-to-back
+  /// Invoke calls on the shared clock.
+  bool forked = false;
   /// Functions bounced by resource exhaustion (no worker memory or
   /// container slot free while the rest of the wave held them). They
   /// stay runnable: re-dispatch them in the next wave.

@@ -173,8 +173,8 @@ Result<Table> ExecNode(ExecContext* ctx, const PlanNode& plan,
 
 // ---------------------------------------------------------------- spilling
 //
-// When ExecOptions::memory_budget_bytes is set and an operator's input
-// exceeds it, the vectorized join/sort/aggregate degrade to spilling
+// When ExecOptions::memory_budget_bytes is set and a breaker's input
+// exceeds it, the join/sort/aggregate breakers degrade to spilling
 // variants: Grace hash join, external merge sort, and hash-partitioned
 // aggregation, all staged through an ObjectStore via columnar::serialize.
 // The overriding constraint is bit-identity: for any budget and thread
@@ -249,71 +249,6 @@ uint32_t SpillFanout(int64_t bytes, int64_t budget) {
 
 // ------------------------------------------------------- filter / project
 
-Result<Table> ExecFilterVectorized(const ExecContext& ctx,
-                                   const PlanNode& plan,
-                                   const Table& input) {
-  std::vector<Morsel> morsels =
-      MakeMorsels(input.num_rows(), ctx.options.morsel_rows);
-  int64_t m = static_cast<int64_t>(morsels.size());
-  std::vector<SelectionVector> selected(static_cast<size_t>(m));
-  std::vector<Status> errors(static_cast<size_t>(m));
-  // Mask evaluation only touches the predicate's columns, so slice just
-  // those per morsel instead of the whole table — string-heavy payload
-  // columns are copied exactly once (by the final gather) instead of
-  // twice. Falls back to full-width slices when the predicate references
-  // no columns or a name fails to resolve (e.g. duplicate output names).
-  Table pred_input = input;
-  {
-    std::vector<std::string> refs;
-    CollectColumnRefs(*plan.predicate, &refs);
-    std::sort(refs.begin(), refs.end());
-    refs.erase(std::unique(refs.begin(), refs.end()), refs.end());
-    if (!refs.empty() &&
-        refs.size() < static_cast<size_t>(input.num_columns())) {
-      Result<Table> pruned = input.SelectColumns(refs);
-      if (pruned.ok()) pred_input = std::move(*pruned);
-    }
-  }
-  RunMorsels(ctx, m, [&](int64_t mi) {
-    const Morsel& mo = morsels[static_cast<size_t>(mi)];
-    Result<Table> slice =
-        columnar::SliceTable(pred_input, mo.begin, mo.end - mo.begin);
-    if (!slice.ok()) {
-      errors[static_cast<size_t>(mi)] = slice.status();
-      return;
-    }
-    Result<ArrayPtr> mask = EvaluateExpr(*plan.predicate, *slice);
-    if (!mask.ok()) {
-      errors[static_cast<size_t>(mi)] = mask.status();
-      return;
-    }
-    const auto* b = AsBool(**mask);
-    if (b == nullptr) {
-      errors[static_cast<size_t>(mi)] = Status::InvalidArgument(
-          StrCat("WHERE/HAVING must be boolean: ",
-                 plan.predicate->ToString()));
-      return;
-    }
-    SelectionVector sel = columnar::MaskToSelection(*b);
-    for (int64_t& idx : sel) idx += mo.begin;
-    selected[static_cast<size_t>(mi)] = std::move(sel);
-  });
-  BAUPLAN_RETURN_NOT_OK(FirstError(errors));
-
-  // Merge per-morsel selections in morsel order (deterministic).
-  size_t total = 0;
-  for (const auto& sel : selected) total += sel.size();
-  SelectionVector all;
-  all.reserve(total);
-  for (const auto& sel : selected) {
-    all.insert(all.end(), sel.begin(), sel.end());
-  }
-  int64_t dropped = input.num_rows() - static_cast<int64_t>(all.size());
-  ctx.stats->rows_filtered += dropped;
-  ctx.Count("exec.rows_filtered", dropped);
-  return columnar::TakeTable(input, all);
-}
-
 Result<Table> ExecFilterScalar(const ExecContext& ctx, const PlanNode& plan,
                                const Table& input) {
   BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr mask,
@@ -328,65 +263,6 @@ Result<Table> ExecFilterScalar(const ExecContext& ctx, const PlanNode& plan,
   ctx.stats->rows_filtered += dropped;
   ctx.Count("exec.rows_filtered", dropped);
   return out;
-}
-
-Result<Table> ExecProjectVectorized(const ExecContext& ctx,
-                                    const PlanNode& plan,
-                                    const Table& input) {
-  // Pure column projections (SELECT a, b ...) need no evaluation at all:
-  // share the input columns, zero copy. Computed projections morselize.
-  bool all_refs = !plan.expressions.empty();
-  for (const auto& expr : plan.expressions) {
-    if (expr->kind != ExprKind::kColumnRef) {
-      all_refs = false;
-      break;
-    }
-  }
-  if (all_refs) {
-    std::vector<ArrayPtr> columns;
-    columns.reserve(plan.expressions.size());
-    for (const auto& expr : plan.expressions) {
-      BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr col,
-                               input.GetColumnByName(expr->column_name));
-      columns.push_back(std::move(col));
-    }
-    return TableFromArrays(plan.output_names, std::move(columns));
-  }
-
-  std::vector<Morsel> morsels =
-      MakeMorsels(input.num_rows(), ctx.options.morsel_rows);
-  int64_t m = static_cast<int64_t>(morsels.size());
-  size_t ncols = plan.expressions.size();
-  // parts[c][mi] = column c of morsel mi.
-  std::vector<std::vector<ArrayPtr>> parts(
-      ncols, std::vector<ArrayPtr>(static_cast<size_t>(m)));
-  std::vector<Status> errors(static_cast<size_t>(m));
-  RunMorsels(ctx, m, [&](int64_t mi) {
-    const Morsel& mo = morsels[static_cast<size_t>(mi)];
-    Result<Table> slice =
-        columnar::SliceTable(input, mo.begin, mo.end - mo.begin);
-    if (!slice.ok()) {
-      errors[static_cast<size_t>(mi)] = slice.status();
-      return;
-    }
-    for (size_t c = 0; c < ncols; ++c) {
-      Result<ArrayPtr> col = EvaluateExpr(*plan.expressions[c], *slice);
-      if (!col.ok()) {
-        errors[static_cast<size_t>(mi)] = col.status();
-        return;
-      }
-      parts[c][static_cast<size_t>(mi)] = std::move(*col);
-    }
-  });
-  BAUPLAN_RETURN_NOT_OK(FirstError(errors));
-
-  std::vector<ArrayPtr> columns;
-  columns.reserve(ncols);
-  for (size_t c = 0; c < ncols; ++c) {
-    BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr col, columnar::ConcatArrays(parts[c]));
-    columns.push_back(std::move(col));
-  }
-  return TableFromArrays(plan.output_names, std::move(columns));
 }
 
 Result<Table> ExecProjectScalar(const PlanNode& plan, const Table& input) {
@@ -590,7 +466,8 @@ Status AggregateMorsel(const PlanNode& plan, const Table& slice,
   return Status::OK();
 }
 
-/// Emits the final table from merged groups (shared by both engines).
+/// Emits the final table from merged groups (shared by the streaming
+/// engine and the scalar oracle).
 Result<Table> EmitAggregateOutput(
     const PlanNode& plan, const std::vector<std::vector<Value>>& group_order,
     const std::vector<std::vector<AggState>>& group_states) {
@@ -671,10 +548,11 @@ void FinalizeDistinct(const PlanNode& plan,
 }
 
 /// Serial morsel-order merge of partial aggregation results, shared by
-/// the materialized path and the streaming aggregate sink so the
-/// first-seen group order and the float partial-sum association are
-/// identical on both engines. Group keys box here — the number of groups
-/// is small compared to rows, so this is off the hot path.
+/// the budgeted aggregate (materialized input) and the streaming
+/// aggregate sink so the first-seen group order and the float
+/// partial-sum association are identical on both paths. Group keys box
+/// here — the number of groups is small compared to rows, so this is off
+/// the hot path.
 struct GroupMerger {
   std::unordered_map<std::vector<Value>, size_t, KeyHash, KeyEq> index;
   std::vector<std::vector<Value>> group_order;
@@ -1436,13 +1314,12 @@ std::vector<uint8_t> JoinNullFlags(const std::vector<ArrayPtr>& keys,
   return flags;
 }
 
-/// The build-side artifact of one hash join, shared by the materialized
-/// probe loop and the streaming probe operator so both emit identical
-/// pair sequences. Single int64/timestamp keys take the flat table,
-/// composite (int64, int64) keys with a null-free build side take the
-/// 128-bit packed table, string/mixed composites whose byte encoding is
-/// faithful to RowsEqual take the canonical interned-bytes table, and
-/// everything else falls back to vectorized row hashes into
+/// The build-side artifact of one hash join, probed chunk by chunk by
+/// the streaming join operator. Single int64/timestamp keys take the
+/// flat table, composite (int64, int64) keys with a null-free build side
+/// take the 128-bit packed table, string/mixed composites whose byte
+/// encoding is faithful to RowsEqual take the canonical interned-bytes
+/// table, and everything else falls back to vectorized row hashes into
 /// hash -> row buckets resolved by RowsEqual.
 ///
 /// Every mode is hash-partitioned into 2^part_bits independent tables
@@ -1651,17 +1528,18 @@ struct JoinBuildState {
   }
 };
 
-/// Probes rows [begin, end) of the evaluated `left_keys` against the
-/// build state, appending matched (probe_row, build_row) pairs —
-/// `left_hashes` is consulted in bucket mode only. Probe rows ascend and
-/// build chains ascend in every mode, so the emitted pair order is the
-/// same regardless of which fast path fired.
+/// Probes every row of the evaluated `left_keys` (one chunk; `left_null`
+/// holds one JoinNullFlags entry per row) against the build state,
+/// appending matched (probe_row, build_row) pairs — `left_hashes` is
+/// consulted in bucket mode only. Probe rows ascend and build chains
+/// ascend in every mode, so the emitted pair order is the same
+/// regardless of which fast path fired.
 void ProbeJoinRows(const JoinBuildState& st,
                    const std::vector<ArrayPtr>& left_keys,
                    const std::vector<uint64_t>& left_hashes,
-                   const std::vector<uint8_t>& left_null, int64_t begin,
-                   int64_t end, SelectionVector* out_l,
-                   SelectionVector* out_r) {
+                   const std::vector<uint8_t>& left_null,
+                   SelectionVector* out_l, SelectionVector* out_r) {
+  const int64_t rows = static_cast<int64_t>(left_null.size());
   auto emit_chain = [&](int64_t row, int64_t r) {
     if (r >= 0) {
       for (; r != -1; r = st.next[static_cast<size_t>(r)]) {
@@ -1676,7 +1554,7 @@ void ProbeJoinRows(const JoinBuildState& st,
   switch (st.mode) {
     case JoinBuildState::Mode::kFlat64: {
       const auto* probe_keys = AsInt64(*left_keys[0]);
-      for (int64_t row = begin; row < end; ++row) {
+      for (int64_t row = 0; row < rows; ++row) {
         int64_t r = -1;
         if (!left_null[static_cast<size_t>(row)]) {
           int64_t k = probe_keys->Value(row);
@@ -1690,7 +1568,7 @@ void ProbeJoinRows(const JoinBuildState& st,
     case JoinBuildState::Mode::kFlat128: {
       const auto* k0 = AsInt64(*left_keys[0]);
       const auto* k1 = AsInt64(*left_keys[1]);
-      for (int64_t row = begin; row < end; ++row) {
+      for (int64_t row = 0; row < rows; ++row) {
         int64_t r = -1;
         if (!left_null[static_cast<size_t>(row)]) {
           unsigned __int128 k = Pack128(k0->Value(row), k1->Value(row));
@@ -1702,16 +1580,16 @@ void ProbeJoinRows(const JoinBuildState& st,
       return;
     }
     case JoinBuildState::Mode::kCanonical: {
-      // Encode this morsel's probe keys once; the range is caller-checked
-      // so the encode cannot fail.
+      // Encode the chunk's probe keys once; the range is the keys' own
+      // length, so the encode cannot fail.
       std::vector<std::string> bytes;
       Status encoded =
-          columnar::EncodeCanonicalKeys(left_keys, begin, end, &bytes);
+          columnar::EncodeCanonicalKeys(left_keys, 0, rows, &bytes);
       (void)encoded;
-      for (int64_t row = begin; row < end; ++row) {
+      for (int64_t row = 0; row < rows; ++row) {
         int64_t r = -1;
         if (!left_null[static_cast<size_t>(row)]) {
-          const std::string& k = bytes[static_cast<size_t>(row - begin)];
+          const std::string& k = bytes[static_cast<size_t>(row)];
           r = st.canonical[st.PartOf(Fnv1a64(k))].Find(k);
         }
         emit_chain(row, r);
@@ -1719,7 +1597,7 @@ void ProbeJoinRows(const JoinBuildState& st,
       return;
     }
     case JoinBuildState::Mode::kBuckets: {
-      for (int64_t row = begin; row < end; ++row) {
+      for (int64_t row = 0; row < rows; ++row) {
         const std::vector<int64_t>* matches = nullptr;
         if (!left_null[static_cast<size_t>(row)]) {
           uint64_t h = left_hashes[static_cast<size_t>(row)];
@@ -1747,10 +1625,10 @@ void ProbeJoinRows(const JoinBuildState& st,
   }
 }
 
-/// Materializes the join output from matched (left,right) row pairs:
-/// chunked parallel gather of all columns plus the residual filter.
-/// Shared by the in-memory and Grace paths, so once their pair sequences
-/// agree the output bytes cannot diverge.
+/// Materializes the Grace join output from matched (left,right) row
+/// pairs: chunked parallel gather of all columns plus the residual
+/// filter. Given the streaming probe's pair sequence it yields exactly
+/// the rows a streamed probe of the same inputs would.
 Result<Table> AssembleJoinOutput(const ExecContext& ctx, const PlanNode& plan,
                                  const Table& left, const Table& right,
                                  const SelectionVector& out_left,
@@ -1803,10 +1681,10 @@ Result<Table> AssembleJoinOutput(const ExecContext& ctx, const PlanNode& plan,
 // Grace join. Both sides shrink to "side tables" of key columns plus the
 // global row index; partitions of those spill to the object store and
 // join pairwise, emitting global (left,right) index pairs. Payload
-// columns are never spilled — the executor materializes operator inputs
-// regardless, so the budget governs the join's own working set (hash
-// table + partition buffers), and the final gather runs through the
-// shared AssembleJoinOutput. Pair order: the in-memory path emits pairs
+// columns are never spilled — a breaker-ized join holds both inputs
+// materialized regardless, so the budget governs the join's own working
+// set (hash table + partition buffers), and the final gather runs
+// through AssembleJoinOutput. Pair order: the streaming probe emits pairs
 // exactly sorted by (left_row, right_row) — probe rows ascend, build
 // chains ascend, and an unmatched LEFT row contributes a single
 // (left_row, -1) — so sorting the partition-scattered pairs restores
@@ -1908,13 +1786,24 @@ Status JoinSpillPartition(const Table& build, const Table& probe,
   return Status::OK();
 }
 
+/// Joins materialized `left` against the build side (`right` with its
+/// evaluated keys and null flags) through the Grace path. The streaming
+/// engine breaker-izes a join into this only once the build side busts
+/// the memory budget.
 Result<Table> ExecJoinGrace(ExecContext* ctx, const PlanNode& plan,
                             const Table& left, const Table& right,
-                            const std::vector<ArrayPtr>& left_keys,
                             const std::vector<ArrayPtr>& right_keys,
-                            const std::vector<uint8_t>& left_null,
                             const std::vector<uint8_t>& right_null,
                             uint64_t span_id) {
+  std::vector<ArrayPtr> left_keys;
+  for (const auto& k : plan.left_keys) {
+    BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr, EvaluateExpr(*k, left));
+    left_keys.push_back(std::move(arr));
+  }
+  std::vector<uint8_t> left_null = JoinNullFlags(left_keys, left.num_rows());
+  ctx->stats->join_probe_rows += left.num_rows();
+  ctx->Count("exec.join_probe_rows", left.num_rows());
+
   obs::ScopedSpan spill_span(ctx->options.tracer, "spill.join",
                              obs::span_kind::kSpill, span_id);
   int64_t partitions_before = ctx->stats->spill_partitions;
@@ -1997,78 +1886,6 @@ Result<Table> ExecJoinGrace(ExecContext* ctx, const PlanNode& plan,
                                       StrCat(pairs.size()));
   }
   return AssembleJoinOutput(*ctx, plan, left, right, out_left, out_right);
-}
-
-Result<Table> ExecJoinVectorized(ExecContext* mctx, const PlanNode& plan,
-                                 const Table& left, const Table& right,
-                                 uint64_t span_id) {
-  const ExecContext& ctx = *mctx;
-  std::vector<ArrayPtr> left_keys, right_keys;
-  for (const auto& k : plan.left_keys) {
-    BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr, EvaluateExpr(*k, left));
-    left_keys.push_back(std::move(arr));
-  }
-  for (const auto& k : plan.right_keys) {
-    BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr, EvaluateExpr(*k, right));
-    right_keys.push_back(std::move(arr));
-  }
-
-  std::vector<uint8_t> right_null = JoinNullFlags(right_keys,
-                                                  right.num_rows());
-  std::vector<uint8_t> left_null = JoinNullFlags(left_keys,
-                                                 left.num_rows());
-
-  // Either side over budget degrades to the Grace join: the build hash
-  // table scales with the right side, but the probe side table and the
-  // pair buffers scale with the left, so both inputs bound the join's
-  // working set.
-  ctx.stats->join_probe_rows += left.num_rows();
-  ctx.Count("exec.join_probe_rows", left.num_rows());
-  if (!left_keys.empty() && (ShouldSpill(ctx, right.EstimatedBytes()) ||
-                             ShouldSpill(ctx, left.EstimatedBytes()))) {
-    return ExecJoinGrace(mctx, plan, left, right, left_keys, right_keys,
-                         left_null, right_null, span_id);
-  }
-
-  // Build side (right), shared with the streaming probe operator.
-  JoinBuildState state;
-  state.right = right;
-  state.right_keys = right_keys;
-  state.right_null = right_null;
-  std::vector<TypeId> left_key_types;
-  left_key_types.reserve(left_keys.size());
-  for (const ArrayPtr& arr : left_keys) left_key_types.push_back(arr->type());
-  BAUPLAN_RETURN_NOT_OK(state.Build(mctx, plan, left_key_types, span_id));
-  std::vector<uint64_t> left_hashes;
-  if (state.mode == JoinBuildState::Mode::kBuckets) {
-    for (size_t k = 0; k < left_keys.size(); ++k) {
-      columnar::HashArray(*left_keys[k], /*combine=*/k > 0, &left_hashes);
-    }
-  }
-
-  // Probe side (left) in parallel morsels; pairs merge in morsel order.
-  std::vector<Morsel> morsels =
-      MakeMorsels(left.num_rows(), ctx.options.morsel_rows);
-  int64_t m = static_cast<int64_t>(morsels.size());
-  std::vector<std::pair<SelectionVector, SelectionVector>> pairs(
-      static_cast<size_t>(m));
-  RunMorsels(ctx, m, [&](int64_t mi) {
-    const Morsel& mo = morsels[static_cast<size_t>(mi)];
-    ProbeJoinRows(state, left_keys, left_hashes, left_null, mo.begin,
-                  mo.end, &pairs[static_cast<size_t>(mi)].first,
-                  &pairs[static_cast<size_t>(mi)].second);
-  });
-
-  size_t total = 0;
-  for (const auto& p : pairs) total += p.first.size();
-  SelectionVector out_left, out_right;
-  out_left.reserve(total);
-  out_right.reserve(total);
-  for (const auto& p : pairs) {
-    out_left.insert(out_left.end(), p.first.begin(), p.first.end());
-    out_right.insert(out_right.end(), p.second.begin(), p.second.end());
-  }
-  return AssembleJoinOutput(ctx, plan, left, right, out_left, out_right);
 }
 
 /// Row-at-a-time reference join (the seed implementation).
@@ -2542,12 +2359,11 @@ Result<Table> MakeEmptyTable(const columnar::Schema& schema) {
   return Table::Make(schema, std::move(columns));
 }
 
+/// The scalar oracle's plan walker: every operator materializes its
+/// whole output before its parent runs. The streaming engine never
+/// reaches it (it drives its own pipelines).
 Result<Table> ExecNodeImpl(ExecContext* ctx, const PlanNode& plan,
                            uint64_t span_id) {
-  // The streaming engine never reaches this walker (it has its own
-  // driver), but guard on != kScalar so a streaming context recursing
-  // through here would still pick the vectorized operators.
-  bool vectorized = ctx->options.engine != ExecOptions::Engine::kScalar;
   switch (plan.kind) {
     case PlanKind::kScan: {
       if (plan.empty_scan) return MakeEmptyTable(plan.schema);
@@ -2562,51 +2378,33 @@ Result<Table> ExecNodeImpl(ExecContext* ctx, const PlanNode& plan,
     case PlanKind::kFilter: {
       BAUPLAN_ASSIGN_OR_RETURN(Table input,
                                ExecNode(ctx, *plan.children[0], span_id));
-      return vectorized ? ExecFilterVectorized(*ctx, plan, input)
-                        : ExecFilterScalar(*ctx, plan, input);
+      return ExecFilterScalar(*ctx, plan, input);
     }
     case PlanKind::kProject: {
       BAUPLAN_ASSIGN_OR_RETURN(Table input,
                                ExecNode(ctx, *plan.children[0], span_id));
-      return vectorized ? ExecProjectVectorized(*ctx, plan, input)
-                        : ExecProjectScalar(plan, input);
+      return ExecProjectScalar(plan, input);
     }
     case PlanKind::kAggregate: {
       BAUPLAN_ASSIGN_OR_RETURN(Table input,
                                ExecNode(ctx, *plan.children[0], span_id));
-      return vectorized ? ExecAggregateVectorized(ctx, plan, input, span_id)
-                        : ExecAggregateScalar(*ctx, plan, input);
+      return ExecAggregateScalar(*ctx, plan, input);
     }
     case PlanKind::kJoin: {
       BAUPLAN_ASSIGN_OR_RETURN(Table left,
                                ExecNode(ctx, *plan.children[0], span_id));
       BAUPLAN_ASSIGN_OR_RETURN(Table right,
                                ExecNode(ctx, *plan.children[1], span_id));
-      return vectorized ? ExecJoinVectorized(ctx, plan, left, right, span_id)
-                        : ExecJoinScalar(*ctx, plan, left, right);
+      return ExecJoinScalar(*ctx, plan, left, right);
     }
     case PlanKind::kSort: {
       BAUPLAN_ASSIGN_OR_RETURN(Table input,
                                ExecNode(ctx, *plan.children[0], span_id));
-      return vectorized
-                 ? ExecSortVectorized(ctx, plan, input, /*limit=*/-1, span_id)
-                 : ExecSortScalar(plan, input);
+      return ExecSortScalar(plan, input);
     }
     case PlanKind::kLimit: {
-      const PlanNode& child = *plan.children[0];
-      if (vectorized && child.kind == PlanKind::kSort &&
-          !child.sort_keys.empty()) {
-        // Top-N: push LIMIT into the sort (partial_sort of the same total
-        // order produces exactly the stable full-sort prefix).
-        ++ctx->stats->operators_executed;
-        obs::ScopedSpan sort_span(ctx->options.tracer, "op.sort",
-                                  obs::span_kind::kOperator, span_id);
-        BAUPLAN_ASSIGN_OR_RETURN(
-            Table input, ExecNode(ctx, *child.children[0], sort_span.id()));
-        return ExecSortVectorized(ctx, child, input, plan.limit,
-                                  sort_span.id());
-      }
-      BAUPLAN_ASSIGN_OR_RETURN(Table input, ExecNode(ctx, child, span_id));
+      BAUPLAN_ASSIGN_OR_RETURN(Table input,
+                               ExecNode(ctx, *plan.children[0], span_id));
       if (input.num_rows() <= plan.limit) return input;
       return columnar::SliceTable(input, 0, plan.limit);
     }
@@ -2628,8 +2426,7 @@ Result<Table> ExecNodeImpl(ExecContext* ctx, const PlanNode& plan,
     case PlanKind::kDistinct: {
       BAUPLAN_ASSIGN_OR_RETURN(Table input,
                                ExecNode(ctx, *plan.children[0], span_id));
-      return vectorized ? ExecDistinctVectorized(input)
-                        : ExecDistinctScalar(input);
+      return ExecDistinctScalar(input);
     }
   }
   return Status::Internal("unhandled plan kind");
@@ -2658,16 +2455,15 @@ Result<Table> ExecNode(ExecContext* ctx, const PlanNode& plan,
 
 // ------------------------------------------------------- streaming engine
 //
-// The default engine. The plan splits into pipelines at breakers (hash
+// The production engine. The plan splits into pipelines at breakers (hash
 // build, sort, full aggregate, distinct, union, mid-chain limit); within a
 // pipeline, filter -> project -> join-probe -> limit chains push each
 // morsel end-to-end without concatenating an intermediate table. Chunks
 // are produced by morsel workers but consumed on the driver in morsel
-// order, so every merge point sees the same sequence the materialized
-// engine sees — which is what keeps the two engines bit-identical for any
-// thread count and memory budget. Breakers reuse the vectorized operator
-// implementations (including their spill paths) on materialized inputs,
-// so the budget semantics are the materialized engine's, verbatim.
+// order, so every merge point sees rows in input order whatever the
+// thread count — which is what keeps the result bytes independent of
+// threads and memory budget. Breakers run the vectorized operators above
+// (including their spill paths) on their materialized inputs.
 
 Result<Table> ExecStreamingNode(ExecContext* ctx, const PlanNode& plan,
                                 uint64_t parent_span);
@@ -2725,11 +2521,10 @@ CompiledChain CompileChain(const PlanNode& head) {
 
 /// Applies one streamable operator to `chunk` in place. Every kernel here
 /// is elementwise over rows, so running it per chunk yields exactly the
-/// rows the materialized operator would produce for this morsel range —
-/// the core of the bit-identity argument.
-Status ApplyStreamOp(const ExecContext& ctx, const StreamOp& op,
-                     Table* chunk, SelectionVector* scratch,
-                     ChunkDelta* delta) {
+/// rows the operator would produce for this morsel range of the whole
+/// input — the core of the bit-identity argument.
+Status ApplyStreamOp(const StreamOp& op, Table* chunk,
+                     SelectionVector* scratch, ChunkDelta* delta) {
   const PlanNode& node = *op.node;
   switch (node.kind) {
     case PlanKind::kFilter: {
@@ -2788,8 +2583,7 @@ Status ApplyStreamOp(const ExecContext& ctx, const StreamOp& op,
         }
       }
       SelectionVector out_l, out_r;
-      ProbeJoinRows(st, left_keys, left_hashes, left_null, 0,
-                    chunk->num_rows(), &out_l, &out_r);
+      ProbeJoinRows(st, left_keys, left_hashes, left_null, &out_l, &out_r);
       delta->join_probe_rows += chunk->num_rows();
       int left_cols = chunk->num_columns();
       int total_cols = left_cols + st.right.num_columns();
@@ -2825,8 +2619,7 @@ Status ProcessChunk(const ExecContext& ctx,
   delta->rows_out.assign(ops.size(), 0);
   SelectionVector scratch;
   for (size_t i = 0; i < ops.size(); ++i) {
-    BAUPLAN_RETURN_NOT_OK(ApplyStreamOp(ctx, ops[i], chunk, &scratch,
-                                        delta));
+    BAUPLAN_RETURN_NOT_OK(ApplyStreamOp(ops[i], chunk, &scratch, delta));
     delta->rows_out[i] = chunk->num_rows();
     ctx.TrackPeak(chunk->EstimatedBytes());
   }
@@ -2931,8 +2724,9 @@ Status DriveMorsels(ExecContext* ctx, const Table& source,
 /// into cuts at exactly the `morsel_rows` boundaries MakeMorsels would
 /// put on the materialized input, aggregates cuts in parallel batches,
 /// and merges partials in cut order — so partial float sums associate
-/// identically to the materialized path (bit-identity) while input
-/// residency stays O(threads x morsel).
+/// identically to the budgeted and spilled aggregates, which morselize
+/// the materialized input (bit-identity), while input residency stays
+/// O(threads x morsel).
 class AggregateStream {
  public:
   AggregateStream(ExecContext* ctx, const PlanNode& plan, uint64_t span_id)
@@ -3208,8 +3002,8 @@ Result<Table> ExecStreamTopN(ExecContext* ctx, const PlanNode& limit_node,
                   : 0;
     ops.push_back(std::move(op));
     SelectionVector scratch;
-    BAUPLAN_RETURN_NOT_OK(ApplyStreamOp(cctx, ops.back(), &primer, &scratch,
-                                        &primer_delta));
+    BAUPLAN_RETURN_NOT_OK(
+        ApplyStreamOp(ops.back(), &primer, &scratch, &primer_delta));
   }
   Table cand = std::move(primer);  // post-filter schema, zero rows
   ArrayPtr cand_key0;              // first sort key over `cand`
@@ -3442,8 +3236,8 @@ Status StreamChainInto(ExecContext* ctx, const PlanNode& head,
           ctx->TrackPeak(left.EstimatedBytes());
         }
         BAUPLAN_ASSIGN_OR_RETURN(
-            source, ExecJoinVectorized(ctx, *node, left, st->right,
-                                       op_span));
+            source, ExecJoinGrace(ctx, *node, left, st->right,
+                                  st->right_keys, st->right_null, op_span));
         ctx->TrackPeak(source.EstimatedBytes());
         if (tracer != nullptr) {
           tracer->AddAttribute(op_span, "rows_out",
@@ -3465,8 +3259,8 @@ Status StreamChainInto(ExecContext* ctx, const PlanNode& head,
     }
     ops.push_back(std::move(op));
     SelectionVector scratch;
-    BAUPLAN_RETURN_NOT_OK(ApplyStreamOp(*ctx, ops.back(), &primer,
-                                        &scratch, &primer_delta));
+    BAUPLAN_RETURN_NOT_OK(
+        ApplyStreamOp(ops.back(), &primer, &scratch, &primer_delta));
   }
 
   Status s;
@@ -3516,7 +3310,7 @@ Result<Table> ExecStreamChain(ExecContext* ctx, const PlanNode& head,
 /// aggregate, whose state is O(1) per morsel) the child pipeline streams
 /// straight into the aggregate sink; a grouped aggregate under a budget
 /// materializes its input first so the spill decision — which is input-
-/// size-based — lands exactly where the materialized engine puts it.
+/// size-based — sees the whole input.
 Result<Table> ExecStreamAggregate(ExecContext* ctx, const PlanNode& plan,
                                   uint64_t parent_span) {
   ++ctx->stats->operators_executed;
@@ -3588,8 +3382,8 @@ Result<Table> ExecStreamingNode(ExecContext* ctx, const PlanNode& plan,
         Result<Table> topn =
             ExecStreamTopN(ctx, plan, child, parent_span, &handled);
         if (handled) return topn;
-        // Top-N: same fusion as the materialized engine — the LIMIT
-        // pushes into the sort breaker instead of streaming.
+        // Top-N: the LIMIT pushes into the sort breaker (partial sort of
+        // the same total order) instead of streaming.
         ++ctx->stats->operators_executed;  // the limit; the breaker
                                            // counts the sort
         obs::ScopedSpan limit_span(ctx->options.tracer, "op.limit",
@@ -3718,9 +3512,9 @@ Result<Table> ExecutePlan(const PlanNode& plan, TableSource* source,
     }
   }
   Result<Table> out =
-      options.engine == ExecOptions::Engine::kStreaming
-          ? ExecStreamingNode(&ctx, plan, options.parent_span)
-          : ExecNode(&ctx, plan, options.parent_span);
+      options.engine == ExecOptions::Engine::kScalar
+          ? ExecNode(&ctx, plan, options.parent_span)
+          : ExecStreamingNode(&ctx, plan, options.parent_span);
   int64_t peak_bytes = peak.load(std::memory_order_relaxed);
   if (peak_bytes > stats->peak_bytes) stats->peak_bytes = peak_bytes;
   if (options.metrics != nullptr && out.ok()) {

@@ -50,12 +50,12 @@ struct ExecStats {
   int64_t morsels = 0;
   int64_t morsels_scheduled = 0;
   /// Pipelines compiled and driven by the streaming engine (0 under the
-  /// materialized or scalar engines).
+  /// scalar oracle, which walks the plan operator by operator).
   int64_t pipelines = 0;
   /// Largest single intermediate the engine materialized: any per-morsel
-  /// chunk on a streaming pipeline, any breaker input/output, any
-  /// materialized operator output. Scan source tables are inputs, not
-  /// intermediates, and do not count.
+  /// chunk on a streaming pipeline, any breaker input/output, and under
+  /// the scalar oracle any operator output. Scan source tables are
+  /// inputs, not intermediates, and do not count.
   int64_t peak_bytes = 0;
   int64_t spill_partitions = 0;     // partitions written by spilling ops
   int64_t spill_bytes_written = 0;  // serialized bytes put to spill store
@@ -81,19 +81,23 @@ struct ExecStats {
 /// Execution knobs for one plan run.
 ///
 /// Determinism contract: the result bytes depend only on `engine` and the
-/// plan/input — never on `threads`. Morsel partitioning is fixed by
-/// `morsel_rows`, and partial results merge in morsel order, so
-/// `threads=8` is bit-identical to `threads=1`.
+/// plan/input — never on `threads` or `memory_budget_bytes`. Morsel
+/// partitioning is fixed by `morsel_rows`, and partial results merge in
+/// morsel order, so `threads=8` is bit-identical to `threads=1`.
 struct ExecOptions {
   enum class Engine {
-    /// Push-based pipelined execution (default): the plan splits into
-    /// pipelines at breakers (hash-build, sort, full aggregate, distinct,
-    /// union) and filter/project/probe/limit chains stream morsel-by-
-    /// morsel without materializing intermediates. Bit-identical to
-    /// kVectorized for any plan, thread count and memory budget.
+    /// Push-based pipelined execution, the one production engine: the
+    /// plan splits into pipelines at breakers (hash-build, sort, full
+    /// aggregate, distinct, union) and filter/project/probe/limit chains
+    /// stream morsel-by-morsel through typed kernels without
+    /// materializing intermediates.
     kStreaming,
-    kVectorized,  // typed kernels + morsel parallelism, materialize-per-op
-    kScalar,      // row-at-a-time reference operators (seed behavior)
+    /// Row-at-a-time reference operators (the seed engine), kept as the
+    /// differential-testing oracle. Its rows match kStreaming's; bytes
+    /// can differ only in the last bits of double sums (it accumulates
+    /// row by row) and in where NaN sort keys land (its boxed compare
+    /// leaves NaN unordered).
+    kScalar,
   };
   Engine engine = Engine::kStreaming;
 
@@ -119,9 +123,9 @@ struct ExecOptions {
   observability::MetricsRegistry* metrics = nullptr;
 
   /// Soft cap on an operator's working-set bytes; 0 = unlimited (today's
-  /// behavior). When set, the vectorized join/sort/aggregate operators
-  /// degrade to spilling variants (Grace join, external merge sort,
-  /// partitioned aggregation) once their input exceeds the budget.
+  /// behavior). When set, the join/sort/aggregate breakers degrade to
+  /// spilling variants (Grace join, external merge sort, partitioned
+  /// aggregation) once their input exceeds the budget.
   /// Results stay bit-identical to the in-memory path for any budget and
   /// thread count; spilling shows up as `spill` child spans and
   /// `exec.spill.*` counters. The scalar engine ignores the budget (it is
@@ -144,9 +148,7 @@ struct ExecOptions {
 /// Executes an (optimized) plan tree. The streaming engine (default)
 /// compiles the plan into pipelines split at breakers and pushes morsels
 /// through each pipeline on a shared ThreadPool, materializing only at
-/// breakers and the result; the vectorized engine is the
-/// materialize-per-operator column-at-a-time model (kept as the
-/// bit-identical baseline); the scalar engine preserves the original
+/// breakers and the result; the scalar engine preserves the original
 /// row-at-a-time operators as the reference oracle.
 Result<columnar::Table> ExecutePlan(const PlanNode& plan,
                                     TableSource* source,

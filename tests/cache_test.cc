@@ -96,6 +96,13 @@ struct BatteryCase {
   bool expect_hits;  // budget large enough to actually serve
 };
 
+// Names each case by its fields. Without it gtest prints the raw bytes
+// of the struct, padding included, so the listed test names changed
+// from one process to the next.
+void PrintTo(const BatteryCase& c, std::ostream* os) {
+  *os << "parallelism=" << c.parallelism << ", budget=" << c.budget;
+}
+
 class CacheBitIdentityTest : public ::testing::TestWithParam<BatteryCase> {};
 
 TEST_P(CacheBitIdentityTest, WarmRunMatchesCold) {

@@ -5,8 +5,8 @@
 // the hardware concurrency, so the partitioned code runs even on a
 // single-core CI box) and assert two things everywhere: engagement —
 // the exec.breaker.* counters prove the partitioned path actually ran
-// — and bit-identity against the serial streaming run, the
-// materialized engine and the scalar oracle.
+// — and bit-identity against the serial streaming run and the scalar
+// oracle.
 
 #include <gtest/gtest.h>
 
@@ -150,8 +150,7 @@ TEST_F(ParallelBreakerTest, StringAndMixedKeyJoinsBitIdentical) {
       "ON f.key = s.sk2 AND f.tag = s.skey ORDER BY f.id, s.sval",
   };
   for (const char* sql : kQueries) {
-    auto baseline = RunParallel(sql, 1, 0, nullptr,
-                                ExecOptions::Engine::kVectorized);
+    auto baseline = RunParallel(sql, 1);
     ASSERT_TRUE(baseline.ok()) << sql << ": "
                                << baseline.status().ToString();
     ASSERT_GT(baseline->table.num_rows(), 0) << sql;
@@ -225,8 +224,7 @@ TEST_F(ParallelBreakerTest, ParallelAggregationPartitionsBitIdentically) {
       "SELECT id % 1600 AS g, COUNT(*) AS n, SUM(qty) AS sq, "
       "SUM(amount) AS sa, MIN(tag) AS lo, COUNT(DISTINCT qty) AS dq "
       "FROM facts GROUP BY id % 1600";
-  auto baseline =
-      RunParallel(sql, 1, 0, nullptr, ExecOptions::Engine::kVectorized);
+  auto baseline = RunParallel(sql, 1);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   ASSERT_EQ(baseline->table.num_rows(), 1600);
   auto scalar =
@@ -257,8 +255,7 @@ TEST_F(ParallelBreakerTest, ParallelAggregationPartitionsBitIdentically) {
 TEST_F(ParallelBreakerTest, ParallelSortRunsMergeBitIdentically) {
   const char* sql =
       "SELECT id, qty, tag FROM facts ORDER BY qty DESC, tag, id";
-  auto baseline =
-      RunParallel(sql, 1, 0, nullptr, ExecOptions::Engine::kVectorized);
+  auto baseline = RunParallel(sql, 1);
   ASSERT_TRUE(baseline.ok()) << baseline.status().ToString();
   auto scalar =
       RunParallel(sql, 1, 0, nullptr, ExecOptions::Engine::kScalar);
@@ -288,11 +285,15 @@ TEST_F(ParallelBreakerTest, SkewedKeyJoinAndAggregateNoStarvation) {
   const char* kAgg =
       "SELECT kk, COUNT(*) AS n, SUM(kv) AS sv FROM skew GROUP BY kk";
   for (const char* sql : {kJoin, kAgg}) {
-    auto baseline = RunParallel(sql, 1, 0, nullptr,
-                                ExecOptions::Engine::kVectorized);
+    auto baseline = RunParallel(sql, 1);
     ASSERT_TRUE(baseline.ok()) << sql << ": "
                                << baseline.status().ToString();
     ASSERT_GT(baseline->table.num_rows(), 0) << sql;
+    auto scalar =
+        RunParallel(sql, 1, 0, nullptr, ExecOptions::Engine::kScalar);
+    ASSERT_TRUE(scalar.ok()) << sql;
+    ExpectBitIdentical(baseline->table, scalar->table,
+                       StrCat(sql, " [scalar oracle]"));
     for (int64_t budget : {int64_t{0}, int64_t{64 * 1024}}) {
       observability::MetricsRegistry metrics;
       auto r = RunParallel(sql, 8, budget, &metrics);
@@ -335,10 +336,10 @@ TEST_F(ParallelBreakerTest, TopNSortShortCircuitsUpstreamMorsels) {
   EXPECT_EQ(r->stats.morsels + r->stats.topn_morsels_skipped,
             r->stats.morsels_scheduled);
 
-  QueryOptions mat;
-  mat.exec.engine = ExecOptions::Engine::kVectorized;
-  mat.exec.morsel_rows = 256;
-  auto baseline = sql::RunQuery(sql, provider_, &provider_, mat);
+  // The scalar oracle sorts everything, no short-circuit.
+  QueryOptions oracle;
+  oracle.exec.engine = ExecOptions::Engine::kScalar;
+  auto baseline = sql::RunQuery(sql, provider_, &provider_, oracle);
   ASSERT_TRUE(baseline.ok());
   ExpectBitIdentical(baseline->table, r->table, sql);
 
@@ -351,10 +352,7 @@ TEST_F(ParallelBreakerTest, TopNSortShortCircuitsUpstreamMorsels) {
   const char* dsql = "SELECT id FROM facts ORDER BY id DESC LIMIT 64";
   auto dr = sql::RunQuery(dsql, provider_, &provider_, desc);
   ASSERT_TRUE(dr.ok()) << dr.status().ToString();
-  QueryOptions dmat;
-  dmat.exec.engine = ExecOptions::Engine::kVectorized;
-  dmat.exec.morsel_rows = 256;
-  auto dbase = sql::RunQuery(dsql, provider_, &provider_, dmat);
+  auto dbase = sql::RunQuery(dsql, provider_, &provider_, oracle);
   ASSERT_TRUE(dbase.ok());
   ExpectBitIdentical(dbase->table, dr->table, dsql);
 

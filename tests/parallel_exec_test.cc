@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/strings.h"
 #include "core/bauplan.h"
 #include "pipeline/project.h"
 #include "storage/object_store.h"
@@ -10,10 +11,10 @@ namespace {
 
 using columnar::Table;
 
-// End-to-end checks that the parallel naive (wavefront) execution mode is
-// an observationally pure speedup: identical artifacts, expectations and
-// spill traffic as the sequential walk, with a strictly lower makespan on
-// a DAG that has independent branches.
+// End-to-end checks that widening the naive (wavefront) scheduler is an
+// observationally pure speedup: identical artifacts, expectations and
+// spill traffic as width 1 (the sequential walk), with a strictly lower
+// makespan on a DAG that has independent branches.
 class ParallelExecTest : public ::testing::Test {
  protected:
   void SetUp() override {
@@ -42,6 +43,8 @@ class ParallelExecTest : public ::testing::Test {
                           options);
   }
 
+  void ExpectTraceCoversWavesNodesAndStorage(int parallelism);
+
   void ExpectWorkersDrained() {
     for (int w = 0; w < 4; ++w) {
       EXPECT_EQ(platform_->scheduler()->used_memory(w), 0u)
@@ -53,6 +56,23 @@ class ParallelExecTest : public ::testing::Test {
   SimClock clock_{1700000000000000ull};
   std::unique_ptr<Bauplan> platform_;
 };
+
+/// Leaf spans — scans, SQL bodies, spill traffic — sit inside their
+/// node's reported interval.
+void ExpectLeafSpansInsideNodes(const observability::Trace& trace) {
+  for (const observability::Span& span : trace.spans) {
+    if (span.kind != observability::span_kind::kSql &&
+        span.kind != observability::span_kind::kScan &&
+        span.kind != observability::span_kind::kSpill) {
+      continue;
+    }
+    const observability::Span* parent = trace.Find(span.parent_id);
+    ASSERT_NE(parent, nullptr);
+    EXPECT_EQ(parent->kind, observability::span_kind::kNode) << span.name;
+    EXPECT_GE(span.start_micros, parent->start_micros) << span.name;
+    EXPECT_LE(span.end_micros, parent->end_micros) << span.name;
+  }
+}
 
 void ExpectTablesIdentical(const Table& a, const Table& b,
                            const std::string& name) {
@@ -149,8 +169,18 @@ TEST_F(ParallelExecTest, ParallelRunsAreDeterministic) {
   EXPECT_EQ(first->trace.ToJson(), second->trace.ToJson());
 }
 
+// Width 1 runs through the same wavefront loop as width 4 (one node per
+// wave), so the trace has the same shape at both widths.
 TEST_F(ParallelExecTest, TraceCoversWavesNodesAndStorage) {
-  auto run = RunWide(/*parallelism=*/4);
+  for (int parallelism : {1, 4}) {
+    SCOPED_TRACE(StrCat("parallelism=", parallelism));
+    ExpectTraceCoversWavesNodesAndStorage(parallelism);
+  }
+}
+
+void ParallelExecTest::ExpectTraceCoversWavesNodesAndStorage(
+    int parallelism) {
+  auto run = RunWide(parallelism);
   ASSERT_TRUE(run.ok()) << run.status().ToString();
   const observability::Trace& trace = run->trace;
 
@@ -206,14 +236,43 @@ TEST_F(ParallelExecTest, TraceCoversWavesNodesAndStorage) {
   EXPECT_GT(count_kind(observability::span_kind::kScan), 0u);
   EXPECT_GT(count_kind(observability::span_kind::kSpill), 0u);
 
-  // Leaf spans sit inside their node's reported interval.
-  for (const observability::Span& span : trace.spans) {
-    if (span.kind != observability::span_kind::kSql) continue;
-    const observability::Span* parent = trace.Find(span.parent_id);
-    ASSERT_NE(parent, nullptr);
-    EXPECT_EQ(parent->kind, observability::span_kind::kNode);
-    EXPECT_GE(span.start_micros, parent->start_micros);
-    EXPECT_LE(span.end_micros, parent->end_micros);
+  ExpectLeafSpansInsideNodes(trace);
+}
+
+// Replaying a node subset sizes each function from its unselected
+// upstreams' catalog metadata before dispatch. On a latency-modeled lake
+// those reads charge the clock, and node spans must still bracket their
+// leaf spans at every width.
+TEST(ParallelExecReplayTest, ReplayedSubsetLeafSpansStayInsideNodes) {
+  for (int parallelism : {1, 4}) {
+    SCOPED_TRACE(StrCat("parallelism=", parallelism));
+    storage::MemoryObjectStore store;
+    SimClock clock{1700000000000000ull};
+    BauplanOptions platform_options;
+    platform_options.lake_latency = storage::LatencyModel();
+    auto platform =
+        Bauplan::Open(&store, &clock, platform_options).ValueOrDie();
+    workload::TaxiGenOptions gen;
+    gen.rows = 2000;
+    auto taxi = workload::GenerateTaxiTable(gen);
+    ASSERT_TRUE(
+        platform->CreateTable("main", "taxi_table", taxi->schema()).ok());
+    ASSERT_TRUE(platform->WriteTable("main", "taxi_table", *taxi).ok());
+
+    PipelineRunOptions options;
+    options.fused = false;
+    options.parallelism = parallelism;
+    options.use_cache = false;
+    auto project = pipeline::MakeWideTaxiPipeline(4);
+    auto full = platform->Run(project, "main", options);
+    ASSERT_TRUE(full.ok()) << full.status().ToString();
+    ASSERT_TRUE(full->merged);
+
+    options.selected = {"short_trips", "long_trips", "trip_balance"};
+    auto replay = platform->Run(project, "main", options);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    ASSERT_EQ(replay->nodes.size(), 3u);
+    ExpectLeafSpansInsideNodes(replay->trace);
   }
 }
 

@@ -109,6 +109,17 @@ TEST(AuditLogTest, PlatformVerbsAreRecorded) {
 
 // ---------------------------------------------------------- query cache
 
+// These cases cache plan-less payloads: inserted without plans, looked up
+// without needing them.
+constexpr bool kNoPlans = false;
+
+/// A plan-less result payload holding `table`.
+sql::QueryResult ResultOf(const columnar::Table& table) {
+  sql::QueryResult result;
+  result.table = table;
+  return result;
+}
+
 TEST(QueryCacheTest, HitOnSameSqlAndCommit) {
   core::QueryResultCache cache;
   columnar::Int64Builder b;
@@ -116,13 +127,13 @@ TEST(QueryCacheTest, HitOnSameSqlAndCommit) {
   auto table = *columnar::Table::Make(
       columnar::Schema({{"n", columnar::TypeId::kInt64, false}}),
       {b.Finish()});
-  cache.Insert("SELECT 1", "commit_a", table);
+  cache.Insert("SELECT 1", "commit_a", ResultOf(table), kNoPlans);
 
-  columnar::Table out;
-  EXPECT_TRUE(cache.Lookup("SELECT 1", "commit_a", &out));
-  EXPECT_EQ(out.GetValue(0, 0), columnar::Value::Int64(42));
-  EXPECT_FALSE(cache.Lookup("SELECT 1", "commit_b", &out));
-  EXPECT_FALSE(cache.Lookup("SELECT 2", "commit_a", &out));
+  sql::QueryResult out;
+  EXPECT_TRUE(cache.Lookup("SELECT 1", "commit_a", kNoPlans, &out));
+  EXPECT_EQ(out.table.GetValue(0, 0), columnar::Value::Int64(42));
+  EXPECT_FALSE(cache.Lookup("SELECT 1", "commit_b", kNoPlans, &out));
+  EXPECT_FALSE(cache.Lookup("SELECT 2", "commit_a", kNoPlans, &out));
   EXPECT_EQ(cache.stats().hits, 1);
   EXPECT_EQ(cache.stats().misses, 2);
 }
@@ -134,9 +145,9 @@ TEST(QueryCacheTest, ZeroCapacityDisables) {
   auto table = *columnar::Table::Make(
       columnar::Schema({{"n", columnar::TypeId::kInt64, false}}),
       {b.Finish()});
-  cache.Insert("q", "c", table);
-  columnar::Table out;
-  EXPECT_FALSE(cache.Lookup("q", "c", &out));
+  cache.Insert("q", "c", ResultOf(table), kNoPlans);
+  sql::QueryResult out;
+  EXPECT_FALSE(cache.Lookup("q", "c", kNoPlans, &out));
   EXPECT_EQ(cache.entry_count(), 0u);
 }
 
@@ -148,14 +159,14 @@ TEST(QueryCacheTest, LruEviction) {
       {b.Finish()});
   uint64_t one = static_cast<uint64_t>(table.EstimatedBytes());
   core::QueryResultCache cache(one * 2 + 100);
-  cache.Insert("a", "c", table);
-  cache.Insert("b", "c", table);
-  columnar::Table out;
-  ASSERT_TRUE(cache.Lookup("a", "c", &out));  // refresh a
-  cache.Insert("d", "c", table);              // evicts b
-  EXPECT_TRUE(cache.Lookup("a", "c", &out));
-  EXPECT_FALSE(cache.Lookup("b", "c", &out));
-  EXPECT_TRUE(cache.Lookup("d", "c", &out));
+  cache.Insert("a", "c", ResultOf(table), kNoPlans);
+  cache.Insert("b", "c", ResultOf(table), kNoPlans);
+  sql::QueryResult out;
+  ASSERT_TRUE(cache.Lookup("a", "c", kNoPlans, &out));  // refresh a
+  cache.Insert("d", "c", ResultOf(table), kNoPlans);    // evicts b
+  EXPECT_TRUE(cache.Lookup("a", "c", kNoPlans, &out));
+  EXPECT_FALSE(cache.Lookup("b", "c", kNoPlans, &out));
+  EXPECT_TRUE(cache.Lookup("d", "c", kNoPlans, &out));
   EXPECT_GT(cache.stats().evictions, 0);
 }
 

@@ -1,6 +1,6 @@
-// Vectorized engine coverage: kernel edge cases (empty/all-null columns,
-// NaN ordering, null keys), the ThreadPool, LIKE hardening against
-// backtracking blowup, scalar-vs-vectorized agreement over a query
+// Engine coverage: typed-kernel edge cases (empty/all-null columns, NaN
+// ordering, null keys), the ThreadPool, LIKE hardening against
+// backtracking blowup, streaming-vs-scalar-oracle agreement over a query
 // battery, and the parallel-equals-serial bit-identity guarantee.
 
 #include <gtest/gtest.h>
@@ -292,7 +292,7 @@ class QueryEngineTest : public ::testing::Test {
         ASSERT_EQ(va.is_null(), vb.is_null()) << "row " << r << " col " << c;
         if (va.is_null()) continue;
         if (va.type() == TypeId::kDouble && vb.type() == TypeId::kDouble) {
-          // Scalar sums row-at-a-time; vectorized merges per-morsel
+          // Scalar sums row-at-a-time; streaming merges per-morsel
           // partials. Double addition isn't associative, so aggregates
           // may differ in the last ulps across engines (each engine is
           // still exactly deterministic with itself).
@@ -317,7 +317,7 @@ class QueryEngineTest : public ::testing::Test {
   sql::MemoryTableProvider provider_;
 };
 
-// ------------------------------------------- scalar/vectorized agreement
+// ------------------------------------------- streaming/scalar agreement
 
 TEST_F(QueryEngineTest, EnginesAgreeAcrossQueryBattery) {
   struct Case {
@@ -355,20 +355,20 @@ TEST_F(QueryEngineTest, EnginesAgreeAcrossQueryBattery) {
   };
   for (const Case& c : kCases) {
     auto scalar = RunWith(c.sql, ExecOptions::Engine::kScalar);
-    auto vectorized = RunWith(c.sql, ExecOptions::Engine::kVectorized);
+    auto streaming = RunWith(c.sql, ExecOptions::Engine::kStreaming);
     ASSERT_TRUE(scalar.ok()) << c.sql << ": " << scalar.status().ToString();
-    ASSERT_TRUE(vectorized.ok())
-        << c.sql << ": " << vectorized.status().ToString();
-    ExpectSameTable(scalar->table, vectorized->table, c.ordered);
+    ASSERT_TRUE(streaming.ok())
+        << c.sql << ": " << streaming.status().ToString();
+    ExpectSameTable(scalar->table, streaming->table, c.ordered);
   }
 }
 
-// NaN sorts after every number in the vectorized engine (a strict weak
-// order; the scalar baseline's boxed compare leaves NaN unordered, so the
-// guarantee is engine-specific).
+// NaN sorts after every number in the typed (vectorized) sort kernel the
+// streaming engine uses (a strict weak order; the scalar oracle's boxed
+// compare leaves NaN unordered, so the guarantee is engine-specific).
 TEST_F(QueryEngineTest, VectorizedSortOrdersNaNLast) {
   auto r = RunWith("SELECT fare FROM oddball ORDER BY fare",
-                   ExecOptions::Engine::kVectorized);
+                   ExecOptions::Engine::kStreaming);
   ASSERT_TRUE(r.ok());
   const Table& t = r->table;
   ASSERT_EQ(t.num_rows(), 6);
@@ -481,9 +481,9 @@ TEST_F(QueryEngineTest, ParallelIsBitIdenticalToSerial) {
   // worker threads race even on single-core CI.
   ThreadPool pool(7);
   for (const char* sql : kQueries) {
-    auto serial = RunWith(sql, ExecOptions::Engine::kVectorized, 1);
+    auto serial = RunWith(sql, ExecOptions::Engine::kStreaming, 1);
     auto parallel =
-        RunWith(sql, ExecOptions::Engine::kVectorized, 8, &pool);
+        RunWith(sql, ExecOptions::Engine::kStreaming, 8, &pool);
     ASSERT_TRUE(serial.ok()) << sql;
     ASSERT_TRUE(parallel.ok()) << sql;
     auto serial_bytes = format::WriteBpfFile(serial->table);
@@ -506,7 +506,7 @@ TEST_F(QueryEngineTest, VectorizedOperatorsHandleEmptyInput) {
   for (int threads : {1, 4}) {
     ThreadPool* p = threads > 1 ? &pool : nullptr;
     auto run = [&](const char* sql) {
-      auto r = RunWith(sql, ExecOptions::Engine::kVectorized, threads, p);
+      auto r = RunWith(sql, ExecOptions::Engine::kStreaming, threads, p);
       EXPECT_TRUE(r.ok()) << sql << ": " << r.status().ToString();
       return r.ok() ? r->table.num_rows() : -1;
     };
@@ -588,10 +588,10 @@ TEST_F(QueryEngineTest, OperatorSpansNestUnderExecute) {
 TEST_F(QueryEngineTest, TopNFusionMatchesFullSortPrefix) {
   auto full = RunWith("SELECT trip_id, fare FROM taxi ORDER BY fare, "
                       "trip_id",
-                      ExecOptions::Engine::kVectorized);
+                      ExecOptions::Engine::kStreaming);
   auto topn = RunWith("SELECT trip_id, fare FROM taxi ORDER BY fare, "
                       "trip_id LIMIT 25",
-                      ExecOptions::Engine::kVectorized);
+                      ExecOptions::Engine::kStreaming);
   ASSERT_TRUE(full.ok() && topn.ok());
   ASSERT_EQ(topn->table.num_rows(), 25);
   for (int64_t r = 0; r < 25; ++r) {

@@ -1,5 +1,5 @@
 // Memory-budgeted spill execution coverage: bit-identity of the spilled
-// join/sort/aggregate paths against the unlimited in-memory engine across
+// join/sort/aggregate breakers against the unlimited in-memory run across
 // budgets and thread counts, spill edge cases (sub-morsel budgets, null
 // join keys, skewed keys that defeat re-partitioning, external sort
 // stability), exec.spill.* accounting, and the empty-input edges of the
@@ -89,7 +89,7 @@ class SpillTest : public ::testing::Test {
   Result<QueryResult> Run(std::string_view sql, int64_t budget,
                           int threads = 1,
                           ExecOptions::Engine engine =
-                              ExecOptions::Engine::kVectorized,
+                              ExecOptions::Engine::kStreaming,
                           observability::MetricsRegistry* metrics = nullptr,
                           storage::ObjectStore* spill_store = nullptr) {
     QueryOptions options;
@@ -119,7 +119,8 @@ class SpillTest : public ::testing::Test {
 
 // Every operator that can spill, exercised across budgets (from "spill
 // everything" to "almost fits") and thread counts, must produce result
-// bytes identical to the unlimited in-memory path.
+// bytes identical to the unlimited in-memory path. A join spills (turns
+// into a Grace breaker) once its build side busts the budget.
 TEST_F(SpillTest, SpilledResultsBitIdenticalAcrossBudgetsAndThreads) {
   const char* kQueries[] = {
       // Grace join (inner, string payload both sides).
@@ -159,17 +160,17 @@ TEST_F(SpillTest, SpilledResultsBitIdenticalAcrossBudgetsAndThreads) {
 
 TEST_F(SpillTest, ScalarVectorizedSpilledAgree) {
   // The scalar engine ignores the budget; its row-at-a-time results pin
-  // down semantics for the spilled vectorized paths.
+  // down semantics for the streaming engine's spilled paths.
   const char* sql =
       "SELECT key, COUNT(*) AS n, MIN(tag) AS lo FROM facts "
       "GROUP BY key ORDER BY n DESC, lo LIMIT 50";
   auto scalar = Run(sql, /*budget=*/1, 1, ExecOptions::Engine::kScalar);
-  auto vectorized = Run(sql, /*budget=*/0);
+  auto in_memory = Run(sql, /*budget=*/0);
   auto spilled = Run(sql, /*budget=*/1, 4);
   ASSERT_TRUE(scalar.ok()) << scalar.status().ToString();
-  ASSERT_TRUE(vectorized.ok()) << vectorized.status().ToString();
+  ASSERT_TRUE(in_memory.ok()) << in_memory.status().ToString();
   ASSERT_TRUE(spilled.ok()) << spilled.status().ToString();
-  ExpectBitIdentical(vectorized->table, spilled->table, sql);
+  ExpectBitIdentical(in_memory->table, spilled->table, sql);
   ASSERT_EQ(scalar->table.num_rows(), spilled->table.num_rows());
   for (int64_t r = 0; r < scalar->table.num_rows(); ++r) {
     EXPECT_EQ(scalar->table.GetValue(r, 0).ToString(),
@@ -276,7 +277,7 @@ TEST_F(SpillTest, SpillCountersAndStoreDrainage) {
   auto r = Run(
       "SELECT f.key, COUNT(*) AS n FROM facts f JOIN dims d "
       "ON f.key = d.dkey GROUP BY f.key ORDER BY n DESC, f.key",
-      16 * 1024, 2, ExecOptions::Engine::kVectorized, &metrics, &store);
+      16 * 1024, 2, ExecOptions::Engine::kStreaming, &metrics, &store);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_GT(r->stats.spill_partitions, 0);
   EXPECT_GT(r->stats.spill_bytes_written, 0);
@@ -297,7 +298,7 @@ TEST_F(SpillTest, SpillCountersAndStoreDrainage) {
 TEST_F(SpillTest, UnlimitedBudgetNeverTouchesSpillStore) {
   storage::MemoryObjectStore store;
   auto r = Run("SELECT key, COUNT(*) AS n FROM facts GROUP BY key", 0, 1,
-               ExecOptions::Engine::kVectorized, nullptr, &store);
+               ExecOptions::Engine::kStreaming, nullptr, &store);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r->stats.spill_partitions, 0);
   EXPECT_EQ(r->stats.spill_bytes_written, 0);
@@ -311,7 +312,7 @@ TEST_F(SpillTest, UnlimitedBudgetNeverTouchesSpillStore) {
 TEST_F(SpillTest, ExternalTopNSweepsUnreadRuns) {
   storage::MemoryObjectStore store;
   auto r = Run("SELECT id FROM facts ORDER BY amount, id LIMIT 5",
-               8 * 1024, 1, ExecOptions::Engine::kVectorized, nullptr,
+               8 * 1024, 1, ExecOptions::Engine::kStreaming, nullptr,
                &store);
   ASSERT_TRUE(r.ok()) << r.status().ToString();
   EXPECT_EQ(r->table.num_rows(), 5);

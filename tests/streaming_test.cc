@@ -1,10 +1,10 @@
 // Streaming-engine coverage: bit-identity of the push-based pipelined
-// engine against the materialized vectorized engine and the scalar
-// oracle across query shapes, thread counts and memory budgets; the
-// O(morsel) peak-memory guarantee for streaming chains; LIMIT early
-// exit stopping upstream morsel dispatch; the composite (int64,int64)
-// packed-key join fast path; pipeline counters, the exec.peak_bytes
-// gauge, and the pipeline -> operator span hierarchy.
+// engine across query shapes, thread counts and memory budgets, against
+// its own serial in-memory run and the scalar oracle; the O(morsel)
+// peak-memory guarantee for streaming chains; LIMIT early exit stopping
+// upstream morsel dispatch; the composite (int64,int64) packed-key join
+// fast path; pipeline counters, the exec.peak_bytes gauge, and the
+// pipeline -> operator span hierarchy.
 
 #include <gtest/gtest.h>
 
@@ -43,8 +43,8 @@ class StreamingTest : public ::testing::Test {
     // every 53rd amount) but with dyadic-rational amounts (k/4) whose
     // partial sums are exact in double for any association — so the
     // scalar oracle's row-at-a-time accumulation is bit-identical to
-    // the morsel-cut partial sums, and all three engines can be
-    // compared at the byte level.
+    // the morsel-cut partial sums, and both engines can be compared at
+    // the byte level.
     Int64Builder id, key, qty;
     DoubleBuilder amount;
     StringBuilder tag;
@@ -134,13 +134,15 @@ class StreamingTest : public ::testing::Test {
 // --------------------------------------------- bit-identity battery
 
 // The tentpole contract: for every query shape the streaming engine's
-// result bytes equal the materialized engine's and the scalar oracle's,
-// for any engine x threads x budget combination.
+// result bytes equal the scalar oracle's and its own serial in-memory
+// run's, for any threads x budget combination — under the budget the
+// breakers materialize their inputs (Grace join, external sort, spilled
+// aggregation) and must still reproduce the streamed bytes.
 TEST_F(StreamingTest, StreamingMaterializedScalarBitIdentical) {
   struct Shape {
     const char* sql;
     // The scalar oracle's seed sort convention compares NaN equal to
-    // everything; the vectorized/streaming sort orders NaN last. Skip
+    // everything; the streaming engine's typed sort orders NaN last. Skip
     // the oracle for NaN-keyed orderings (a pre-existing, documented
     // engine divergence) and keep it for every deterministic shape.
     bool scalar_oracle;
@@ -193,8 +195,7 @@ TEST_F(StreamingTest, StreamingMaterializedScalarBitIdentical) {
        true},
   };
   for (const auto& [sql, scalar_oracle] : kQueries) {
-    auto baseline = Run(sql, /*budget=*/0, /*threads=*/1,
-                        ExecOptions::Engine::kVectorized);
+    auto baseline = Run(sql, /*budget=*/0, /*threads=*/1);
     ASSERT_TRUE(baseline.ok())
         << sql << ": " << baseline.status().ToString();
     if (scalar_oracle) {
@@ -214,13 +215,6 @@ TEST_F(StreamingTest, StreamingMaterializedScalarBitIdentical) {
         ExpectBitIdentical(
             baseline->table, streaming->table,
             StrCat(sql, " budget=", budget, " threads=", threads));
-        auto materialized = Run(sql, budget, threads,
-                                ExecOptions::Engine::kVectorized);
-        ASSERT_TRUE(materialized.ok());
-        ExpectBitIdentical(
-            baseline->table, materialized->table,
-            StrCat(sql, " [materialized] budget=", budget,
-                   " threads=", threads));
       }
     }
   }
@@ -275,9 +269,8 @@ TEST_F(StreamingTest, OptimizerAblationMatrixIsBitIdentical) {
          o->trim_output_columns = false;
        }},
   };
-  const ExecOptions::Engine kEngines[] = {
-      ExecOptions::Engine::kScalar, ExecOptions::Engine::kVectorized,
-      ExecOptions::Engine::kStreaming};
+  const ExecOptions::Engine kEngines[] = {ExecOptions::Engine::kScalar,
+                                          ExecOptions::Engine::kStreaming};
   for (const char* sql : kQueries) {
     // Oracle: the scalar engine over the pristine (rewrite-free) plan.
     QueryOptions oracle_options;
@@ -319,8 +312,7 @@ TEST_F(StreamingTest, RequiredOutputColumnsTrimExactly) {
   auto expected = full->table.SelectColumns({"id", "tag"});
   ASSERT_TRUE(expected.ok());
   for (ExecOptions::Engine engine :
-       {ExecOptions::Engine::kScalar, ExecOptions::Engine::kVectorized,
-        ExecOptions::Engine::kStreaming}) {
+       {ExecOptions::Engine::kScalar, ExecOptions::Engine::kStreaming}) {
     QueryOptions options;
     options.exec.engine = engine;
     // Lineage order differs from schema order on purpose: the trim
@@ -347,8 +339,8 @@ TEST_F(StreamingTest, RequiredOutputColumnsTrimExactly) {
 
 // A filter -> project -> aggregate chain over 1M rows must stream: the
 // largest intermediate the streaming engine materializes is a handful
-// of morsel-sized chunks, while the materialized engine's peak is the
-// full filtered table.
+// of morsel-sized chunks, far below the full filtered table that a
+// materialize-per-operator plan would hold.
 TEST_F(StreamingTest, StreamingChainPeakIsMorselSizedNotTableSized) {
   Int64Builder bid, bqty;
   for (int64_t i = 0; i < 1000000; ++i) {
@@ -367,10 +359,9 @@ TEST_F(StreamingTest, StreamingChainPeakIsMorselSizedNotTableSized) {
   auto streaming = Run(sql, 0, 4, ExecOptions::Engine::kStreaming,
                        kMorselRows);
   ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
-  auto materialized = Run(sql, 0, 4, ExecOptions::Engine::kVectorized,
-                          kMorselRows);
-  ASSERT_TRUE(materialized.ok()) << materialized.status().ToString();
-  ExpectBitIdentical(streaming->table, materialized->table, sql);
+  auto serial = Run(sql, 0, 1, ExecOptions::Engine::kStreaming, kMorselRows);
+  ASSERT_TRUE(serial.ok()) << serial.status().ToString();
+  ExpectBitIdentical(streaming->table, serial->table, sql);
 
   // Streaming: no intermediate beyond a few in-flight morsel chunks.
   // A chunk is at most kMorselRows x 2 int64 columns; allow a small
@@ -379,10 +370,13 @@ TEST_F(StreamingTest, StreamingChainPeakIsMorselSizedNotTableSized) {
   EXPECT_LE(streaming->stats.peak_bytes, 16 * kMorselRows * 2 * 8)
       << "streaming peak should be O(morsel)";
   EXPECT_LT(streaming->stats.peak_bytes, kDataBytes / 16);
-  // Materialized: the filter output (~2/3 of the table) is one
-  // intermediate.
-  EXPECT_GT(materialized->stats.peak_bytes, kDataBytes / 4);
-  EXPECT_GT(materialized->stats.peak_bytes,
+  // The filter output (~2/3 of the table) — what a plan materializing
+  // every operator would hold — dwarfs the streaming peak.
+  auto filtered = Run("SELECT bid, bqty FROM big WHERE bqty % 3 > 0", 0, 4,
+                      ExecOptions::Engine::kStreaming, kMorselRows);
+  ASSERT_TRUE(filtered.ok()) << filtered.status().ToString();
+  EXPECT_GT(filtered->table.EstimatedBytes(), kDataBytes / 4);
+  EXPECT_GT(filtered->table.EstimatedBytes(),
             8 * streaming->stats.peak_bytes);
 }
 
@@ -406,10 +400,9 @@ TEST_F(StreamingTest, FilterProjectLimitChainStreamsWithinMorselPeak) {
                        kMorselRows);
   ASSERT_TRUE(streaming.ok()) << streaming.status().ToString();
   EXPECT_EQ(streaming->table.num_rows(), 100);
-  auto materialized = Run(sql, 0, 1, ExecOptions::Engine::kVectorized,
-                          kMorselRows);
-  ASSERT_TRUE(materialized.ok());
-  ExpectBitIdentical(streaming->table, materialized->table, sql);
+  auto oracle = Run(sql, 0, 1, ExecOptions::Engine::kScalar, kMorselRows);
+  ASSERT_TRUE(oracle.ok());
+  ExpectBitIdentical(streaming->table, oracle->table, sql);
   EXPECT_LE(streaming->stats.peak_bytes, 16 * kMorselRows * 2 * 8)
       << "limit chain must not materialize the scan";
 }
@@ -429,10 +422,10 @@ TEST_F(StreamingTest, LimitStopsUpstreamMorselDispatch) {
   // (a few morsels) should have run.
   EXPECT_EQ(r->stats.morsels_scheduled, (20000 + 255) / 256);
   EXPECT_LT(r->stats.morsels, r->stats.morsels_scheduled);
-  auto baseline = Run(sql, 0, 1, ExecOptions::Engine::kVectorized,
-                      /*morsel_rows=*/256);
-  ASSERT_TRUE(baseline.ok());
-  ExpectBitIdentical(r->table, baseline->table, sql);
+  auto oracle = Run(sql, 0, 1, ExecOptions::Engine::kScalar,
+                    /*morsel_rows=*/256);
+  ASSERT_TRUE(oracle.ok());
+  ExpectBitIdentical(r->table, oracle->table, sql);
   // Without a limit the two counters agree: everything scheduled runs.
   auto full = Run("SELECT id FROM facts WHERE qty >= 0", 0, 4,
                   ExecOptions::Engine::kStreaming, /*morsel_rows=*/256);
@@ -445,7 +438,7 @@ TEST_F(StreamingTest, LimitStopsUpstreamMorselDispatch) {
 
 // Two null-free int64 build keys take the 128-bit packed-key fast path;
 // a nullable build key falls back to hashed buckets. Both must agree
-// with the materialized engine and the scalar oracle byte-for-byte.
+// with the serial run and the scalar oracle byte-for-byte.
 TEST_F(StreamingTest, CompositeInt64JoinFastPathAndNullableFallback) {
   Int64Builder k1, k2;
   StringBuilder lv;
@@ -480,8 +473,7 @@ TEST_F(StreamingTest, CompositeInt64JoinFastPathAndNullableFallback) {
     std::string sql = StrCat(
         "SELECT f.id, l.lv FROM facts f JOIN ", table,
         " l ON f.qty = l.k2 AND f.key = l.k1 ORDER BY f.id, l.lv");
-    auto baseline =
-        Run(sql, 0, 1, ExecOptions::Engine::kVectorized);
+    auto baseline = Run(sql, 0, 1);
     ASSERT_TRUE(baseline.ok()) << sql << ": "
                                << baseline.status().ToString();
     ASSERT_GT(baseline->table.num_rows(), 0) << sql;
@@ -489,14 +481,12 @@ TEST_F(StreamingTest, CompositeInt64JoinFastPathAndNullableFallback) {
     ASSERT_TRUE(scalar.ok());
     ExpectBitIdentical(baseline->table, scalar->table,
                        StrCat(sql, " [scalar]"));
-    for (int threads : {1, 4}) {
-      auto streaming = Run(sql, 0, threads);
-      ASSERT_TRUE(streaming.ok()) << sql;
-      ExpectBitIdentical(baseline->table, streaming->table,
-                         StrCat(sql, " threads=", threads));
-    }
+    auto parallel = Run(sql, 0, 4);
+    ASSERT_TRUE(parallel.ok()) << sql;
+    ExpectBitIdentical(baseline->table, parallel->table,
+                       StrCat(sql, " threads=4"));
     // Budgeted: the build side fits but the probe side exceeds 64 KiB,
-    // exercising the breaker-ized streaming join against Grace.
+    // so the probe keeps streaming under the budget.
     auto budgeted = Run(sql, 64 * 1024, 4);
     ASSERT_TRUE(budgeted.ok()) << sql;
     ExpectBitIdentical(baseline->table, budgeted->table,
@@ -525,13 +515,13 @@ TEST_F(StreamingTest, PipelineCountersAndPeakGauge) {
   EXPECT_EQ(metrics.GetCounter("exec.morsels_scheduled")->Value(),
             r->stats.morsels_scheduled);
 
-  // The materialized engine drives no pipelines but still reports peak.
+  // The scalar oracle drives no pipelines but still reports peak.
   observability::MetricsRegistry m2;
-  auto mat = Run(sql, 0, 2, ExecOptions::Engine::kVectorized, 1024, &m2);
-  ASSERT_TRUE(mat.ok());
-  EXPECT_EQ(mat->stats.pipelines, 0);
+  auto oracle = Run(sql, 0, 2, ExecOptions::Engine::kScalar, 1024, &m2);
+  ASSERT_TRUE(oracle.ok());
+  EXPECT_EQ(oracle->stats.pipelines, 0);
   EXPECT_EQ(m2.GetCounter("exec.pipelines")->Value(), 0);
-  EXPECT_GT(mat->stats.peak_bytes, 0);
+  EXPECT_GT(oracle->stats.peak_bytes, 0);
 }
 
 // op.* spans nest under their pipeline span; breaker operator spans
