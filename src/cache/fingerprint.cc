@@ -1,5 +1,6 @@
 #include "cache/fingerprint.h"
 
+#include <optional>
 #include <vector>
 
 #include "common/hash.h"
@@ -42,6 +43,16 @@ NodeFingerprints ComputeNodeFingerprints(
     if (target.ok()) audits[*target][name] = node.code;
   }
 
+  // The ref resolves once, on the first catalog input, so every node is
+  // keyed against the same snapshot.
+  std::optional<Result<std::map<std::string, std::string>>> tables;
+  auto metadata_key_of =
+      [&](const std::string& table) -> Result<std::string> {
+    if (!tables.has_value()) tables = catalog->GetTables(ref);
+    BAUPLAN_RETURN_NOT_OK(tables->status());
+    return catalog::FindTableKey(**tables, table, ref);
+  };
+
   for (const auto& name : dag.execution_order()) {
     if (selected.count(name) == 0) continue;
     const pipeline::DagNode& dag_node = dag.GetNode(name);
@@ -71,7 +82,7 @@ NodeFingerprints ComputeNodeFingerprints(
       } else {
         // Replayed upstream: materialized in the catalog; its content id
         // is the immutable table-metadata key at the pinned commit.
-        auto metadata_key = catalog->GetTable(ref, up);
+        auto metadata_key = metadata_key_of(up);
         if (!metadata_key.ok()) {
           cacheable = false;
           break;
@@ -81,7 +92,7 @@ NodeFingerprints ComputeNodeFingerprints(
     }
     if (cacheable) {
       for (const auto& table : dag_node.source_tables) {
-        auto metadata_key = catalog->GetTable(ref, table);
+        auto metadata_key = metadata_key_of(table);
         if (!metadata_key.ok()) {
           cacheable = false;
           break;

@@ -1,10 +1,85 @@
 #include "catalog/catalog.h"
 
+#include <list>
+#include <mutex>
 #include <set>
+#include <unordered_map>
 
 #include "common/strings.h"
+#include "common/thread_annotations.h"
 
 namespace bauplan::catalog {
+
+/// Decoded commits by id, least recently used first out once the charged
+/// bytes pass Catalog::kCommitCacheBytes. Sound without invalidation:
+/// an id is the hash of its commit's content, so an id never names
+/// different bytes. Entries are shared immutably, so a hit hands out a
+/// pointer rather than a copy of the table map.
+class CommitCache {
+ public:
+  std::shared_ptr<const Commit> Find(const std::string& id) {
+    std::lock_guard<std::mutex> lock(mu_);
+    auto it = index_.find(id);
+    if (it == index_.end()) return nullptr;
+    lru_.splice(lru_.begin(), lru_, it->second);
+    return it->second->commit;
+  }
+
+  /// `image_bytes` is the commit's encoded size.
+  void Insert(std::shared_ptr<const Commit> commit, uint64_t image_bytes) {
+    // The encoded image plus an allowance for the decoded map's nodes.
+    const uint64_t charge = image_bytes + 256 + 96 * commit->tables.size();
+    if (charge > Catalog::kCommitCacheBytes) return;
+    std::lock_guard<std::mutex> lock(mu_);
+    if (index_.count(commit->id) > 0) return;
+    const std::string id = commit->id;
+    lru_.push_front(Entry{std::move(commit), charge});
+    index_[id] = lru_.begin();
+    bytes_ += charge;
+    while (bytes_ > Catalog::kCommitCacheBytes) {
+      bytes_ -= lru_.back().bytes;
+      index_.erase(lru_.back().commit->id);
+      lru_.pop_back();
+    }
+  }
+
+  uint64_t bytes() const {
+    std::lock_guard<std::mutex> lock(mu_);
+    return bytes_;
+  }
+
+ private:
+  struct Entry {
+    std::shared_ptr<const Commit> commit;
+    uint64_t bytes;
+  };
+
+  mutable std::mutex mu_;
+  std::list<Entry> lru_ BAUPLAN_GUARDED_BY(mu_);
+  std::unordered_map<std::string, std::list<Entry>::iterator> index_
+      BAUPLAN_GUARDED_BY(mu_);
+  uint64_t bytes_ BAUPLAN_GUARDED_BY(mu_) = 0;
+};
+
+Result<std::string> FindTableKey(
+    const std::map<std::string, std::string>& tables,
+    const std::string& table_name, const std::string& ref) {
+  auto it = tables.find(table_name);
+  if (it == tables.end()) {
+    return Status::NotFound(StrCat("no table named '", table_name,
+                                   "' at ref '", ref, "'"));
+  }
+  return it->second;
+}
+
+Catalog::Catalog(storage::ObjectStore* store, Clock* clock,
+                 std::string prefix)
+    : store_(store),
+      clock_(clock),
+      prefix_(std::move(prefix)),
+      commits_(std::make_shared<CommitCache>()) {}
+
+uint64_t Catalog::commit_cache_bytes() const { return commits_->bytes(); }
 
 Result<Catalog> Catalog::Open(storage::ObjectStore* store, Clock* clock,
                               std::string prefix) {
@@ -51,9 +126,32 @@ Status Catalog::WriteRef(const std::string& kind, const std::string& name,
 
 Result<std::string> Catalog::WriteCommit(Commit commit) {
   commit.id = commit.ComputeId();
-  BAUPLAN_RETURN_NOT_OK(store_->Put(CommitKey(commit.id),
-                                    commit.Serialize()));
-  return commit.id;
+  Bytes image = commit.Serialize();
+  const uint64_t image_bytes = image.size();
+  BAUPLAN_RETURN_NOT_OK(store_->Put(CommitKey(commit.id), std::move(image)));
+  auto written = std::make_shared<const Commit>(std::move(commit));
+  commits_->Insert(written, image_bytes);
+  return written->id;
+}
+
+Result<std::shared_ptr<const Commit>> Catalog::LoadCommit(
+    const std::string& commit_id) const {
+  if (auto hit = commits_->Find(commit_id)) return hit;
+  auto data = store_->Get(CommitKey(commit_id));
+  if (!data.ok()) {
+    if (data.status().IsNotFound()) {
+      return Status::NotFound(StrCat("no commit with id '", commit_id, "'"));
+    }
+    return data.status();
+  }
+  BAUPLAN_ASSIGN_OR_RETURN(Commit commit, Commit::Deserialize(*data));
+  if (commit.id != commit_id) {
+    return Status::IOError(StrCat("commit object '", commit_id,
+                                  "' holds commit '", commit.id, "'"));
+  }
+  auto decoded = std::make_shared<const Commit>(std::move(commit));
+  commits_->Insert(decoded, data->size());
+  return decoded;
 }
 
 Status Catalog::CreateBranch(const std::string& name,
@@ -111,8 +209,10 @@ Result<std::string> Catalog::ResolveRef(const std::string& ref) const {
   if (branch.has_value()) return *branch;
   BAUPLAN_ASSIGN_OR_RETURN(auto tag, ReadRef("tag", ref));
   if (tag.has_value()) return *tag;
-  // Literal commit id.
-  if (store_->Exists(CommitKey(ref))) return ref;
+  // Literal commit id. Commits are never deleted, so a cached one exists.
+  if (commits_->Find(ref) != nullptr || store_->Exists(CommitKey(ref))) {
+    return ref;
+  }
   return Status::NotFound(
       StrCat("'", ref, "' is not a branch, tag, or commit id"));
 }
@@ -126,9 +226,9 @@ Result<std::string> Catalog::Resolve(const RefSpec& spec) const {
   // As-of: newest commit on the first-parent chain at or before the
   // timestamp (the chain is newest-first, so the first match wins).
   while (!id.empty()) {
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-    if (c.timestamp_micros <= spec.timestamp_micros()) return id;
-    id = c.parent_id;
+    BAUPLAN_ASSIGN_OR_RETURN(auto c, LoadCommit(id));
+    if (c->timestamp_micros <= spec.timestamp_micros()) return id;
+    id = c->parent_id;
   }
   return Status::NotFound(
       StrCat("'", spec.name(), "' has no commit at or before @",
@@ -136,11 +236,8 @@ Result<std::string> Catalog::Resolve(const RefSpec& spec) const {
 }
 
 Result<Commit> Catalog::GetCommit(const std::string& commit_id) const {
-  auto data = store_->Get(CommitKey(commit_id));
-  if (!data.ok()) {
-    return Status::NotFound(StrCat("no commit with id '", commit_id, "'"));
-  }
-  return Commit::Deserialize(*data);
+  BAUPLAN_ASSIGN_OR_RETURN(auto commit, LoadCommit(commit_id));
+  return *commit;
 }
 
 Result<std::vector<Commit>> Catalog::Log(const std::string& ref,
@@ -148,9 +245,9 @@ Result<std::vector<Commit>> Catalog::Log(const std::string& ref,
   BAUPLAN_ASSIGN_OR_RETURN(std::string id, ResolveRef(ref));
   std::vector<Commit> out;
   while (!id.empty()) {
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-    id = c.parent_id;
-    out.push_back(std::move(c));
+    BAUPLAN_ASSIGN_OR_RETURN(auto c, LoadCommit(id));
+    id = c->parent_id;
+    out.push_back(*c);
     if (limit != 0 && out.size() >= limit) break;
   }
   return out;
@@ -159,19 +256,15 @@ Result<std::vector<Commit>> Catalog::Log(const std::string& ref,
 Result<std::map<std::string, std::string>> Catalog::GetTables(
     const std::string& ref) const {
   BAUPLAN_ASSIGN_OR_RETURN(std::string id, ResolveRef(ref));
-  BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-  return c.tables;
+  BAUPLAN_ASSIGN_OR_RETURN(auto c, LoadCommit(id));
+  return c->tables;
 }
 
 Result<std::string> Catalog::GetTable(const std::string& ref,
                                       const std::string& table_name) const {
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables, GetTables(ref));
-  auto it = tables.find(table_name);
-  if (it == tables.end()) {
-    return Status::NotFound(StrCat("no table named '", table_name,
-                                   "' at ref '", ref, "'"));
-  }
-  return it->second;
+  BAUPLAN_ASSIGN_OR_RETURN(std::string id, ResolveRef(ref));
+  BAUPLAN_ASSIGN_OR_RETURN(auto c, LoadCommit(id));
+  return FindTableKey(c->tables, table_name, ref);
 }
 
 Result<std::string> Catalog::CommitChanges(const std::string& branch,
@@ -188,14 +281,14 @@ Result<std::string> Catalog::CommitChanges(const std::string& branch,
         StrCat("branch '", branch, "' moved from ", expected_head, " to ",
                *head, "; rebase and retry"));
   }
-  BAUPLAN_ASSIGN_OR_RETURN(Commit parent, GetCommit(*head));
+  BAUPLAN_ASSIGN_OR_RETURN(auto parent, LoadCommit(*head));
 
   Commit next;
-  next.parent_id = parent.id;
+  next.parent_id = parent->id;
   next.message = message;
   next.author = author;
   next.timestamp_micros = clock_->NowMicros();
-  next.tables = parent.tables;
+  next.tables = parent->tables;
   for (const auto& name : changes.deletes) {
     if (next.tables.erase(name) == 0) {
       return Status::NotFound(
@@ -209,31 +302,33 @@ Result<std::string> Catalog::CommitChanges(const std::string& branch,
   return id;
 }
 
-Result<bool> Catalog::IsAncestor(const std::string& ancestor,
-                                 const std::string& descendant) const {
-  std::string id = descendant;
-  while (!id.empty()) {
-    if (id == ancestor) return true;
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-    id = c.parent_id;
-  }
-  return false;
-}
-
-Result<std::string> Catalog::CommonAncestor(const std::string& a,
-                                            const std::string& b) const {
-  std::set<std::string> seen;
-  std::string id = a;
-  while (!id.empty()) {
-    seen.insert(id);
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-    id = c.parent_id;
-  }
-  id = b;
-  while (!id.empty()) {
-    if (seen.count(id) > 0) return id;
-    BAUPLAN_ASSIGN_OR_RETURN(Commit c, GetCommit(id));
-    id = c.parent_id;
+Result<std::string> Catalog::MergeBase(const std::string& a,
+                                       const std::string& b) const {
+  // Once two first-parent chains share a commit they share everything
+  // behind it, so the first commit one walker meets in the other's trail
+  // is the newest common one, whichever walker meets it. Stepping both
+  // chains in lockstep stops the walk after the longer distance to it.
+  std::set<std::string> seen_a;
+  std::set<std::string> seen_b;
+  std::string at_a = a;
+  std::string at_b = b;
+  while (!at_a.empty() || !at_b.empty()) {
+    if (!at_a.empty()) {
+      if (seen_b.count(at_a) > 0) return at_a;
+      seen_a.insert(at_a);
+    }
+    if (!at_b.empty()) {
+      if (seen_a.count(at_b) > 0) return at_b;
+      seen_b.insert(at_b);
+    }
+    if (!at_a.empty()) {
+      BAUPLAN_ASSIGN_OR_RETURN(auto c, LoadCommit(at_a));
+      at_a = c->parent_id;
+    }
+    if (!at_b.empty()) {
+      BAUPLAN_ASSIGN_OR_RETURN(auto c, LoadCommit(at_b));
+      at_b = c->parent_id;
+    }
   }
   return Status::Internal("commits share no ancestor (disjoint histories)");
 }
@@ -247,23 +342,24 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
     return Status::NotFound(StrCat("no branch named '", to_branch, "'"));
   }
 
-  // Already merged.
-  BAUPLAN_ASSIGN_OR_RETURN(bool from_in_to, IsAncestor(from_id, *to_head));
-  if (from_in_to) return MergeResult{*to_head, true};
+  BAUPLAN_ASSIGN_OR_RETURN(std::string base_id,
+                           MergeBase(from_id, *to_head));
+  // Already merged: the source is on the target's first-parent chain.
+  if (base_id == from_id) return MergeResult{*to_head, true};
 
-  // Fast-forward: target head is an ancestor of the source.
-  BAUPLAN_ASSIGN_OR_RETURN(bool ff, IsAncestor(*to_head, from_id));
-  if (ff) {
+  // Fast-forward: the target head is on the source's chain.
+  if (base_id == *to_head) {
     BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, from_id));
     return MergeResult{from_id, true};
   }
 
-  // Three-way merge against the common ancestor.
-  BAUPLAN_ASSIGN_OR_RETURN(std::string base_id,
-                           CommonAncestor(from_id, *to_head));
-  BAUPLAN_ASSIGN_OR_RETURN(Commit base, GetCommit(base_id));
-  BAUPLAN_ASSIGN_OR_RETURN(Commit ours, GetCommit(*to_head));
-  BAUPLAN_ASSIGN_OR_RETURN(Commit theirs, GetCommit(from_id));
+  // Three-way merge against the merge base.
+  BAUPLAN_ASSIGN_OR_RETURN(auto base_commit, LoadCommit(base_id));
+  BAUPLAN_ASSIGN_OR_RETURN(auto ours_commit, LoadCommit(*to_head));
+  BAUPLAN_ASSIGN_OR_RETURN(auto theirs_commit, LoadCommit(from_id));
+  const Commit& base = *base_commit;
+  const Commit& ours = *ours_commit;
+  const Commit& theirs = *theirs_commit;
 
   std::map<std::string, std::string> merged = ours.tables;
   std::set<std::string> all_names;

@@ -1,7 +1,9 @@
 #ifndef BAUPLAN_CATALOG_CATALOG_H_
 #define BAUPLAN_CATALOG_CATALOG_H_
 
+#include <cstdint>
 #include <map>
+#include <memory>
 #include <optional>
 #include <string>
 #include <vector>
@@ -22,6 +24,15 @@ struct TableChanges {
   std::vector<std::string> deletes;
 };
 
+/// Metadata key of `table_name` in a commit's table map; NotFound, naming
+/// `ref`, when the table is absent.
+Result<std::string> FindTableKey(
+    const std::map<std::string, std::string>& tables,
+    const std::string& table_name, const std::string& ref);
+
+/// Decoded commits by id, shared by every copy of a Catalog (catalog.cc).
+class CommitCache;
+
 /// Summary of a merge.
 struct MergeResult {
   std::string commit_id;
@@ -36,9 +47,18 @@ struct MergeResult {
 /// Commit concurrency follows compare-and-swap semantics: a commit states
 /// the head it was computed against and fails with Conflict if the branch
 /// has moved, exactly like Nessie's optimistic locking.
+///
+/// Commits are content-addressed and never rewritten, so decoded commits
+/// are cached by id without invalidation; refs are mutable and always
+/// re-read. Copies of a Catalog share one cache, which is safe to use
+/// from concurrent threads.
 class Catalog {
  public:
   static constexpr const char* kMainBranch = "main";
+
+  /// Byte budget of the commit cache; least recently used commits are
+  /// evicted beyond it.
+  static constexpr uint64_t kCommitCacheBytes = 4ull << 20;
 
   /// Opens (or initializes) the catalog stored under `prefix` in `store`.
   /// A fresh catalog gets a root commit and a "main" branch.
@@ -71,6 +91,8 @@ class Catalog {
 
   // -- history --------------------------------------------------------
 
+  /// NotFound when no commit has this id; other store failures come back
+  /// as the store reported them.
   Result<Commit> GetCommit(const std::string& commit_id) const;
 
   /// Commits on the first-parent chain from `ref` back to the root,
@@ -102,6 +124,7 @@ class Catalog {
   /// Merges `from_ref` into `to_branch`. Fast-forwards when possible;
   /// otherwise three-way merges against the common ancestor and fails
   /// with Conflict when both sides changed the same table differently.
+  /// Reads O(distance to the merge base) commits, not O(history).
   Result<MergeResult> Merge(const std::string& from_ref,
                             const std::string& to_branch,
                             const std::string& author);
@@ -111,9 +134,12 @@ class Catalog {
   Result<std::string> CreateEphemeralBranch(const std::string& from_ref,
                                             const std::string& prefix);
 
+  /// Bytes the commit cache currently charges (at most
+  /// kCommitCacheBytes).
+  uint64_t commit_cache_bytes() const;
+
  private:
-  Catalog(storage::ObjectStore* store, Clock* clock, std::string prefix)
-      : store_(store), clock_(clock), prefix_(std::move(prefix)) {}
+  Catalog(storage::ObjectStore* store, Clock* clock, std::string prefix);
 
   std::string CommitKey(const std::string& id) const;
   std::string RefKey(const std::string& kind, const std::string& name) const;
@@ -125,18 +151,21 @@ class Catalog {
 
   Result<std::string> WriteCommit(Commit commit);
 
-  /// First common ancestor of two commits on first-parent chains.
-  Result<std::string> CommonAncestor(const std::string& a,
-                                     const std::string& b) const;
+  /// The decoded commit, from the cache or the store.
+  Result<std::shared_ptr<const Commit>> LoadCommit(
+      const std::string& commit_id) const;
 
-  /// True when `ancestor` is on the first-parent chain of `descendant`.
-  Result<bool> IsAncestor(const std::string& ancestor,
-                          const std::string& descendant) const;
+  /// Newest commit on both first-parent chains. Walks the two chains in
+  /// lockstep and stops at the first commit the other walker has seen,
+  /// so it reads O(distance to the base) commits.
+  Result<std::string> MergeBase(const std::string& a,
+                                const std::string& b) const;
 
   storage::ObjectStore* store_;
   Clock* clock_;
   std::string prefix_;
   uint64_t ephemeral_counter_ = 0;
+  std::shared_ptr<CommitCache> commits_;
 };
 
 }  // namespace bauplan::catalog

@@ -123,22 +123,28 @@ Status Bauplan::WriteTable(const std::string& branch,
   return st;
 }
 
+Result<catalog::Commit> Bauplan::ResolveCommit(
+    const catalog::RefSpec& ref) const {
+  BAUPLAN_ASSIGN_OR_RETURN(std::string commit_id, catalog_->Resolve(ref));
+  return catalog_->GetCommit(commit_id);
+}
+
 Result<columnar::Table> Bauplan::ReadTable(
     const catalog::RefSpec& ref, const std::string& name,
     const table::ScanOptions& options) const {
-  BAUPLAN_ASSIGN_OR_RETURN(std::string commit_id, catalog_->Resolve(ref));
-  BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                           catalog_->GetTable(commit_id, name));
+  BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit commit, ResolveCommit(ref));
+  BAUPLAN_ASSIGN_OR_RETURN(
+      std::string metadata_key,
+      catalog::FindTableKey(commit.tables, name, ref.ToString()));
   return table_ops_->ScanTable(metadata_key, options);
 }
 
 Result<std::vector<std::string>> Bauplan::ListTables(
     const catalog::RefSpec& ref) const {
-  BAUPLAN_ASSIGN_OR_RETURN(std::string commit_id, catalog_->Resolve(ref));
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables, catalog_->GetTables(commit_id));
+  BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit commit, ResolveCommit(ref));
   std::vector<std::string> names;
-  names.reserve(tables.size());
-  for (const auto& [name, key] : tables) names.push_back(name);
+  names.reserve(commit.tables.size());
+  for (const auto& [name, key] : commit.tables) names.push_back(name);
   return names;
 }
 
@@ -190,11 +196,16 @@ Result<sql::QueryResult> Bauplan::Query(std::string_view sql_text,
       return cached;
     }
   }
-  // Scans read at the pinned commit so an as-of ref sees history; fall
-  // back to the raw name when resolution failed (the scan will surface
-  // the unknown-ref error).
-  LakehouseSource source(catalog_.get(), table_ops_.get(),
-                         commit.ok() ? *commit : ref.name());
+  // Scans read the pinned commit's table map, so an as-of ref sees
+  // history; fall back to the raw name when resolution failed (the scan
+  // will surface the unknown-ref error).
+  Result<catalog::Commit> pinned =
+      commit.ok() ? catalog_->GetCommit(*commit) : commit.status();
+  LakehouseSource source =
+      pinned.ok() ? LakehouseSource(catalog_.get(), table_ops_.get(),
+                                    pinned->id, std::move(pinned->tables))
+                  : LakehouseSource(catalog_.get(), table_ops_.get(),
+                                    commit.ok() ? *commit : ref.name());
   sql::QueryOptions traced = options;
   traced.tracer = tracer_.get();
   traced.parent_span = query_span;
@@ -248,12 +259,12 @@ Result<std::vector<catalog::Commit>> Bauplan::Log(const std::string& ref,
 
 Result<analysis::AnalysisResult> Bauplan::Check(
     const pipeline::PipelineProject& project, const catalog::RefSpec& ref) {
-  BAUPLAN_ASSIGN_OR_RETURN(std::string commit_id, catalog_->Resolve(ref));
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables, catalog_->GetTables(commit_id));
+  BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit commit, ResolveCommit(ref));
   std::set<std::string> known;
-  for (const auto& [name, key] : tables) known.insert(name);
+  for (const auto& [name, key] : commit.tables) known.insert(name);
   // Schemas resolve at the pinned commit, exactly as a run's scans would.
-  LakehouseSource source(catalog_.get(), table_ops_.get(), commit_id);
+  LakehouseSource source(catalog_.get(), table_ops_.get(), commit.id,
+                         std::move(commit.tables));
   analysis::Analyzer analyzer(std::move(known), &source);
   analysis::AnalyzerOptions opts;
   opts.tracer = tracer_.get();

@@ -176,6 +176,9 @@ class Bauplan {
   Bauplan(storage::ObjectStore* base_store, Clock* clock,
           BauplanOptions options);
 
+  /// The commit `ref` resolves to (for an as-of ref, the snapshot commit).
+  Result<catalog::Commit> ResolveCommit(const catalog::RefSpec& ref) const;
+
   /// Materializes run artifacts as catalog tables on `target_branch`.
   Status MaterializeArtifacts(const RunReport& execution,
                               const std::string& target_branch);

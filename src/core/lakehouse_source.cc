@@ -2,12 +2,19 @@
 
 namespace bauplan::core {
 
+Result<std::string> LakehouseSource::MetadataKey(
+    const std::string& name) const {
+  if (!tables_.has_value()) {
+    BAUPLAN_ASSIGN_OR_RETURN(tables_, catalog_->GetTables(ref_));
+  }
+  return catalog::FindTableKey(*tables_, name, ref_);
+}
+
 Result<columnar::Schema> LakehouseSource::GetTableSchema(
     const std::string& table_name) const {
   auto overlay_it = overlay_.find(table_name);
   if (overlay_it != overlay_.end()) return overlay_it->second.schema();
-  BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                           catalog_->GetTable(ref_, table_name));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key, MetadataKey(table_name));
   BAUPLAN_ASSIGN_OR_RETURN(table::TableMetadata metadata,
                            ops_->LoadMetadata(metadata_key));
   return metadata.schema;
@@ -22,8 +29,7 @@ Result<columnar::Table> LakehouseSource::ScanTable(
     if (columns.empty()) return overlay_it->second;
     return overlay_it->second.SelectColumns(columns);
   }
-  BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                           catalog_->GetTable(ref_, name));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key, MetadataKey(name));
   table::ScanOptions options;
   options.columns = columns;
   options.predicates = predicates;

@@ -2,6 +2,7 @@
 #define BAUPLAN_CORE_LAKEHOUSE_SOURCE_H_
 
 #include <map>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -18,12 +19,24 @@ namespace bauplan::core {
 /// partition pruning and zone-map skipping. A layered map of in-memory
 /// tables (pipeline intermediates) shadows the catalog, which is how the
 /// fused executor keeps artifacts off object storage.
+///
+/// The ref resolves to its table map once, on first use, so every schema
+/// lookup and scan through one source reads the same snapshot.
 class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
  public:
   /// Does not own `catalog` or `ops`. `ref` is a branch, tag, or commit.
   LakehouseSource(const catalog::Catalog* catalog, const table::TableOps* ops,
                   std::string ref)
       : catalog_(catalog), ops_(ops), ref_(std::move(ref)) {}
+
+  /// Reads `tables` (table name -> metadata key, as resolved from `ref`
+  /// by the caller) instead of resolving `ref` again.
+  LakehouseSource(const catalog::Catalog* catalog, const table::TableOps* ops,
+                  std::string ref, std::map<std::string, std::string> tables)
+      : catalog_(catalog),
+        ops_(ops),
+        ref_(std::move(ref)),
+        tables_(std::move(tables)) {}
 
   /// Registers an in-memory table that shadows catalog contents.
   void AddOverlayTable(const std::string& name, columnar::Table table) {
@@ -45,9 +58,14 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
       const std::vector<format::ColumnPredicate>& predicates) override;
 
  private:
+  /// Metadata key of `name` in the ref's table map.
+  Result<std::string> MetadataKey(const std::string& name) const;
+
   const catalog::Catalog* catalog_;
   const table::TableOps* ops_;
   std::string ref_;
+  /// Resolved on first use; a failed resolution is retried next time.
+  mutable std::optional<std::map<std::string, std::string>> tables_;
   std::map<std::string, columnar::Table> overlay_;
   table::ScanPlan last_plan_;
   int64_t total_files_pruned_ = 0;

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <deque>
 #include <mutex>
+#include <optional>
 #include <set>
 
 #include "analysis/lineage.h"
@@ -36,6 +37,11 @@ struct NaiveRunContext {
   /// Artifact name -> serialized bytes (produced this run, or estimated
   /// from catalog metadata for replayed upstreams).
   std::map<std::string, int64_t> artifact_bytes;
+  /// `ref`'s table map, resolved once on the run's clock while the first
+  /// request that reads the catalog is built. Bodies read only this, so
+  /// concurrent bodies on forked clocks never race on a catalog cache
+  /// miss and every body sees the same snapshot.
+  std::optional<Result<std::map<std::string, std::string>>> tables;
 };
 
 }  // namespace internal
@@ -78,11 +84,17 @@ bool HasSelectedConsumer(const Dag& dag,
   return false;
 }
 
-int64_t EstimateCatalogArtifactBytes(const catalog::Catalog* catalog,
+/// Metadata key of catalog table `name` in the run's resolved table map.
+Result<std::string> CatalogKey(const internal::NaiveRunContext& ctx,
+                               const std::string& name) {
+  BAUPLAN_RETURN_NOT_OK(ctx.tables->status());
+  return catalog::FindTableKey(**ctx.tables, name, ctx.ref);
+}
+
+int64_t EstimateCatalogArtifactBytes(const internal::NaiveRunContext& ctx,
                                      const table::TableOps* ops,
-                                     const std::string& ref,
                                      const std::string& table_name) {
-  auto metadata_key = catalog->GetTable(ref, table_name);
+  auto metadata_key = CatalogKey(ctx, table_name);
   if (!metadata_key.ok()) return 0;
   auto metadata = ops->LoadMetadata(*metadata_key);
   if (!metadata.ok()) return 0;
@@ -356,6 +368,14 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
   request.spec = SpecForNode(node);
   request.output_artifact = SpillKey(name);
 
+  bool reads_catalog = !dag_node.source_tables.empty();
+  for (const auto& up : dag_node.upstream_nodes) {
+    if (ctx.selected_set.count(up) == 0) reads_catalog = true;
+  }
+  if (reads_catalog && !ctx.tables.has_value()) {
+    ctx.tables = catalog_->GetTables(ctx.ref);
+  }
+
   int64_t input_bytes = 0;
   {
     std::lock_guard<std::mutex> lock(ctx.mu);
@@ -364,7 +384,7 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
       auto it = ctx.artifact_bytes.find(up);
       int64_t bytes = it != ctx.artifact_bytes.end() ? it->second : 0;
       if (it == ctx.artifact_bytes.end() && !up_selected) {
-        bytes = EstimateCatalogArtifactBytes(catalog_, ops_, ctx.ref, up);
+        bytes = EstimateCatalogArtifactBytes(ctx, ops_, up);
         ctx.artifact_bytes[up] = bytes;
       }
       input_bytes += bytes;
@@ -388,7 +408,7 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
       ScopedSpan scan_span(tracer_, table_name,
                            observability::span_kind::kScan, node_span);
       BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                               catalog_->GetTable(ctx.ref, table_name));
+                               CatalogKey(ctx, table_name));
       BAUPLAN_ASSIGN_OR_RETURN(Table table,
                                ops_->ScanTable(metadata_key));
       inputs.AddTable(table_name, std::move(table));
@@ -409,7 +429,7 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
         ScopedSpan scan_span(tracer_, up,
                              observability::span_kind::kScan, node_span);
         BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                                 catalog_->GetTable(ctx.ref, up));
+                                 CatalogKey(ctx, up));
         BAUPLAN_ASSIGN_OR_RETURN(Table table,
                                  ops_->ScanTable(metadata_key));
         inputs.AddTable(up, std::move(table));

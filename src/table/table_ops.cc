@@ -20,13 +20,34 @@ TableOps::TableOps(storage::ObjectStore* store, Clock* clock,
                    std::string data_prefix)
     : store_(store), clock_(clock), data_prefix_(std::move(data_prefix)) {}
 
+namespace {
+
+/// Content fingerprint of an object's bytes. Every key this class writes
+/// ends in one, so keys are write-once: two branches advancing a table
+/// from the same snapshot write different keys instead of replacing each
+/// other's files.
+std::string ContentHex(const Bytes& bytes) {
+  return FingerprintHex(std::string_view(
+      reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+}
+
+}  // namespace
+
 Result<std::string> TableOps::WriteMetadata(const TableMetadata& metadata) {
   Bytes image = metadata.Serialize();
-  std::string fingerprint = FingerprintHex(
-      std::string_view(reinterpret_cast<const char*>(image.data()),
-                       image.size()));
   std::string key = StrCat(data_prefix_, "/", metadata.table_name,
-                           "/metadata/", fingerprint, ".meta");
+                           "/metadata/", ContentHex(image), ".meta");
+  BAUPLAN_RETURN_NOT_OK(store_->Put(key, std::move(image)));
+  return key;
+}
+
+Result<std::string> TableOps::WriteManifest(const TableMetadata& metadata,
+                                            int64_t snapshot_id,
+                                            const Manifest& manifest) {
+  Bytes image = manifest.Serialize();
+  std::string key =
+      StrCat(data_prefix_, "/", metadata.table_name, "/metadata/manifest-",
+             snapshot_id, "-", ContentHex(image), ".manifest");
   BAUPLAN_RETURN_NOT_OK(store_->Put(key, std::move(image)));
   return key;
 }
@@ -111,7 +132,8 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
     BAUPLAN_ASSIGN_OR_RETURN(Bytes file_bytes, format::WriteBpfFile(part));
     DataFile file;
     file.path = StrCat(data_prefix_, "/", metadata.table_name, "/data/snap-",
-                       next_snapshot_id, "-", file_index++, ".bpf");
+                       next_snapshot_id, "-", file_index++, "-",
+                       ContentHex(file_bytes), ".bpf");
     file.record_count = part.num_rows();
     file.file_size_bytes = file_bytes.size();
     file.partition = tuple;
@@ -122,10 +144,9 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
     manifest.files.push_back(std::move(file));
   }
 
-  std::string manifest_key =
-      StrCat(data_prefix_, "/", metadata.table_name, "/metadata/manifest-",
-             next_snapshot_id, ".manifest");
-  BAUPLAN_RETURN_NOT_OK(store_->Put(manifest_key, manifest.Serialize()));
+  BAUPLAN_ASSIGN_OR_RETURN(
+      std::string manifest_key,
+      WriteManifest(metadata, next_snapshot_id, manifest));
 
   Snapshot snapshot;
   snapshot.snapshot_id = next_snapshot_id;
@@ -156,7 +177,7 @@ Result<DataFile> TableOps::WriteDataFile(
   BAUPLAN_ASSIGN_OR_RETURN(Bytes file_bytes, format::WriteBpfFile(data));
   DataFile file;
   file.path = StrCat(data_prefix_, "/", metadata.table_name, "/data/",
-                     label, ".bpf");
+                     label, "-", ContentHex(file_bytes), ".bpf");
   file.record_count = data.num_rows();
   file.file_size_bytes = file_bytes.size();
   file.partition = std::move(partition);
@@ -180,10 +201,9 @@ Result<std::string> TableOps::CommitFileSet(TableMetadata metadata,
     total_records += file.record_count;
     manifest.files.push_back(std::move(file));
   }
-  std::string manifest_key =
-      StrCat(data_prefix_, "/", metadata.table_name, "/metadata/manifest-",
-             next_snapshot_id, ".manifest");
-  BAUPLAN_RETURN_NOT_OK(store_->Put(manifest_key, manifest.Serialize()));
+  BAUPLAN_ASSIGN_OR_RETURN(
+      std::string manifest_key,
+      WriteManifest(metadata, next_snapshot_id, manifest));
 
   Snapshot snapshot;
   snapshot.snapshot_id = next_snapshot_id;

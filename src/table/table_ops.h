@@ -46,7 +46,9 @@ struct ScanPlan {
 
 /// All table-level operations of the Iceberg stand-in. Metadata objects are
 /// immutable: every write produces a new metadata key, which the caller
-/// commits to the catalog (giving snapshot isolation for free).
+/// commits to the catalog (giving snapshot isolation for free). Every key
+/// written (metadata, manifest, data file) carries its object's content
+/// fingerprint, so no write replaces an object another branch reads.
 class TableOps {
  public:
   /// Does not own `store` or `clock`. `data_prefix` roots all keys this
@@ -99,8 +101,8 @@ class TableOps {
 
   /// Writes `data` as one data file of the table, tagged with the given
   /// partition tuple, and returns its manifest entry. Does not create a
-  /// snapshot; pair with CommitFileSet. `label` disambiguates the object
-  /// key (e.g. "compact-3-0").
+  /// snapshot; pair with CommitFileSet. `label` prefixes the object key
+  /// (e.g. "compact-3-0"), which ends in the file's content fingerprint.
   Result<DataFile> WriteDataFile(const TableMetadata& metadata,
                                  const columnar::Table& data,
                                  std::vector<columnar::Value> partition,
@@ -139,6 +141,10 @@ class TableOps {
 
  private:
   Result<std::string> WriteMetadata(const TableMetadata& metadata);
+  /// Writes `manifest` as the manifest of snapshot `snapshot_id`.
+  Result<std::string> WriteManifest(const TableMetadata& metadata,
+                                    int64_t snapshot_id,
+                                    const Manifest& manifest);
   Result<std::string> WriteSnapshot(TableMetadata metadata,
                                     const columnar::Table& data,
                                     const std::string& operation);

@@ -3,7 +3,9 @@
 #include <set>
 
 #include "columnar/builder.h"
+#include "columnar/compute.h"
 #include "columnar/datetime.h"
+#include "columnar/serialize.h"
 #include "core/bauplan.h"
 #include "pipeline/project.h"
 #include "storage/object_store.h"
@@ -316,6 +318,47 @@ TEST_F(BauplanTest, RunOnBranchIsIsolatedUntilMerged) {
   ASSERT_TRUE(platform_->MergeBranch("feat_1", "main").ok());
   EXPECT_TRUE(
       platform_->Query("SELECT * FROM pickups LIMIT 1", "main").ok());
+}
+
+TEST_F(BauplanTest, BranchesAppendingFromOneSnapshotKeepTheirOwnRows) {
+  // Both branches advance `events` from the same snapshot, so both new
+  // snapshots get id 2. Their data files and manifests must still be
+  // distinct objects: main's append may not replace feat's rows.
+  auto rows = [](int64_t n, uint64_t seed) {
+    workload::TaxiGenOptions gen;
+    gen.rows = n;
+    gen.seed = seed;
+    auto table = workload::GenerateTaxiTable(gen);
+    EXPECT_TRUE(table.ok());
+    EXPECT_EQ(table->num_rows(), n);
+    return *table;
+  };
+  Table base = rows(1000, 7);
+  Table feat_rows = rows(10, 8);
+  Table main_rows = rows(20, 9);
+  ASSERT_TRUE(platform_->CreateTable("main", "events", base.schema()).ok());
+  ASSERT_TRUE(platform_->WriteTable("main", "events", base).ok());
+  ASSERT_TRUE(platform_->CreateBranch("feat", "main").ok());
+  ASSERT_TRUE(platform_->WriteTable("feat", "events", feat_rows).ok());
+  ASSERT_TRUE(platform_->WriteTable("main", "events", main_rows).ok());
+
+  auto expect_rows = [](const Result<Table>& got,
+                        const std::vector<Table>& parts) {
+    ASSERT_TRUE(got.ok()) << got.status().ToString();
+    auto want = columnar::ConcatTables(parts);
+    ASSERT_TRUE(want.ok());
+    EXPECT_EQ(got->num_rows(), want->num_rows());
+    EXPECT_TRUE(columnar::SerializeTable(*got) ==
+                columnar::SerializeTable(*want));
+  };
+  expect_rows(platform_->ReadTable("feat", "events"), {base, feat_rows});
+  expect_rows(platform_->ReadTable("main", "events"), {base, main_rows});
+
+  // Time travel on feat to its pre-append snapshot still sees the base.
+  table::ScanOptions before_append;
+  before_append.snapshot_id = 1;
+  expect_rows(platform_->ReadTable("feat", "events", before_append),
+              {base});
 }
 
 TEST_F(BauplanTest, ReplayRunFull) {

@@ -60,6 +60,48 @@ TEST(FaultInjectionCatalogTest, CommitFailureDoesNotMoveBranch) {
   EXPECT_EQ(*head_after, *head_before);  // branch never moved
 }
 
+TEST(FaultInjectionCatalogTest, CommitReadFaultIsNotReportedAsMissing) {
+  storage::MemoryObjectStore base;
+  storage::FaultInjectionStore store(&base);
+  SimClock clock(1000);
+  std::string first;
+  {
+    auto writer = catalog::Catalog::Open(&store, &clock);
+    ASSERT_TRUE(writer.ok());
+    catalog::TableChanges changes;
+    changes.puts["t"] = "k1";
+    auto id = writer->CommitChanges("main", "first", "test", changes);
+    ASSERT_TRUE(id.ok());
+    first = *id;
+    ASSERT_TRUE(writer->CreateBranch("feat", "main").ok());
+    clock.AdvanceMicros(10);
+    changes.puts["t"] = "k2";
+    ASSERT_TRUE(writer->CommitChanges("feat", "f", "test", changes).ok());
+    changes.puts["u"] = "k3";
+    ASSERT_TRUE(writer->CommitChanges("main", "m", "test", changes).ok());
+  }
+
+  // A cold catalog reads commits from the store; every such read fails.
+  auto catalog = catalog::Catalog::Open(&store, &clock);
+  ASSERT_TRUE(catalog.ok());
+  store.FailOnlyPrefix("catalog/commits/");
+  store.FailAfter(0);
+  EXPECT_TRUE(catalog->GetCommit(first).status().IsIOError());
+  EXPECT_TRUE(catalog->Merge("feat", "main", "test").status().IsIOError());
+  EXPECT_TRUE(catalog->Resolve(catalog::RefSpec("main", 1005))
+                  .status()
+                  .IsIOError());
+
+  // Failed reads were not cached: after healing the commit reads back,
+  // and an id with no object is still NotFound.
+  store.Heal();
+  auto commit = catalog->GetCommit(first);
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+  EXPECT_EQ(commit->tables.at("t"), "k1");
+  EXPECT_TRUE(
+      catalog->GetCommit("0123456789abcdef").status().IsNotFound());
+}
+
 TEST(FaultInjectionTableTest, AppendFailureLeavesOldMetadataIntact) {
   storage::MemoryObjectStore base;
   storage::FaultInjectionStore store(&base);
