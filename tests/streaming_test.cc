@@ -17,6 +17,7 @@
 #include "columnar/serialize.h"
 #include "common/clock.h"
 #include "common/strings.h"
+#include "common/thread_pool.h"
 #include "observability/metrics.h"
 #include "observability/trace.h"
 #include "sql/engine.h"
@@ -566,6 +567,404 @@ TEST_F(StreamingTest, PipelineSpansParentOperatorSpans) {
   EXPECT_GT(ops_under_pipelines, 0);
   // The aggregate and sort breakers each parent their input pipeline.
   EXPECT_GT(pipelines_under_breaker_ops, 0);
+}
+
+// ------------------------------------------------ pinned engine behaviour
+
+// The engine's visible behaviour beyond result bytes, pinned per query
+// shape: the exact ExecStats counters, every exec.* counter in the
+// metrics sink, and the span tree under the execute span. The shapes
+// reach every streaming path that shares machinery — the LIMIT early
+// exit, the fused top-N and its budgeted sort-breaker fallback, the
+// serial, partitioned and spilled group folds, the global aggregate,
+// the in-memory, partitioned-build and Grace joins, the parallel sort
+// runs, DISTINCT and a UNION ALL inside a derived table — at threads 1
+// (inline) and threads 4 through an external pool. peak_bytes is left
+// out: it is a high-water mark of whatever intermediates a path happens
+// to hold, not a contract.
+TEST_F(StreamingTest, EngineCountersAndSpanTreeArePinned) {
+  struct Shape {
+    const char* name;
+    const char* sql;
+    int64_t budget;
+    // Index 0: threads 1; index 1: threads 4 through an external pool.
+    const char* stats[2];
+    const char* metrics[2];
+    const char* spans[2];
+  };
+  const Shape kShapes[] = {
+      {"limit_early_exit", "SELECT id FROM facts WHERE qty >= 0 LIMIT 10",
+       0,
+       {"operators=4 pipelines=1 morsels=2 scheduled=20 topn_skipped=0 "
+        "groups=0 filtered=0 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=4 pipelines=1 morsels=8 scheduled=20 topn_skipped=0 "
+        "groups=0 filtered=0 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.morsels=2 exec.morsels_scheduled=20 exec.pipelines=1 "
+        "exec.rows_scanned=20000",
+        "exec.morsels=8 exec.morsels_scheduled=20 exec.pipelines=1 "
+        "exec.rows_scanned=20000"},
+       {"execute>pipeline pipeline>op.filter pipeline>op.limit "
+        "pipeline>op.project pipeline>op.scan",
+        "execute>pipeline pipeline>op.filter pipeline>op.limit "
+        "pipeline>op.project pipeline>op.scan"}},
+      {"topn_with_where",
+       "SELECT id, tag FROM facts WHERE qty > 3 ORDER BY id LIMIT 25", 0,
+       {"operators=5 pipelines=1 morsels=2 scheduled=20 topn_skipped=18 "
+        "groups=0 filtered=632 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=5 pipelines=1 morsels=8 scheduled=20 topn_skipped=12 "
+        "groups=0 filtered=2521 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.breaker.topn_skipped=18 exec.morsels=2 "
+        "exec.morsels_scheduled=20 exec.pipelines=1 exec.rows_filtered=632 "
+        "exec.rows_scanned=20000",
+        "exec.breaker.topn_skipped=12 exec.morsels=8 "
+        "exec.morsels_scheduled=20 exec.pipelines=1 exec.rows_filtered=2521 "
+        "exec.rows_scanned=20000"},
+       {"execute>op.limit op.limit>op.sort op.sort>pipeline "
+        "pipeline>op.filter pipeline>op.project pipeline>op.scan",
+        "execute>op.limit op.limit>op.sort op.sort>pipeline "
+        "pipeline>op.filter pipeline>op.project pipeline>op.scan"}},
+      {"topn_without_where",
+       "SELECT id, qty FROM facts ORDER BY id LIMIT 40", 0,
+       {"operators=4 pipelines=1 morsels=2 scheduled=20 topn_skipped=18 "
+        "groups=0 filtered=0 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=4 pipelines=1 morsels=8 scheduled=20 topn_skipped=12 "
+        "groups=0 filtered=0 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.breaker.topn_skipped=18 exec.morsels=2 "
+        "exec.morsels_scheduled=20 exec.pipelines=1 exec.rows_scanned=20000",
+        "exec.breaker.topn_skipped=12 exec.morsels=8 "
+        "exec.morsels_scheduled=20 exec.pipelines=1 exec.rows_scanned=20000"},
+       {"execute>op.limit op.limit>op.sort op.sort>pipeline "
+        "pipeline>op.project pipeline>op.scan",
+        "execute>op.limit op.limit>op.sort op.sort>pipeline "
+        "pipeline>op.project pipeline>op.scan"}},
+      {"topn_renaming_projection",
+       "SELECT id AS ident, qty * 2 AS q2 FROM facts WHERE qty > 1 "
+       "ORDER BY ident LIMIT 15",
+       0,
+       {"operators=5 pipelines=1 morsels=2 scheduled=20 topn_skipped=18 "
+        "groups=0 filtered=316 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=5 pipelines=1 morsels=8 scheduled=20 topn_skipped=12 "
+        "groups=0 filtered=1261 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.breaker.topn_skipped=18 exec.morsels=2 "
+        "exec.morsels_scheduled=20 exec.pipelines=1 exec.rows_filtered=316 "
+        "exec.rows_scanned=20000",
+        "exec.breaker.topn_skipped=12 exec.morsels=8 "
+        "exec.morsels_scheduled=20 exec.pipelines=1 exec.rows_filtered=1261 "
+        "exec.rows_scanned=20000"},
+       {"execute>op.limit op.limit>op.sort op.sort>pipeline "
+        "pipeline>op.filter pipeline>op.project pipeline>op.scan",
+        "execute>op.limit op.limit>op.sort op.sort>pipeline "
+        "pipeline>op.filter pipeline>op.project pipeline>op.scan"}},
+      {"topn_budget_sort_fallback",
+       "SELECT id, tag FROM facts WHERE qty > 3 ORDER BY id LIMIT 25",
+       64 * 1024,
+       {"operators=5 pipelines=1 morsels=20 scheduled=20 topn_skipped=0 "
+        "groups=0 filtered=6155 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=10",
+        "operators=5 pipelines=1 morsels=20 scheduled=20 topn_skipped=0 "
+        "groups=0 filtered=6155 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=10"},
+       {"exec.morsels=20 exec.morsels_scheduled=20 exec.pipelines=1 "
+        "exec.rows_filtered=6155 exec.rows_scanned=20000 "
+        "exec.spill.bytes_read=9049 exec.spill.bytes_written=9049 "
+        "exec.spill.partitions=10",
+        "exec.morsels=20 exec.morsels_scheduled=20 exec.pipelines=1 "
+        "exec.rows_filtered=6155 exec.rows_scanned=20000 "
+        "exec.spill.bytes_read=9049 exec.spill.bytes_written=9049 "
+        "exec.spill.partitions=10"},
+       {"execute>op.limit op.limit>op.sort op.sort>pipeline "
+        "pipeline>op.filter pipeline>op.project pipeline>op.scan "
+        "op.sort>spill.sort",
+        "execute>op.limit op.limit>op.sort op.sort>pipeline "
+        "pipeline>op.filter pipeline>op.project pipeline>op.scan "
+        "op.sort>spill.sort"}},
+      {"group_partitioned_fold",
+       "SELECT key, qty, COUNT(*) AS n, SUM(amount) AS sa, "
+       "COUNT(DISTINCT tag) AS dt FROM facts GROUP BY key, qty",
+       0,
+       {"operators=3 pipelines=2 morsels=23 scheduled=23 topn_skipped=0 "
+        "groups=2756 filtered=0 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=3 pipelines=2 morsels=23 scheduled=23 topn_skipped=0 "
+        "groups=2756 filtered=0 probe=0 breaker_partitions=4 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.groups=2756 exec.morsels=23 exec.morsels_scheduled=23 "
+        "exec.pipelines=2 exec.rows_scanned=20000",
+        "exec.breaker.agg_partitions=4 exec.groups=2756 exec.morsels=23 "
+        "exec.morsels_scheduled=23 exec.pipelines=2 exec.rows_scanned=20000"},
+       {"execute>pipeline pipeline>op.aggregate op.aggregate>pipeline "
+        "pipeline>op.scan pipeline>op.project",
+        "execute>pipeline pipeline>op.aggregate "
+        "op.aggregate>op.aggregate.partition*4 op.aggregate>pipeline "
+        "pipeline>op.scan pipeline>op.project"}},
+      {"group_budget_fits",
+       "SELECT key, qty, COUNT(*) AS n, SUM(amount) AS sa, "
+       "COUNT(DISTINCT tag) AS dt FROM facts GROUP BY key, qty",
+       64 * 1024 * 1024,
+       {"operators=3 pipelines=2 morsels=23 scheduled=23 topn_skipped=0 "
+        "groups=2756 filtered=0 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=3 pipelines=2 morsels=23 scheduled=23 topn_skipped=0 "
+        "groups=2756 filtered=0 probe=0 breaker_partitions=4 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.groups=2756 exec.morsels=23 exec.morsels_scheduled=23 "
+        "exec.pipelines=2 exec.rows_scanned=20000",
+        "exec.breaker.agg_partitions=4 exec.groups=2756 exec.morsels=23 "
+        "exec.morsels_scheduled=23 exec.pipelines=2 exec.rows_scanned=20000"},
+       {"execute>pipeline pipeline>op.aggregate op.aggregate>pipeline "
+        "pipeline>op.scan pipeline>op.project",
+        "execute>pipeline pipeline>op.aggregate "
+        "op.aggregate>op.aggregate.partition*4 op.aggregate>pipeline "
+        "pipeline>op.scan pipeline>op.project"}},
+      {"group_spilled",
+       "SELECT key, qty, COUNT(*) AS n, SUM(amount) AS sa, "
+       "COUNT(DISTINCT tag) AS dt FROM facts GROUP BY key, qty",
+       64 * 1024,
+       {"operators=3 pipelines=2 morsels=23 scheduled=23 topn_skipped=0 "
+        "groups=2756 filtered=0 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=32",
+        "operators=3 pipelines=2 morsels=23 scheduled=23 topn_skipped=0 "
+        "groups=2756 filtered=0 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=32"},
+       {"exec.groups=2756 exec.morsels=23 exec.morsels_scheduled=23 "
+        "exec.pipelines=2 exec.rows_scanned=20000 "
+        "exec.spill.bytes_read=4348380 exec.spill.bytes_written=4348380 "
+        "exec.spill.partitions=32",
+        "exec.groups=2756 exec.morsels=23 exec.morsels_scheduled=23 "
+        "exec.pipelines=2 exec.rows_scanned=20000 "
+        "exec.spill.bytes_read=4348380 exec.spill.bytes_written=4348380 "
+        "exec.spill.partitions=32"},
+       {"execute>pipeline pipeline>op.aggregate op.aggregate>pipeline "
+        "pipeline>op.scan op.aggregate>spill.aggregate pipeline>op.project",
+        "execute>pipeline pipeline>op.aggregate op.aggregate>pipeline "
+        "pipeline>op.scan op.aggregate>spill.aggregate pipeline>op.project"}},
+      {"global_aggregate",
+       "SELECT COUNT(*) AS n, SUM(qty) AS s, MIN(tag) AS lo FROM facts "
+       "WHERE qty > 5",
+       0,
+       {"operators=4 pipelines=2 morsels=32 scheduled=32 topn_skipped=0 "
+        "groups=1 filtered=9231 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=4 pipelines=2 morsels=32 scheduled=32 topn_skipped=0 "
+        "groups=1 filtered=9231 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.groups=1 exec.morsels=32 exec.morsels_scheduled=32 "
+        "exec.pipelines=2 exec.rows_filtered=9231 exec.rows_scanned=20000",
+        "exec.groups=1 exec.morsels=32 exec.morsels_scheduled=32 "
+        "exec.pipelines=2 exec.rows_filtered=9231 exec.rows_scanned=20000"},
+       {"execute>pipeline pipeline>op.aggregate op.aggregate>pipeline "
+        "pipeline>op.filter pipeline>op.scan pipeline>op.project",
+        "execute>pipeline pipeline>op.aggregate op.aggregate>pipeline "
+        "pipeline>op.filter pipeline>op.scan pipeline>op.project"}},
+      {"join_in_memory",
+       "SELECT f.id, d.dname FROM facts f JOIN dims d ON f.key = d.dkey "
+       "WHERE f.qty > 2",
+       0,
+       {"operators=7 pipelines=2 morsels=21 scheduled=21 topn_skipped=0 "
+        "groups=0 filtered=4617 probe=15383 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=7 pipelines=2 morsels=21 scheduled=21 topn_skipped=0 "
+        "groups=0 filtered=4617 probe=15383 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.breaker.join_build_flat64=1 exec.join_probe_rows=15383 "
+        "exec.morsels=21 exec.morsels_scheduled=21 exec.pipelines=2 "
+        "exec.rows_filtered=4617 exec.rows_scanned=20151",
+        "exec.breaker.join_build_flat64=1 exec.join_probe_rows=15383 "
+        "exec.morsels=21 exec.morsels_scheduled=21 exec.pipelines=2 "
+        "exec.rows_filtered=4617 exec.rows_scanned=20151"},
+       {"execute>pipeline pipeline>op.filter pipeline>op.join "
+        "op.join>pipeline pipeline>op.project pipeline>op.scan "
+        "pipeline>op.project*2 pipeline>op.scan",
+        "execute>pipeline pipeline>op.filter pipeline>op.join "
+        "op.join>pipeline pipeline>op.project pipeline>op.scan "
+        "pipeline>op.project*2 pipeline>op.scan"}},
+      {"join_partitioned_build",
+       "SELECT d.dname, f.id FROM dims d JOIN facts f ON d.dkey = f.key", 0,
+       {"operators=6 pipelines=2 morsels=21 scheduled=21 topn_skipped=0 "
+        "groups=0 filtered=0 probe=151 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=6 pipelines=2 morsels=21 scheduled=21 topn_skipped=0 "
+        "groups=0 filtered=0 probe=151 breaker_partitions=4 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.breaker.join_build_flat64=1 exec.join_probe_rows=151 "
+        "exec.morsels=21 exec.morsels_scheduled=21 exec.pipelines=2 "
+        "exec.rows_scanned=20151",
+        "exec.breaker.join_build_flat64=1 exec.breaker.join_partitions=4 "
+        "exec.join_probe_rows=151 exec.morsels=21 exec.morsels_scheduled=21 "
+        "exec.pipelines=2 exec.rows_scanned=20151"},
+       {"execute>pipeline pipeline>op.join op.join>pipeline "
+        "pipeline>op.project pipeline>op.scan pipeline>op.project*2 "
+        "pipeline>op.scan",
+        "execute>pipeline pipeline>op.join op.join>op.join.partition*4 "
+        "op.join>pipeline pipeline>op.project pipeline>op.scan "
+        "pipeline>op.project*2 pipeline>op.scan"}},
+      {"join_grace",
+       "SELECT d.dname, f.id FROM dims d JOIN facts f ON d.dkey = f.key",
+       64 * 1024,
+       {"operators=6 pipelines=2 morsels=49 scheduled=49 topn_skipped=0 "
+        "groups=0 filtered=0 probe=151 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=32",
+        "operators=6 pipelines=2 morsels=49 scheduled=49 topn_skipped=0 "
+        "groups=0 filtered=0 probe=151 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=32"},
+       {"exec.join_probe_rows=151 exec.morsels=49 exec.morsels_scheduled=49 "
+        "exec.pipelines=2 exec.rows_scanned=20151 "
+        "exec.spill.bytes_read=321424 exec.spill.bytes_written=321424 "
+        "exec.spill.partitions=32",
+        "exec.join_probe_rows=151 exec.morsels=49 exec.morsels_scheduled=49 "
+        "exec.pipelines=2 exec.rows_scanned=20151 "
+        "exec.spill.bytes_read=321424 exec.spill.bytes_written=321424 "
+        "exec.spill.partitions=32"},
+       {"execute>pipeline pipeline>op.join op.join>pipeline "
+        "pipeline>op.project pipeline>op.scan op.join>spill.join "
+        "pipeline>op.project*2 pipeline>op.scan",
+        "execute>pipeline pipeline>op.join op.join>pipeline "
+        "pipeline>op.project pipeline>op.scan op.join>spill.join "
+        "pipeline>op.project*2 pipeline>op.scan"}},
+      {"sort_breaker",
+       "SELECT id, qty FROM facts WHERE qty > 6 ORDER BY qty DESC, id", 0,
+       {"operators=4 pipelines=1 morsels=20 scheduled=20 topn_skipped=0 "
+        "groups=0 filtered=10769 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=4 pipelines=1 morsels=20 scheduled=20 topn_skipped=0 "
+        "groups=0 filtered=10769 probe=0 breaker_partitions=0 sort_runs=10 "
+        "spill_partitions=0"},
+       {"exec.morsels=20 exec.morsels_scheduled=20 exec.pipelines=1 "
+        "exec.rows_filtered=10769 exec.rows_scanned=20000",
+        "exec.breaker.sort_runs=10 exec.morsels=20 exec.morsels_scheduled=20 "
+        "exec.pipelines=1 exec.rows_filtered=10769 exec.rows_scanned=20000"},
+       {"execute>op.sort op.sort>pipeline pipeline>op.filter "
+        "pipeline>op.project pipeline>op.scan",
+        "execute>op.sort op.sort>op.sort.run*10 op.sort>pipeline "
+        "pipeline>op.filter pipeline>op.project pipeline>op.scan"}},
+      {"distinct", "SELECT DISTINCT key, qty FROM facts WHERE qty < 6", 0,
+       {"operators=4 pipelines=1 morsels=20 scheduled=20 topn_skipped=0 "
+        "groups=0 filtered=10769 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=4 pipelines=1 morsels=20 scheduled=20 topn_skipped=0 "
+        "groups=0 filtered=10769 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.morsels=20 exec.morsels_scheduled=20 exec.pipelines=1 "
+        "exec.rows_filtered=10769 exec.rows_scanned=20000",
+        "exec.morsels=20 exec.morsels_scheduled=20 exec.pipelines=1 "
+        "exec.rows_filtered=10769 exec.rows_scanned=20000"},
+       {"execute>op.distinct op.distinct>pipeline pipeline>op.filter "
+        "pipeline>op.project pipeline>op.scan",
+        "execute>op.distinct op.distinct>pipeline pipeline>op.filter "
+        "pipeline>op.project pipeline>op.scan"}},
+      {"union_in_derived_table",
+       "SELECT u.id, u.qty FROM (SELECT id, qty FROM facts WHERE qty = 1 "
+       "UNION ALL SELECT id, qty FROM facts WHERE qty = 12) u "
+       "WHERE u.id > 100",
+       0,
+       {"operators=9 pipelines=3 morsels=44 scheduled=44 topn_skipped=0 "
+        "groups=0 filtered=36938 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0",
+        "operators=9 pipelines=3 morsels=44 scheduled=44 topn_skipped=0 "
+        "groups=0 filtered=36938 probe=0 breaker_partitions=0 sort_runs=0 "
+        "spill_partitions=0"},
+       {"exec.morsels=44 exec.morsels_scheduled=44 exec.pipelines=3 "
+        "exec.rows_filtered=36938 exec.rows_scanned=40000",
+        "exec.morsels=44 exec.morsels_scheduled=44 exec.pipelines=3 "
+        "exec.rows_filtered=36938 exec.rows_scanned=40000"},
+       {"execute>pipeline pipeline>op.filter pipeline>op.project "
+        "pipeline>op.union op.union>pipeline pipeline>op.filter "
+        "pipeline>op.project pipeline>op.scan op.union>pipeline "
+        "pipeline>op.filter pipeline>op.project pipeline>op.scan",
+        "execute>pipeline pipeline>op.filter pipeline>op.project "
+        "pipeline>op.union op.union>pipeline pipeline>op.filter "
+        "pipeline>op.project pipeline>op.scan op.union>pipeline "
+        "pipeline>op.filter pipeline>op.project pipeline>op.scan"}},
+  };
+
+  auto stats_text = [](const sql::ExecStats& s) {
+    return StrCat("operators=", s.operators_executed,
+                  " pipelines=", s.pipelines, " morsels=", s.morsels,
+                  " scheduled=", s.morsels_scheduled,
+                  " topn_skipped=", s.topn_morsels_skipped,
+                  " groups=", s.groups, " filtered=", s.rows_filtered,
+                  " probe=", s.join_probe_rows,
+                  " breaker_partitions=", s.breaker_partitions,
+                  " sort_runs=", s.sort_runs,
+                  " spill_partitions=", s.spill_partitions);
+  };
+  auto metrics_text = [](const observability::MetricsRegistry& m) {
+    std::string out;
+    for (const auto& [name, value] : m.Snapshot().values) {
+      if (name.rfind("exec.", 0) != 0 || name == "exec.peak_bytes") {
+        continue;
+      }
+      if (!out.empty()) out += " ";
+      out += StrCat(name, "=", static_cast<int64_t>(value));
+    }
+    return out;
+  };
+  // "parent>child" per span under the execute span, in the trace's
+  // canonical depth-first order; runs of identical entries collapse to
+  // "entry*N".
+  auto spans_text = [](const observability::Trace& trace) {
+    std::vector<std::string> entries;
+    const observability::Span* execute = nullptr;
+    for (const auto& span : trace.spans) {
+      if (span.name == "execute") execute = &span;
+    }
+    if (execute == nullptr) return std::string("<no execute span>");
+    std::vector<uint64_t> under = {execute->id};
+    for (const auto& span : trace.spans) {
+      bool inside = false;
+      for (uint64_t id : under) inside = inside || span.parent_id == id;
+      if (!inside) continue;
+      under.push_back(span.id);
+      entries.push_back(
+          StrCat(trace.Find(span.parent_id)->name, ">", span.name));
+    }
+    std::string out;
+    for (size_t i = 0; i < entries.size();) {
+      size_t j = i;
+      while (j < entries.size() && entries[j] == entries[i]) ++j;
+      if (!out.empty()) out += " ";
+      out += entries[i];
+      if (j - i > 1) out += StrCat("*", j - i);
+      i = j;
+    }
+    return out;
+  };
+
+  for (const Shape& shape : kShapes) {
+    for (int t = 0; t < 2; ++t) {
+      int threads = t == 0 ? 1 : 4;
+      SimClock clock;
+      observability::Tracer tracer(&clock);
+      observability::MetricsRegistry metrics;
+      uint64_t root =
+          tracer.StartSpan("query", observability::span_kind::kQuery);
+      ThreadPool pool(threads - 1);
+      QueryOptions options;
+      options.tracer = &tracer;
+      options.parent_span = root;
+      options.exec.threads = threads;
+      options.exec.morsel_rows = 1024;
+      options.exec.memory_budget_bytes = shape.budget;
+      options.exec.metrics = &metrics;
+      if (threads > 1) options.exec.pool = &pool;
+      auto r = sql::RunQuery(shape.sql, provider_, &provider_, options);
+      ASSERT_TRUE(r.ok()) << shape.name << ": " << r.status().ToString();
+      tracer.EndSpan(root);
+      std::string context = StrCat(shape.name, " threads=", threads);
+      EXPECT_EQ(stats_text(r->stats), shape.stats[t]) << context;
+      EXPECT_EQ(metrics_text(metrics), shape.metrics[t]) << context;
+      EXPECT_EQ(spans_text(tracer.ExtractTrace(root)), shape.spans[t])
+          << context;
+    }
+  }
 }
 
 // Env-var defaults resolve in exactly one place, strictly.
