@@ -154,6 +154,25 @@ ExprPtr MakeFunction(std::string name, std::vector<ExprPtr> args,
   return e;
 }
 
+ExprPtr CloneExpr(const ExprPtr& expr) { return CloneExprWith(expr, nullptr); }
+
+ExprPtr CloneExprWith(
+    const ExprPtr& expr,
+    const std::function<ExprPtr(const Expr&)>& substitute) {
+  if (expr == nullptr) return nullptr;
+  if (substitute) {
+    if (ExprPtr replacement = substitute(*expr)) return replacement;
+  }
+  auto copy = std::make_shared<Expr>(*expr);
+  copy->left = CloneExprWith(expr->left, substitute);
+  copy->right = CloneExprWith(expr->right, substitute);
+  copy->between_low = CloneExprWith(expr->between_low, substitute);
+  copy->between_high = CloneExprWith(expr->between_high, substitute);
+  for (auto& a : copy->args) a = CloneExprWith(a, substitute);
+  for (auto& e : copy->list) e = CloneExprWith(e, substitute);
+  return copy;
+}
+
 namespace {
 
 bool IsAggregateName(const std::string& name) {

@@ -1,6 +1,7 @@
 #ifndef BAUPLAN_SQL_AST_H_
 #define BAUPLAN_SQL_AST_H_
 
+#include <functional>
 #include <memory>
 #include <string>
 #include <vector>
@@ -99,6 +100,18 @@ ExprPtr MakeBinary(BinaryOp op, ExprPtr left, ExprPtr right);
 ExprPtr MakeUnary(UnaryOp op, ExprPtr operand);
 ExprPtr MakeFunction(std::string name, std::vector<ExprPtr> args,
                      bool distinct = false, bool star_arg = false);
+
+/// Deep-copies an expression tree (plans own their expressions so the
+/// optimizer can rewrite them without mutating the AST).
+ExprPtr CloneExpr(const ExprPtr& expr);
+
+/// Deep-copies an expression tree pre-order, offering every node to
+/// `substitute` first: a non-null result takes the place of that node and
+/// its whole subtree; null copies the node and continues into its
+/// children. An empty `substitute` makes this CloneExpr.
+ExprPtr CloneExprWith(
+    const ExprPtr& expr,
+    const std::function<ExprPtr(const Expr&)>& substitute);
 
 /// True when the expression is or contains an aggregate function call.
 bool ContainsAggregate(const Expr& expr);

@@ -88,6 +88,10 @@ struct ExecContext {
   ExecStats* stats = nullptr;
   ExecOptions options;
   ThreadPool* pool = nullptr;  // null = run morsels inline
+  /// Threads working the query: the pool's workers plus the driver, or 1
+  /// without a pool. Dispatch batches and breaker partition counts derive
+  /// from it; result bytes never do.
+  int width = 1;
 
   /// Non-null only when a memory budget is active. Spill objects are
   /// written and read on the driver thread exclusively.
@@ -115,7 +119,24 @@ struct ExecContext {
                                         std::memory_order_relaxed)) {
     }
   }
+
+  /// Runs fn(0..n-1) on the pool, or inline in index order without one.
+  void ParallelFor(int64_t n, const std::function<void(int64_t)>& fn) const {
+    if (pool != nullptr) {
+      pool->ParallelFor(n, fn);
+    } else {
+      for (int64_t i = 0; i < n; ++i) fn(i);
+    }
+  }
 };
+
+/// Hash-partition bits for a parallel breaker: the smallest power of two
+/// covering min(width, 64), so a single-threaded query never partitions.
+int PartitionBits(const ExecContext& ctx) {
+  int bits = 0;
+  while ((1 << bits) < std::min(ctx.width, 64)) ++bits;
+  return bits;
+}
 
 /// One contiguous row range [begin, end) of an operator's input.
 struct Morsel {
@@ -130,7 +151,6 @@ struct Morsel {
 /// and empty outputs come out correctly typed.
 std::vector<Morsel> MakeMorsels(int64_t rows, int64_t morsel_rows) {
   std::vector<Morsel> morsels;
-  if (morsel_rows <= 0) morsel_rows = 64 * 1024;
   if (rows <= 0) {
     morsels.push_back({0, 0});
     return morsels;
@@ -143,20 +163,16 @@ std::vector<Morsel> MakeMorsels(int64_t rows, int64_t morsel_rows) {
   return morsels;
 }
 
-/// Runs fn(0..n-1) on the context's pool (or inline). Scheduled morsels
-/// count up front, completed morsels only after the batch returns: every
-/// morsel here runs to completion, but streaming pipelines short-circuit
-/// at a satisfied LIMIT, so exec.morsels (completed) and
-/// exec.morsels_scheduled diverge there and must stay distinguishable.
+/// Runs fn(0..n-1) as n morsels. Scheduled morsels count up front,
+/// completed morsels only after the batch returns: every morsel here runs
+/// to completion, but streaming pipelines short-circuit at a satisfied
+/// LIMIT, so exec.morsels (completed) and exec.morsels_scheduled diverge
+/// there and must stay distinguishable.
 void RunMorsels(const ExecContext& ctx, int64_t n,
                 const std::function<void(int64_t)>& fn) {
   ctx.stats->morsels_scheduled += n;
   ctx.Count("exec.morsels_scheduled", n);
-  if (ctx.pool != nullptr) {
-    ctx.pool->ParallelFor(n, fn);
-  } else {
-    for (int64_t i = 0; i < n; ++i) fn(i);
-  }
+  ctx.ParallelFor(n, fn);
   ctx.stats->morsels += n;
   ctx.Count("exec.morsels", n);
 }
@@ -547,67 +563,78 @@ void FinalizeDistinct(const PlanNode& plan,
   }
 }
 
-/// Serial morsel-order merge of partial aggregation results, shared by
-/// the budgeted aggregate (materialized input) and the streaming
-/// aggregate sink so the first-seen group order and the float
-/// partial-sum association are identical on both paths. Group keys box
-/// here — the number of groups is small compared to rows, so this is off
-/// the hot path.
-struct GroupMerger {
+/// Folds partial aggregate states into groups. Partials arrive in
+/// ascending (morsel, local group id) order: a group's first arrival
+/// fixes its first-seen coordinate and later partials merge into it in
+/// arrival order, so floating-point partial sums associate the same way
+/// whether the groups are folded in one pass, across hash partitions or
+/// out of spilled chunks. Group keys box here — the number of groups is
+/// small compared to rows, so this is off the hot path.
+struct GroupFold {
+  struct Group {
+    int64_t morsel = 0;
+    int64_t gid = 0;
+    std::vector<Value> key;
+    std::vector<AggState> states;
+  };
+
+  void Add(int64_t morsel, int64_t gid, std::vector<Value> key,
+           std::vector<AggState> states) {
+    auto [it, inserted] = index.emplace(key, groups.size());
+    if (inserted) {
+      groups.push_back({morsel, gid, std::move(key), std::move(states)});
+      return;
+    }
+    std::vector<AggState>& into = groups[it->second].states;
+    for (size_t a = 0; a < states.size(); ++a) {
+      MergeAggState(&into[a], states[a]);
+    }
+  }
+
   std::unordered_map<std::vector<Value>, size_t, KeyHash, KeyEq> index;
-  std::vector<std::vector<Value>> group_order;
-  std::vector<std::vector<AggState>> group_states;
-
-  void Merge(const PlanNode& plan, const MorselGroups& part) {
-    for (size_t g = 0; g < part.rep_rows.size(); ++g) {
-      std::vector<Value> key;
-      key.reserve(part.key_arrays.size());
-      for (const auto& arr : part.key_arrays) {
-        key.push_back(arr->GetValue(part.rep_rows[g]));
-      }
-      auto [it, inserted] = index.emplace(key, group_order.size());
-      if (inserted) {
-        group_order.push_back(std::move(key));
-        group_states.push_back(part.states[g]);
-        continue;
-      }
-      std::vector<AggState>& into = group_states[it->second];
-      const std::vector<AggState>& from = part.states[g];
-      for (size_t a = 0; a < plan.aggregates.size(); ++a) {
-        MergeAggState(&into[a], from[a]);
-      }
-    }
-  }
-
-  /// Finalizes and emits (a global aggregate over empty input still
-  /// yields one row).
-  Result<Table> Emit(const ExecContext& ctx, const PlanNode& plan) {
-    FinalizeDistinct(plan, &group_states);
-    if (plan.group_by.empty() && group_order.empty()) {
-      group_order.emplace_back();
-      group_states.emplace_back(plan.aggregates.size());
-    }
-    ctx.stats->groups += static_cast<int64_t>(group_order.size());
-    ctx.Count("exec.groups", static_cast<int64_t>(group_order.size()));
-    return EmitAggregateOutput(plan, group_order, group_states);
-  }
+  std::vector<Group> groups;
 };
 
-/// Merges per-morsel partials (given in morsel order) and emits the final
-/// aggregate output. Small merges run through the serial GroupMerger;
-/// large grouped merges hash-partition the groups by boxed-key hash and
-/// merge the partitions concurrently on the pool.
+/// Emits folded groups in ascending first-seen (morsel, local gid) order,
+/// which is the order one pass over the morsels first meets them, with
+/// DISTINCT aggregates finalized and the groups counted. A global
+/// aggregate over no rows still yields one row.
+Result<Table> EmitGroups(const ExecContext& ctx, const PlanNode& plan,
+                         std::vector<GroupFold::Group> groups) {
+  std::sort(groups.begin(), groups.end(),
+            [](const GroupFold::Group& a, const GroupFold::Group& b) {
+              return a.morsel != b.morsel ? a.morsel < b.morsel
+                                          : a.gid < b.gid;
+            });
+  std::vector<std::vector<Value>> group_order;
+  std::vector<std::vector<AggState>> group_states;
+  group_order.reserve(groups.size());
+  group_states.reserve(groups.size());
+  for (GroupFold::Group& g : groups) {
+    group_order.push_back(std::move(g.key));
+    group_states.push_back(std::move(g.states));
+  }
+  FinalizeDistinct(plan, &group_states);
+  if (plan.group_by.empty() && group_order.empty()) {
+    group_order.emplace_back();
+    group_states.emplace_back(plan.aggregates.size());
+  }
+  ctx.stats->groups += static_cast<int64_t>(group_order.size());
+  ctx.Count("exec.groups", static_cast<int64_t>(group_order.size()));
+  return EmitAggregateOutput(plan, group_order, group_states);
+}
+
+/// Folds per-morsel partials (given in morsel order) and emits the final
+/// aggregate output. Large grouped folds hash-partition the groups by
+/// boxed-key hash and fold the partitions concurrently; otherwise one
+/// fold takes every group.
 ///
 /// Determinism: equal keys always share a partition (KeyEq-equal keys
-/// share a KeyHash — the invariant the serial merger's hash map already
-/// relies on), and each partition visits its groups in ascending (morsel,
-/// local gid) order — the same per-group MergeAggState sequence the serial
-/// merger applies, so float partials associate identically. The final
-/// stitch sorts all merged groups by first-seen (morsel, local gid): the
-/// serial first-seen order is itself ascending in that coordinate (the
-/// serial scan ascends through morsels and gids), so the emitted group
-/// order is byte-for-byte the serial one for any partition count — the
-/// same argument ExecAggregateSpilled already uses.
+/// share a KeyHash — the invariant the fold's hash map already relies
+/// on), and each partition visits its groups in ascending (morsel, local
+/// gid) order, so every group sees the MergeAggState sequence of the
+/// one-partition fold, and EmitGroups restores the one-partition order
+/// for any partition count.
 Result<Table> MergePartialsAndEmit(ExecContext* ctx, const PlanNode& plan,
                                    std::vector<MorselGroups> partials,
                                    uint64_t span_id) {
@@ -615,111 +642,69 @@ Result<Table> MergePartialsAndEmit(ExecContext* ctx, const PlanNode& plan,
   for (const MorselGroups& p : partials) {
     total_groups += static_cast<int64_t>(p.rep_rows.size());
   }
-  int part_bits = 0;
-  if (ctx->pool != nullptr && ctx->options.threads > 1 &&
-      !plan.group_by.empty() && total_groups >= 1024) {
-    int target = std::min(ctx->options.threads, 64);
-    while ((1 << part_bits) < target) ++part_bits;
-  }
+  int part_bits = !plan.group_by.empty() && total_groups >= 1024
+                      ? PartitionBits(*ctx)
+                      : 0;
   size_t nparts = size_t{1} << part_bits;
-  if (nparts == 1) {
-    GroupMerger merger;
-    for (const MorselGroups& part : partials) merger.Merge(plan, part);
-    return merger.Emit(*ctx, plan);
-  }
 
   // Box every partial's representative keys once, in parallel over
-  // partials; the boxed hash routes each group to its partition.
+  // partials; with several partitions the boxed hash routes each group.
   size_t np = partials.size();
   std::vector<std::vector<std::vector<Value>>> boxed(np);
   std::vector<std::vector<uint64_t>> hashes(np);
-  ctx->pool->ParallelFor(static_cast<int64_t>(np), [&](int64_t mi) {
+  ctx->ParallelFor(static_cast<int64_t>(np), [&](int64_t mi) {
     const MorselGroups& part = partials[static_cast<size_t>(mi)];
     auto& bx = boxed[static_cast<size_t>(mi)];
     auto& hs = hashes[static_cast<size_t>(mi)];
     bx.resize(part.rep_rows.size());
-    hs.resize(part.rep_rows.size());
+    if (nparts > 1) hs.resize(part.rep_rows.size());
     for (size_t g = 0; g < part.rep_rows.size(); ++g) {
       std::vector<Value>& key = bx[g];
       key.reserve(part.key_arrays.size());
       for (const ArrayPtr& arr : part.key_arrays) {
         key.push_back(arr->GetValue(part.rep_rows[g]));
       }
-      hs[g] = KeyHash{}(key);
+      if (nparts > 1) hs[g] = KeyHash{}(key);
     }
   });
 
-  // Per-partition merge: first-seen (morsel, gid) coordinate rides along
-  // for the final stitch.
-  struct PartGroup {
-    int64_t mi = 0;
-    int64_t gid = 0;
-    std::vector<Value> key;
-    std::vector<AggState> states;
-  };
-  std::vector<std::vector<PartGroup>> per_part(nparts);
-  ctx->pool->ParallelFor(static_cast<int64_t>(nparts), [&](int64_t p) {
-    std::unordered_map<std::vector<Value>, size_t, KeyHash, KeyEq> index;
-    std::vector<PartGroup>& out = per_part[static_cast<size_t>(p)];
+  // Each group is visited by exactly one partition, which may move its
+  // key and states out.
+  std::vector<GroupFold> folds(nparts);
+  ctx->ParallelFor(static_cast<int64_t>(nparts), [&](int64_t p) {
+    GroupFold& fold = folds[static_cast<size_t>(p)];
     for (size_t mi = 0; mi < np; ++mi) {
-      const MorselGroups& part = partials[mi];
+      MorselGroups& part = partials[mi];
       for (size_t g = 0; g < part.rep_rows.size(); ++g) {
-        uint64_t h = hashes[mi][g];
-        if (static_cast<size_t>(h >> (64 - part_bits)) !=
-            static_cast<size_t>(p)) {
+        if (nparts > 1 && static_cast<int64_t>(hashes[mi][g] >>
+                                               (64 - part_bits)) != p) {
           continue;
         }
-        auto [it, inserted] = index.emplace(boxed[mi][g], out.size());
-        if (inserted) {
-          out.push_back({static_cast<int64_t>(mi), static_cast<int64_t>(g),
-                         std::move(boxed[mi][g]), part.states[g]});
-          continue;
-        }
-        std::vector<AggState>& into = out[it->second].states;
-        const std::vector<AggState>& from = part.states[g];
-        for (size_t a = 0; a < plan.aggregates.size(); ++a) {
-          MergeAggState(&into[a], from[a]);
-        }
+        fold.Add(static_cast<int64_t>(mi), static_cast<int64_t>(g),
+                 std::move(boxed[mi][g]), std::move(part.states[g]));
       }
     }
   });
 
-  ctx->stats->breaker_partitions += static_cast<int64_t>(nparts);
-  ctx->Count("exec.breaker.agg_partitions", static_cast<int64_t>(nparts));
-  if (ctx->options.tracer != nullptr) {
-    for (size_t p = 0; p < nparts; ++p) {
-      uint64_t s = ctx->options.tracer->StartSpan(
-          "op.aggregate.partition", obs::span_kind::kOperator, span_id);
-      ctx->options.tracer->AddAttribute(s, "partition", StrCat(p));
-      ctx->options.tracer->AddAttribute(s, "groups",
-                                        StrCat(per_part[p].size()));
-      ctx->options.tracer->EndSpan(s);
+  if (nparts > 1) {
+    ctx->stats->breaker_partitions += static_cast<int64_t>(nparts);
+    ctx->Count("exec.breaker.agg_partitions", static_cast<int64_t>(nparts));
+    if (ctx->options.tracer != nullptr) {
+      for (size_t p = 0; p < nparts; ++p) {
+        uint64_t s = ctx->options.tracer->StartSpan(
+            "op.aggregate.partition", obs::span_kind::kOperator, span_id);
+        ctx->options.tracer->AddAttribute(s, "partition", StrCat(p));
+        ctx->options.tracer->AddAttribute(s, "groups",
+                                          StrCat(folds[p].groups.size()));
+        ctx->options.tracer->EndSpan(s);
+      }
     }
   }
-
-  // Stitch back in ascending first-seen (morsel, gid) == the serial
-  // first-seen order.
-  std::vector<PartGroup> all;
-  all.reserve(static_cast<size_t>(total_groups));
-  for (std::vector<PartGroup>& part : per_part) {
-    for (PartGroup& g : part) all.push_back(std::move(g));
+  std::vector<GroupFold::Group> groups = std::move(folds[0].groups);
+  for (size_t p = 1; p < nparts; ++p) {
+    for (GroupFold::Group& g : folds[p].groups) groups.push_back(std::move(g));
   }
-  std::sort(all.begin(), all.end(), [](const PartGroup& a,
-                                       const PartGroup& b) {
-    return a.mi != b.mi ? a.mi < b.mi : a.gid < b.gid;
-  });
-  std::vector<std::vector<Value>> group_order;
-  std::vector<std::vector<AggState>> group_states;
-  group_order.reserve(all.size());
-  group_states.reserve(all.size());
-  for (PartGroup& g : all) {
-    group_order.push_back(std::move(g.key));
-    group_states.push_back(std::move(g.states));
-  }
-  FinalizeDistinct(plan, &group_states);
-  ctx->stats->groups += static_cast<int64_t>(group_order.size());
-  ctx->Count("exec.groups", static_cast<int64_t>(group_order.size()));
-  return EmitAggregateOutput(plan, group_order, group_states);
+  return EmitGroups(*ctx, plan, std::move(groups));
 }
 
 // Spilled aggregation. Partial states are produced by the very same
@@ -900,7 +885,7 @@ Result<Table> ExecAggregateSpilled(ExecContext* ctx, const PlanNode& plan,
   std::vector<Morsel> morsels =
       MakeMorsels(input.num_rows(), ctx->options.morsel_rows);
   int64_t m = static_cast<int64_t>(morsels.size());
-  int64_t batch = std::max<int64_t>(1, 2 * ctx->options.threads);
+  int64_t batch = 2 * ctx->width;
   for (int64_t batch_begin = 0; batch_begin < m; batch_begin += batch) {
     int64_t n = std::min(batch, m - batch_begin);
     std::vector<MorselGroups> partials(static_cast<size_t>(n));
@@ -945,21 +930,15 @@ Result<Table> ExecAggregateSpilled(ExecContext* ctx, const PlanNode& plan,
   }
   CountSpillPartitions(*ctx, written);
 
-  // Phase 2: merge each partition. Chunks are read back in write order,
+  // Phase 2: fold each partition. Chunks are read back in write order,
   // so states stream in ascending (morsel, local gid) — the in-memory
-  // merge order — and MergeAggState folds them identically.
-  struct SpilledGroup {
-    int64_t mi;
-    int64_t gid;
-    std::vector<Value> key;
-    std::vector<AggState> states;
-  };
-  std::vector<SpilledGroup> groups;
+  // fold order.
+  std::vector<GroupFold::Group> groups;
   size_t nkeys = key_types.size();
   size_t naggs = plan.aggregates.size();
   for (uint32_t p = 0; p < fanout; ++p) {
     if (chunks[p].empty()) continue;
-    std::unordered_map<std::vector<Value>, size_t, KeyHash, KeyEq> index;
+    GroupFold fold;
     for (const std::string& chunk_key : chunks[p]) {
       BAUPLAN_ASSIGN_OR_RETURN(Table chunk, SpillRead(ctx, chunk_key));
       const auto* mi_col = AsInt64(*chunk.column(0));
@@ -986,78 +965,20 @@ Result<Table> ExecAggregateSpilled(ExecContext* ctx, const PlanNode& plan,
                 DecodeDistinctSet(AsString(*set_col)->Value(r), &s));
           }
         }
-        auto [it, inserted] = index.emplace(key, groups.size());
-        if (inserted) {
-          groups.push_back({mi_col->Value(r), gid_col->Value(r),
-                            std::move(key), std::move(states)});
-        } else {
-          std::vector<AggState>& into = groups[it->second].states;
-          for (size_t a = 0; a < naggs; ++a) {
-            MergeAggState(&into[a], states[a]);
-          }
-        }
+        fold.Add(mi_col->Value(r), gid_col->Value(r), std::move(key),
+                 std::move(states));
       }
     }
+    for (GroupFold::Group& g : fold.groups) groups.push_back(std::move(g));
   }
-
-  // First-seen order across ordered morsels == ascending (mi, gid).
-  std::sort(groups.begin(), groups.end(),
-            [](const SpilledGroup& a, const SpilledGroup& b) {
-              return a.mi != b.mi ? a.mi < b.mi : a.gid < b.gid;
-            });
-  std::vector<std::vector<Value>> group_order;
-  std::vector<std::vector<AggState>> group_states;
-  group_order.reserve(groups.size());
-  group_states.reserve(groups.size());
-  for (SpilledGroup& g : groups) {
-    group_order.push_back(std::move(g.key));
-    group_states.push_back(std::move(g.states));
-  }
-  FinalizeDistinct(plan, &group_states);
-  ctx->stats->groups += static_cast<int64_t>(group_order.size());
-  ctx->Count("exec.groups", static_cast<int64_t>(group_order.size()));
   if (ctx->options.tracer != nullptr) {
     ctx->options.tracer->AddAttribute(
         spill_span.id(), "partitions",
         StrCat(ctx->stats->spill_partitions - partitions_before));
     ctx->options.tracer->AddAttribute(spill_span.id(), "groups",
-                                      StrCat(group_order.size()));
+                                      StrCat(groups.size()));
   }
-  return EmitAggregateOutput(plan, group_order, group_states);
-}
-
-Result<Table> ExecAggregateVectorized(ExecContext* mctx, const PlanNode& plan,
-                                      const Table& input, uint64_t span_id) {
-  // Grouped aggregation over a too-large input degrades to the spilled
-  // variant. Global aggregates (no GROUP BY) keep O(1) state per morsel
-  // and never need to spill.
-  if (!plan.group_by.empty() && input.num_rows() > 0 &&
-      ShouldSpill(*mctx, input.EstimatedBytes())) {
-    return ExecAggregateSpilled(mctx, plan, input, span_id);
-  }
-  const ExecContext& ctx = *mctx;
-  std::vector<Morsel> morsels =
-      MakeMorsels(input.num_rows(), ctx.options.morsel_rows);
-  int64_t m = static_cast<int64_t>(morsels.size());
-  std::vector<MorselGroups> partials(static_cast<size_t>(m));
-  std::vector<Status> errors(static_cast<size_t>(m));
-  RunMorsels(ctx, m, [&](int64_t mi) {
-    const Morsel& mo = morsels[static_cast<size_t>(mi)];
-    Result<Table> slice =
-        columnar::SliceTable(input, mo.begin, mo.end - mo.begin);
-    if (!slice.ok()) {
-      errors[static_cast<size_t>(mi)] = slice.status();
-      return;
-    }
-    errors[static_cast<size_t>(mi)] =
-        AggregateMorsel(plan, *slice, &partials[static_cast<size_t>(mi)]);
-  });
-  BAUPLAN_RETURN_NOT_OK(FirstError(errors));
-
-  // Merge partials in morsel order (partitioned across the pool when the
-  // group count warrants it). First-seen order across ordered morsels
-  // reproduces the scalar engine's first-seen order exactly.
-  return MergePartialsAndEmit(mctx, plan, std::move(partials), span_id);
+  return EmitGroups(*ctx, plan, std::move(groups));
 }
 
 /// Row-at-a-time reference aggregation (the seed implementation), kept as
@@ -1426,11 +1347,7 @@ struct JoinBuildState {
     // build side is big enough to amortize the routing pass. The output
     // never depends on the partition count (see struct comment), so this
     // heuristic is free to vary with threads.
-    part_bits = 0;
-    if (ctx->pool != nullptr && ctx->options.threads > 1 && rows >= 4096) {
-      int target = std::min(ctx->options.threads, 64);
-      while ((1 << part_bits) < target) ++part_bits;
-    }
+    part_bits = rows >= 4096 ? PartitionBits(*ctx) : 0;
     size_t nparts = size_t{1} << part_bits;
 
     // Route build rows: ascending per-partition row lists.
@@ -1481,13 +1398,7 @@ struct JoinBuildState {
         }
       }
     };
-    if (ctx->pool != nullptr && nparts > 1) {
-      ctx->pool->ParallelFor(static_cast<int64_t>(nparts), build_one);
-    } else {
-      for (size_t p = 0; p < nparts; ++p) {
-        build_one(static_cast<int64_t>(p));
-      }
-    }
+    ctx->ParallelFor(static_cast<int64_t>(nparts), build_one);
 
     switch (mode) {
       case Mode::kFlat64:
@@ -2189,12 +2100,11 @@ Result<Table> ExecSortVectorized(ExecContext* ctx, const PlanNode& plan,
   // depend on the thread or run count.
   std::vector<Morsel> runs_morsels =
       MakeMorsels(input.num_rows(), ctx->options.morsel_rows);
-  if (ctx->pool != nullptr && ctx->options.threads > 1 &&
-      runs_morsels.size() > 1) {
+  if (ctx->width > 1 && runs_morsels.size() > 1) {
     int64_t nruns = static_cast<int64_t>(runs_morsels.size());
     std::vector<SelectionVector> runs(static_cast<size_t>(nruns));
     std::vector<Status> errors(static_cast<size_t>(nruns));
-    ctx->pool->ParallelFor(nruns, [&](int64_t ri) {
+    ctx->ParallelFor(nruns, [&](int64_t ri) {
       const Morsel& mo = runs_morsels[static_cast<size_t>(ri)];
       // Sort the global index range [begin, end) of the shared key
       // arrays: slice, sort locally, then shift back to global indices.
@@ -2359,22 +2269,68 @@ Result<Table> MakeEmptyTable(const columnar::Schema& schema) {
   return Table::Make(schema, std::move(columns));
 }
 
+/// Reads a Scan node's table from the source, counting the rows scanned.
+Result<Table> ReadScan(ExecContext* ctx, const PlanNode& scan) {
+  BAUPLAN_ASSIGN_OR_RETURN(
+      Table table, ctx->source->ScanTable(scan.table_name, scan.scan_columns,
+                                          scan.scan_predicates));
+  ctx->stats->rows_scanned += table.num_rows();
+  ctx->Count("exec.rows_scanned", table.num_rows());
+  return table;
+}
+
+/// UNION ALL: runs each branch through `exec` (the oracle walker or the
+/// streaming engine) under `span_id`, rebinds it to the union's output
+/// schema (branches align by position; names come from the first branch)
+/// and concatenates the branches in order.
+Result<Table> ExecUnion(ExecContext* ctx, const PlanNode& plan,
+                        uint64_t span_id,
+                        Result<Table> (*exec)(ExecContext*, const PlanNode&,
+                                              uint64_t)) {
+  std::vector<Table> pieces;
+  pieces.reserve(plan.children.size());
+  for (const auto& child : plan.children) {
+    BAUPLAN_ASSIGN_OR_RETURN(Table piece, exec(ctx, *child, span_id));
+    BAUPLAN_ASSIGN_OR_RETURN(piece,
+                             Table::Make(plan.schema, piece.columns()));
+    pieces.push_back(std::move(piece));
+  }
+  if (pieces.size() == 1) return pieces[0];
+  return columnar::ConcatTables(pieces);
+}
+
+/// The shell every materializing operator runs in: counts the operator,
+/// opens its op.* span (`body` parents its children under the span id it
+/// receives) and, on success, records rows_out and tracks the output as
+/// an intermediate — except a scan's, which is a query input. Spans are
+/// opened and closed on the driver thread only; morsel workers never
+/// touch the tracer.
+Result<Table> RunOperator(ExecContext* ctx, PlanKind kind,
+                          uint64_t parent_span,
+                          const std::function<Result<Table>(uint64_t)>& body) {
+  ++ctx->stats->operators_executed;
+  obs::ScopedSpan span(ctx->options.tracer, StrCat("op.", OpName(kind)),
+                       obs::span_kind::kOperator, parent_span);
+  Result<Table> out = body(span.id());
+  if (out.ok()) {
+    if (kind != PlanKind::kScan) ctx->TrackPeak(out->EstimatedBytes());
+    if (ctx->options.tracer != nullptr) {
+      ctx->options.tracer->AddAttribute(span.id(), "rows_out",
+                                        StrCat(out->num_rows()));
+    }
+  }
+  return out;
+}
+
 /// The scalar oracle's plan walker: every operator materializes its
 /// whole output before its parent runs. The streaming engine never
 /// reaches it (it drives its own pipelines).
 Result<Table> ExecNodeImpl(ExecContext* ctx, const PlanNode& plan,
                            uint64_t span_id) {
   switch (plan.kind) {
-    case PlanKind::kScan: {
+    case PlanKind::kScan:
       if (plan.empty_scan) return MakeEmptyTable(plan.schema);
-      BAUPLAN_ASSIGN_OR_RETURN(
-          Table table, ctx->source->ScanTable(plan.table_name,
-                                              plan.scan_columns,
-                                              plan.scan_predicates));
-      ctx->stats->rows_scanned += table.num_rows();
-      ctx->Count("exec.rows_scanned", table.num_rows());
-      return table;
-    }
+      return ReadScan(ctx, plan);
     case PlanKind::kFilter: {
       BAUPLAN_ASSIGN_OR_RETURN(Table input,
                                ExecNode(ctx, *plan.children[0], span_id));
@@ -2408,21 +2364,8 @@ Result<Table> ExecNodeImpl(ExecContext* ctx, const PlanNode& plan,
       if (input.num_rows() <= plan.limit) return input;
       return columnar::SliceTable(input, 0, plan.limit);
     }
-    case PlanKind::kUnion: {
-      std::vector<Table> pieces;
-      pieces.reserve(plan.children.size());
-      for (const auto& child : plan.children) {
-        BAUPLAN_ASSIGN_OR_RETURN(Table piece, ExecNode(ctx, *child,
-                                                       span_id));
-        // Branches align by position; rebind to the union's output
-        // schema (names come from the first branch).
-        BAUPLAN_ASSIGN_OR_RETURN(piece, Table::Make(plan.schema,
-                                                    piece.columns()));
-        pieces.push_back(std::move(piece));
-      }
-      if (pieces.size() == 1) return pieces[0];
-      return columnar::ConcatTables(pieces);
-    }
+    case PlanKind::kUnion:
+      return ExecUnion(ctx, plan, span_id, ExecNode);
     case PlanKind::kDistinct: {
       BAUPLAN_ASSIGN_OR_RETURN(Table input,
                                ExecNode(ctx, *plan.children[0], span_id));
@@ -2434,23 +2377,9 @@ Result<Table> ExecNodeImpl(ExecContext* ctx, const PlanNode& plan,
 
 Result<Table> ExecNode(ExecContext* ctx, const PlanNode& plan,
                        uint64_t parent_span) {
-  ++ctx->stats->operators_executed;
-  // Spans are opened and closed on the driver thread only; morsel workers
-  // never touch the tracer.
-  obs::ScopedSpan span(ctx->options.tracer,
-                       StrCat("op.", OpName(plan.kind)),
-                       obs::span_kind::kOperator, parent_span);
-  Result<Table> out = ExecNodeImpl(ctx, plan, span.id());
-  if (out.ok()) {
-    // Every materialized operator output is an intermediate; scan outputs
-    // are the query's inputs and do not count toward peak_bytes.
-    if (plan.kind != PlanKind::kScan) ctx->TrackPeak(out->EstimatedBytes());
-    if (ctx->options.tracer != nullptr) {
-      ctx->options.tracer->AddAttribute(span.id(), "rows_out",
-                                        StrCat(out->num_rows()));
-    }
-  }
-  return out;
+  return RunOperator(ctx, plan.kind, parent_span, [&](uint64_t span_id) {
+    return ExecNodeImpl(ctx, plan, span_id);
+  });
 }
 
 // ------------------------------------------------------- streaming engine
@@ -2627,34 +2556,41 @@ Status ProcessChunk(const ExecContext& ctx,
 }
 
 /// Drives `source` through the prepared ops morsel-by-morsel. Morsels are
-/// dispatched in ordered batches of 2x the worker count; `consume` runs on
-/// the driver in morsel order. `limit >= 0` trims the consumed stream to
-/// its first `limit` rows and stops dispatching further batches once the
-/// ordered prefix satisfies it — the early exit that makes `morsels`
-/// (completed) fall short of `morsels_scheduled` (the dispatch plan).
-/// Closes the ops' spans (with rows_out) and clears `ops` when done.
+/// dispatched in ordered batches of 2x the width; a morsel for which
+/// `skip` (optional) holds while its batch forms is never executed.
+/// `consume` runs on the driver in morsel order. `limit >= 0` trims the
+/// consumed stream to its first `limit` rows and stops dispatching
+/// further batches once the ordered prefix satisfies it — the early exit
+/// that makes `morsels` (completed) fall short of `morsels_scheduled`
+/// (the dispatch plan). Closes the ops' spans (with rows_out) and clears
+/// `ops` when done.
 Status DriveMorsels(ExecContext* ctx, const Table& source,
                     std::vector<StreamOp>* ops, int64_t limit,
-                    const std::function<Status(Table)>& consume) {
+                    const std::function<Status(Table)>& consume,
+                    const std::function<bool(const Morsel&)>& skip = nullptr) {
   const ExecContext& cctx = *ctx;
   std::vector<Morsel> morsels =
       MakeMorsels(source.num_rows(), cctx.options.morsel_rows);
   int64_t total = static_cast<int64_t>(morsels.size());
   ctx->stats->morsels_scheduled += total;
   cctx.Count("exec.morsels_scheduled", total);
-  int threads = cctx.pool != nullptr ? cctx.pool->num_workers() + 1 : 1;
-  int64_t batch = std::max<int64_t>(1, 2 * threads);
+  int64_t batch = 2 * cctx.width;
   int64_t consumed_rows = 0;
   int64_t rows_filtered = 0;
   int64_t probe_rows = 0;
   Status failed;
   for (int64_t next = 0; next < total && failed.ok();) {
-    int64_t b = std::min(batch, total - next);
+    std::vector<Morsel> todo;
+    while (next < total && static_cast<int64_t>(todo.size()) < batch) {
+      const Morsel& mo = morsels[static_cast<size_t>(next++)];
+      if (!skip || !skip(mo)) todo.push_back(mo);
+    }
+    int64_t b = static_cast<int64_t>(todo.size());
     std::vector<Table> out(static_cast<size_t>(b));
     std::vector<ChunkDelta> deltas(static_cast<size_t>(b));
     std::vector<Status> errors(static_cast<size_t>(b));
-    auto work = [&](int64_t k) {
-      const Morsel& mo = morsels[static_cast<size_t>(next + k)];
+    cctx.ParallelFor(b, [&](int64_t k) {
+      const Morsel& mo = todo[static_cast<size_t>(k)];
       Result<Table> chunk =
           columnar::SliceTable(source, mo.begin, mo.end - mo.begin);
       if (!chunk.ok()) {
@@ -2669,12 +2605,7 @@ Status DriveMorsels(ExecContext* ctx, const Table& source,
         return;
       }
       out[static_cast<size_t>(k)] = std::move(*chunk);
-    };
-    if (cctx.pool != nullptr) {
-      cctx.pool->ParallelFor(b, work);
-    } else {
-      for (int64_t k = 0; k < b; ++k) work(k);
-    }
+    });
     // Ordered consume on the driver. Trailing chunks of the final batch
     // trim to zero rows once the limit is met — they completed, they just
     // contribute nothing.
@@ -2702,7 +2633,6 @@ Status DriveMorsels(ExecContext* ctx, const Table& source,
     }
     ctx->stats->morsels += b;
     cctx.Count("exec.morsels", b);
-    next += b;
     if (limit >= 0 && consumed_rows >= limit) break;
   }
   ctx->stats->rows_filtered += rows_filtered;
@@ -2720,22 +2650,21 @@ Status DriveMorsels(ExecContext* ctx, const Table& source,
   return failed;
 }
 
-/// Streaming aggregate sink. Re-slices the incoming ordered chunk stream
-/// into cuts at exactly the `morsel_rows` boundaries MakeMorsels would
-/// put on the materialized input, aggregates cuts in parallel batches,
-/// and merges partials in cut order — so partial float sums associate
-/// identically to the budgeted and spilled aggregates, which morselize
-/// the materialized input (bit-identity), while input residency stays
-/// O(threads x morsel).
+/// Aggregate sink. Re-slices the incoming ordered chunk stream into cuts
+/// at exactly the `morsel_rows` boundaries MakeMorsels would put on the
+/// materialized input, aggregates cuts in parallel batches, and merges
+/// partials in cut order — so partial float sums associate identically
+/// to the spilled aggregate, which morselizes the materialized input
+/// (bit-identity). A streamed input stays O(width x morsel) resident; a
+/// budgeted aggregate whose materialized input fits arrives as one chunk.
 class AggregateStream {
  public:
   AggregateStream(ExecContext* ctx, const PlanNode& plan, uint64_t span_id)
-      : ctx_(ctx), plan_(plan), span_id_(span_id) {
-    cut_rows_ = ctx->options.morsel_rows > 0 ? ctx->options.morsel_rows
-                                             : 64 * 1024;
-    int threads = ctx->pool != nullptr ? ctx->pool->num_workers() + 1 : 1;
-    flush_cuts_ = std::max<int64_t>(1, 2 * threads);
-  }
+      : ctx_(ctx),
+        plan_(plan),
+        cut_rows_(ctx->options.morsel_rows),
+        flush_cuts_(2 * ctx->width),
+        span_id_(span_id) {}
 
   Status Consume(Table chunk) {
     buffered_ += chunk.num_rows();
@@ -2847,55 +2776,102 @@ Result<Table> ResolveSource(ExecContext* ctx, const PlanNode& node,
     return ExecStreamingNode(ctx, node, pipe_span);
   }
   if (node.empty_scan) return MakeEmptyTable(node.schema);
-  ++ctx->stats->operators_executed;
-  obs::ScopedSpan span(ctx->options.tracer, "op.scan",
-                       obs::span_kind::kOperator, pipe_span);
-  BAUPLAN_ASSIGN_OR_RETURN(
-      Table table, ctx->source->ScanTable(node.table_name,
-                                          node.scan_columns,
-                                          node.scan_predicates));
-  ctx->stats->rows_scanned += table.num_rows();
-  ctx->Count("exec.rows_scanned", table.num_rows());
-  if (ctx->options.tracer != nullptr) {
-    ctx->options.tracer->AddAttribute(span.id(), "rows_out",
-                                      StrCat(table.num_rows()));
-  }
-  return table;
+  return RunOperator(ctx, PlanKind::kScan, pipe_span,
+                     [&](uint64_t) { return ReadScan(ctx, node); });
 }
 
-/// Streaming top-N with upstream short-circuit: LIMIT fused into the sort
-/// breaker AND pushed below it as a morsel dispatch filter. Applies when
-/// the chain under the sort is filters-only (so sort keys evaluated over
-/// the unfiltered source bound every surviving row) and no budget is set.
-///
-/// The driver keeps `cand`, the provably-global top-N of the morsels
-/// consumed so far, always sorted. Before dispatching a morsel it checks
-/// the morsel's best possible first-key cell (SortExtremeRow over the
-/// source range) against the current N-th candidate: once `cand` is
-/// saturated, a morsel whose best cell orders strictly after the cutoff
-/// cannot contribute — every row it holds loses to all N candidates — so
-/// the morsel is never executed. A tie is also a loss for single-key
-/// sorts: undispatched rows sit at larger global indices than every
-/// candidate, and the total order breaks key ties by global index.
-///
-/// Bit-identity: skipped morsels contribute no output rows, retained rows
-/// keep their relative order through the batched compactions (stable
-/// local-index tie-break = global-index tie-break, since candidates
-/// always precede newer rows), so the emitted bytes equal the
-/// materialize-everything sort for any thread count — only
-/// exec.morsels (completed) falls short of exec.morsels_scheduled.
-/// Deep-copies an expression tree (local to the top-N rewrite; the
-/// planner's clone is not exported).
-ExprPtr CloneExprTree(const ExprPtr& expr) {
-  if (expr == nullptr) return nullptr;
-  auto copy = std::make_shared<Expr>(*expr);
-  copy->left = CloneExprTree(expr->left);
-  copy->right = CloneExprTree(expr->right);
-  copy->between_low = CloneExprTree(expr->between_low);
-  copy->between_high = CloneExprTree(expr->between_high);
-  for (auto& a : copy->args) a = CloneExprTree(a);
-  for (auto& e : copy->list) e = CloneExprTree(e);
-  return copy;
+/// Prepares the chain's ops bottom-up over `*source`, opening each op's
+/// span under `pipe_span` and priming an empty chunk through each so the
+/// next op (and join key typing) sees its output schema before any
+/// morsel flows — the streaming analogue of MakeMorsels' one-empty-morsel
+/// contract. A join whose build side busts the memory budget becomes a
+/// breaker here: the chain prepared so far is driven to completion, the
+/// Grace join runs, and `*source` restarts as its output. Returns the
+/// primer: zero rows in the chain's output schema.
+Result<Table> PrepareChain(ExecContext* ctx, const CompiledChain& chain,
+                           uint64_t pipe_span, Table* source,
+                           std::vector<StreamOp>* ops) {
+  obs::Tracer* tracer = ctx->options.tracer;
+  BAUPLAN_ASSIGN_OR_RETURN(Table primer, columnar::SliceTable(*source, 0, 0));
+  ChunkDelta primer_delta;  // discarded: the primer has no rows
+  for (const PlanNode* node : chain.ops) {
+    ++ctx->stats->operators_executed;
+    uint64_t op_span =
+        tracer != nullptr
+            ? tracer->StartSpan(StrCat("op.", OpName(node->kind)),
+                                obs::span_kind::kOperator, pipe_span)
+            : 0;
+    StreamOp op;
+    op.node = node;
+    op.span = op_span;
+    if (node->kind == PlanKind::kProject) {
+      op.all_refs = !node->expressions.empty();
+      for (const auto& expr : node->expressions) {
+        if (expr->kind != ExprKind::kColumnRef) {
+          op.all_refs = false;
+          break;
+        }
+      }
+    }
+    if (node->kind == PlanKind::kJoin) {
+      auto st = std::make_shared<JoinBuildState>();
+      BAUPLAN_ASSIGN_OR_RETURN(
+          st->right, ExecStreamingNode(ctx, *node->children[1], op_span));
+      for (const auto& k : node->right_keys) {
+        BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr, EvaluateExpr(*k, st->right));
+        st->right_keys.push_back(std::move(arr));
+      }
+      st->right_null = JoinNullFlags(st->right_keys, st->right.num_rows());
+      if (!node->left_keys.empty() &&
+          ShouldSpill(*ctx, st->right.EstimatedBytes())) {
+        // Grace needs both sides materialized: collect the probe input
+        // from the chain so far and restart the pipeline on the join's
+        // output.
+        Table left;
+        if (ops->empty()) {
+          left = std::move(*source);
+        } else {
+          std::vector<Table> parts;
+          BAUPLAN_RETURN_NOT_OK(DriveMorsels(
+              ctx, *source, ops, /*limit=*/-1, [&](Table chunk) {
+                parts.push_back(std::move(chunk));
+                return Status::OK();
+              }));
+          if (parts.size() == 1) {
+            left = std::move(parts[0]);
+          } else {
+            BAUPLAN_ASSIGN_OR_RETURN(left, columnar::ConcatTables(parts));
+          }
+          ctx->TrackPeak(left.EstimatedBytes());
+        }
+        BAUPLAN_ASSIGN_OR_RETURN(
+            *source, ExecJoinGrace(ctx, *node, left, st->right,
+                                   st->right_keys, st->right_null, op_span));
+        ctx->TrackPeak(source->EstimatedBytes());
+        if (tracer != nullptr) {
+          tracer->AddAttribute(op_span, "rows_out",
+                               StrCat(source->num_rows()));
+          tracer->EndSpan(op_span);
+        }
+        BAUPLAN_ASSIGN_OR_RETURN(primer,
+                                 columnar::SliceTable(*source, 0, 0));
+        continue;
+      }
+      std::vector<TypeId> left_key_types;
+      left_key_types.reserve(node->left_keys.size());
+      for (const auto& k : node->left_keys) {
+        BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr, EvaluateExpr(*k, primer));
+        left_key_types.push_back(arr->type());
+      }
+      BAUPLAN_RETURN_NOT_OK(st->Build(ctx, *node, left_key_types, op_span));
+      op.join = std::move(st);
+    }
+    ops->push_back(std::move(op));
+    SelectionVector scratch;
+    BAUPLAN_RETURN_NOT_OK(
+        ApplyStreamOp(ops->back(), &primer, &scratch, &primer_delta));
+  }
+  return primer;
 }
 
 /// Rewrites `expr` — bound against `project`'s output — into an
@@ -2905,26 +2881,114 @@ ExprPtr CloneExprTree(const ExprPtr& expr) {
 /// projection, in which case the rewrite is unusable.
 ExprPtr InlineProjection(const ExprPtr& expr, const PlanNode& project,
                          bool* ok) {
-  if (expr == nullptr || !*ok) return nullptr;
-  if (expr->kind == ExprKind::kColumnRef) {
+  return CloneExprWith(expr, [&](const Expr& node) -> ExprPtr {
+    if (node.kind != ExprKind::kColumnRef) return nullptr;
     for (size_t i = 0; i < project.output_names.size(); ++i) {
-      if (project.output_names[i] == expr->column_name) {
-        return CloneExprTree(project.expressions[i]);
+      if (project.output_names[i] == node.column_name) {
+        return CloneExpr(project.expressions[i]);
       }
     }
     *ok = false;
     return nullptr;
-  }
-  auto copy = std::make_shared<Expr>(*expr);
-  copy->left = InlineProjection(expr->left, project, ok);
-  copy->right = InlineProjection(expr->right, project, ok);
-  copy->between_low = InlineProjection(expr->between_low, project, ok);
-  copy->between_high = InlineProjection(expr->between_high, project, ok);
-  for (auto& a : copy->args) a = InlineProjection(a, project, ok);
-  for (auto& e : copy->list) e = InlineProjection(e, project, ok);
-  return copy;
+  });
 }
 
+/// The fused top-N's sort body (see ExecStreamTopN): drives `chain` under
+/// `sort_span`, skipping morsels that cannot beat the current candidates
+/// and folding every consumed chunk into them. `source_key_exprs` are the
+/// sort keys composed down to the chain's source.
+Result<Table> DriveTopN(ExecContext* ctx, const PlanNode& sort,
+                        const CompiledChain& chain,
+                        const std::vector<ExprPtr>& source_key_exprs,
+                        int64_t limit, uint64_t sort_span) {
+  ++ctx->stats->pipelines;
+  ctx->Count("exec.pipelines", 1);
+  obs::ScopedSpan pipe(ctx->options.tracer, "pipeline",
+                       obs::span_kind::kPipeline, sort_span);
+  BAUPLAN_ASSIGN_OR_RETURN(Table source,
+                           ResolveSource(ctx, *chain.source, pipe.id()));
+
+  // Composed sort keys over the unfiltered source: filters only drop
+  // rows, so a surviving row's keys are its source-row keys and the
+  // per-morsel extreme is a valid bound for whatever the chain keeps.
+  std::vector<columnar::SortKeySpec> keys;
+  keys.reserve(sort.sort_keys.size());
+  for (size_t i = 0; i < sort.sort_keys.size(); ++i) {
+    BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr,
+                             EvaluateExpr(*source_key_exprs[i], source));
+    keys.push_back({std::move(arr), sort.sort_keys[i].ascending});
+  }
+  if (keys.empty()) return Status::Internal("top-N sort without keys");
+
+  std::vector<StreamOp> ops;
+  BAUPLAN_ASSIGN_OR_RETURN(Table cand,
+                           PrepareChain(ctx, chain, pipe.id(), &source, &ops));
+  ArrayPtr cand_key0;  // first sort key over `cand`
+  int64_t skipped = 0;
+  auto skip = [&](const Morsel& mo) {
+    if (cand.num_rows() < limit || mo.end <= mo.begin) return false;
+    int64_t bound = columnar::SortExtremeRow(keys[0], mo.begin, mo.end);
+    int c = CompareSortCells(*keys[0].array, bound, *cand_key0,
+                             cand.num_rows() - 1);
+    int eff = keys[0].ascending ? c : -c;
+    bool lost = eff > 0 || (eff == 0 && keys.size() == 1);
+    if (lost) ++skipped;
+    return lost;
+  };
+  // Candidates first (they precede the chunk globally), the chunk behind
+  // them, then a stable top-N re-sort.
+  auto fold = [&](Table chunk) -> Status {
+    BAUPLAN_ASSIGN_OR_RETURN(
+        Table merged,
+        columnar::ConcatTables({std::move(cand), std::move(chunk)}));
+    std::vector<columnar::SortKeySpec> merged_keys;
+    merged_keys.reserve(sort.sort_keys.size());
+    for (const auto& key : sort.sort_keys) {
+      BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr, EvaluateExpr(*key.expr, merged));
+      merged_keys.push_back({std::move(arr), key.ascending});
+    }
+    BAUPLAN_ASSIGN_OR_RETURN(SelectionVector top,
+                             columnar::SortIndices(merged_keys, limit));
+    BAUPLAN_ASSIGN_OR_RETURN(cand, columnar::TakeTable(merged, top));
+    ctx->TrackPeak(cand.EstimatedBytes());
+    BAUPLAN_ASSIGN_OR_RETURN(cand_key0,
+                             EvaluateExpr(*sort.sort_keys[0].expr, cand));
+    return Status::OK();
+  };
+  Status s = DriveMorsels(ctx, source, &ops, /*limit=*/-1, fold, skip);
+  ctx->stats->topn_morsels_skipped += skipped;
+  ctx->Count("exec.breaker.topn_skipped", skipped);
+  if (ctx->options.tracer != nullptr) {
+    ctx->options.tracer->AddAttribute(sort_span, "morsels_skipped",
+                                      StrCat(skipped));
+  }
+  BAUPLAN_RETURN_NOT_OK(s);
+  return cand;
+}
+
+/// Streaming top-N with upstream short-circuit: LIMIT fused into the sort
+/// breaker AND pushed below it as a morsel dispatch filter. Applies when
+/// the chain under the sort is filters and projections only (so sort keys
+/// composed down to the unfiltered source bound every surviving row) and
+/// no budget is set; otherwise `*handled` stays false.
+///
+/// The driver keeps `cand`, the provably-global top-N of the morsels
+/// consumed so far, always sorted, folding each consumed chunk into it.
+/// While a batch forms it checks each morsel's best possible first-key
+/// cell (SortExtremeRow over the source range) against the current N-th
+/// candidate: once `cand` is saturated, a morsel whose best cell orders
+/// strictly after the cutoff cannot contribute — every row it holds
+/// loses to all N candidates — so the morsel is never executed. A tie is
+/// also a loss for single-key sorts: undispatched rows sit at larger
+/// global indices than every candidate, and the total order breaks key
+/// ties by global index.
+///
+/// Bit-identity: skipped morsels contribute no output rows, retained rows
+/// keep their relative order through the compactions (stable local-index
+/// tie-break = global-index tie-break, since candidates always precede
+/// newer rows), so the emitted bytes equal the materialize-everything
+/// sort for any thread count — only exec.morsels (completed) falls short
+/// of exec.morsels_scheduled.
 Result<Table> ExecStreamTopN(ExecContext* ctx, const PlanNode& limit_node,
                              const PlanNode& sort, uint64_t parent_span,
                              bool* handled) {
@@ -2947,7 +3011,7 @@ Result<Table> ExecStreamTopN(ExecContext* ctx, const PlanNode& limit_node,
   std::vector<ExprPtr> source_key_exprs;
   source_key_exprs.reserve(sort.sort_keys.size());
   for (const auto& key : sort.sort_keys) {
-    ExprPtr e = CloneExprTree(key.expr);
+    ExprPtr e = CloneExpr(key.expr);
     bool ok = true;
     for (auto it = chain.ops.rbegin(); it != chain.ops.rend() && ok; ++it) {
       if ((*it)->kind == PlanKind::kProject) {
@@ -2958,174 +3022,19 @@ Result<Table> ExecStreamTopN(ExecContext* ctx, const PlanNode& limit_node,
     source_key_exprs.push_back(std::move(e));
   }
   *handled = true;
-  const ExecContext& cctx = *ctx;
-  obs::Tracer* tracer = cctx.options.tracer;
-
-  ++ctx->stats->operators_executed;  // the limit
-  obs::ScopedSpan limit_span(tracer, "op.limit", obs::span_kind::kOperator,
-                             parent_span);
-  ++ctx->stats->operators_executed;  // the sort breaker
-  obs::ScopedSpan sort_span(tracer, "op.sort", obs::span_kind::kOperator,
-                            limit_span.id());
-  ++ctx->stats->pipelines;
-  cctx.Count("exec.pipelines", 1);
-  obs::ScopedSpan pipe(tracer, "pipeline", obs::span_kind::kPipeline,
-                       sort_span.id());
-  BAUPLAN_ASSIGN_OR_RETURN(Table source,
-                           ResolveSource(ctx, *chain.source, pipe.id()));
-
-  // Composed sort keys over the unfiltered source: filters only drop
-  // rows, so a surviving row's keys are its source-row keys and the
-  // per-morsel extreme is a valid bound for whatever the chain keeps.
-  std::vector<columnar::SortKeySpec> keys;
-  keys.reserve(sort.sort_keys.size());
-  for (size_t i = 0; i < sort.sort_keys.size(); ++i) {
-    BAUPLAN_ASSIGN_OR_RETURN(
-        ArrayPtr arr, EvaluateExpr(*source_key_exprs[i], source));
-    keys.push_back({std::move(arr), sort.sort_keys[i].ascending});
-  }
-  if (keys.empty()) return Status::Internal("top-N sort without keys");
-
-  // Prepare the filter ops (with spans), priming an empty chunk through
-  // each for eager expression checking — mirroring StreamChainInto.
-  std::vector<StreamOp> ops;
-  ops.reserve(chain.ops.size());
-  BAUPLAN_ASSIGN_OR_RETURN(Table primer, columnar::SliceTable(source, 0, 0));
-  ChunkDelta primer_delta;
-  for (const PlanNode* node : chain.ops) {
-    ++ctx->stats->operators_executed;
-    StreamOp op;
-    op.node = node;
-    op.span = tracer != nullptr
-                  ? tracer->StartSpan(StrCat("op.", OpName(node->kind)),
-                                      obs::span_kind::kOperator, pipe.id())
-                  : 0;
-    ops.push_back(std::move(op));
-    SelectionVector scratch;
-    BAUPLAN_RETURN_NOT_OK(
-        ApplyStreamOp(ops.back(), &primer, &scratch, &primer_delta));
-  }
-  Table cand = std::move(primer);  // post-filter schema, zero rows
-  ArrayPtr cand_key0;              // first sort key over `cand`
-
-  std::vector<Morsel> morsels =
-      MakeMorsels(source.num_rows(), cctx.options.morsel_rows);
-  int64_t total = static_cast<int64_t>(morsels.size());
-  ctx->stats->morsels_scheduled += total;
-  cctx.Count("exec.morsels_scheduled", total);
-  int threads = cctx.pool != nullptr ? cctx.pool->num_workers() + 1 : 1;
-  int64_t batch = std::max<int64_t>(1, 2 * threads);
-  int64_t skipped = 0;
-  int64_t rows_filtered = 0;
-  Status failed;
-  for (int64_t next = 0; next < total && failed.ok();) {
-    // Pick the next batch of morsels that could still contribute.
-    std::vector<Morsel> todo;
-    while (next < total && static_cast<int64_t>(todo.size()) < batch) {
-      const Morsel& mo = morsels[static_cast<size_t>(next)];
-      bool skip = false;
-      if (cand.num_rows() >= limit && mo.end > mo.begin) {
-        int64_t bound = columnar::SortExtremeRow(keys[0], mo.begin, mo.end);
-        int c = CompareSortCells(*keys[0].array, bound, *cand_key0,
-                                 cand.num_rows() - 1);
-        int eff = keys[0].ascending ? c : -c;
-        skip = eff > 0 || (eff == 0 && keys.size() == 1);
-      }
-      if (skip) {
-        ++skipped;
-      } else {
-        todo.push_back(mo);
-      }
-      ++next;
-    }
-    if (todo.empty()) continue;
-    int64_t b = static_cast<int64_t>(todo.size());
-    std::vector<Table> out(static_cast<size_t>(b));
-    std::vector<ChunkDelta> deltas(static_cast<size_t>(b));
-    std::vector<Status> errors(static_cast<size_t>(b));
-    auto work = [&](int64_t k) {
-      const Morsel& mo = todo[static_cast<size_t>(k)];
-      Result<Table> chunk =
-          columnar::SliceTable(source, mo.begin, mo.end - mo.begin);
-      if (!chunk.ok()) {
-        errors[static_cast<size_t>(k)] = chunk.status();
-        return;
-      }
-      cctx.TrackPeak(chunk->EstimatedBytes());
-      Status s = ProcessChunk(cctx, ops, &*chunk,
-                              &deltas[static_cast<size_t>(k)]);
-      if (!s.ok()) {
-        errors[static_cast<size_t>(k)] = s;
-        return;
-      }
-      out[static_cast<size_t>(k)] = std::move(*chunk);
-    };
-    if (cctx.pool != nullptr) {
-      cctx.pool->ParallelFor(b, work);
-    } else {
-      for (int64_t k = 0; k < b; ++k) work(k);
-    }
-    failed = FirstError(errors);
-    ctx->stats->morsels += b;
-    cctx.Count("exec.morsels", b);
-    if (!failed.ok()) break;
-    for (int64_t k = 0; k < b; ++k) {
-      const ChunkDelta& d = deltas[static_cast<size_t>(k)];
-      rows_filtered += d.rows_filtered;
-      for (size_t i = 0; i < ops.size(); ++i) {
-        ops[i].rows_out += d.rows_out[i];
-      }
-    }
-    // Compact: candidates first (they precede the new chunks globally),
-    // new chunks in morsel order behind them, stable top-N re-sort.
-    failed = [&]() -> Status {
-      std::vector<Table> pieces;
-      pieces.reserve(static_cast<size_t>(b) + 1);
-      pieces.push_back(std::move(cand));
-      for (Table& t : out) pieces.push_back(std::move(t));
-      BAUPLAN_ASSIGN_OR_RETURN(Table merged, columnar::ConcatTables(pieces));
-      std::vector<columnar::SortKeySpec> merged_keys;
-      merged_keys.reserve(sort.sort_keys.size());
-      for (const auto& key : sort.sort_keys) {
-        BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr,
-                                 EvaluateExpr(*key.expr, merged));
-        merged_keys.push_back({std::move(arr), key.ascending});
-      }
-      BAUPLAN_ASSIGN_OR_RETURN(SelectionVector top,
-                               columnar::SortIndices(merged_keys, limit));
-      BAUPLAN_ASSIGN_OR_RETURN(cand, columnar::TakeTable(merged, top));
-      cctx.TrackPeak(cand.EstimatedBytes());
-      BAUPLAN_ASSIGN_OR_RETURN(cand_key0,
-                               EvaluateExpr(*sort.sort_keys[0].expr, cand));
-      return Status::OK();
-    }();
-  }
-  ctx->stats->rows_filtered += rows_filtered;
-  cctx.Count("exec.rows_filtered", rows_filtered);
-  ctx->stats->topn_morsels_skipped += skipped;
-  cctx.Count("exec.breaker.topn_skipped", skipped);
-  if (tracer != nullptr) {
-    for (const StreamOp& op : ops) {
-      tracer->AddAttribute(op.span, "rows_out", StrCat(op.rows_out));
-      tracer->EndSpan(op.span);
-    }
-    tracer->AddAttribute(sort_span.id(), "rows_out",
-                         StrCat(cand.num_rows()));
-    tracer->AddAttribute(sort_span.id(), "morsels_skipped",
-                         StrCat(skipped));
-    tracer->AddAttribute(limit_span.id(), "rows_out",
-                         StrCat(cand.num_rows()));
-  }
-  BAUPLAN_RETURN_NOT_OK(failed);
-  ctx->TrackPeak(cand.EstimatedBytes());
-  return cand;
+  return RunOperator(ctx, PlanKind::kLimit, parent_span, [&](uint64_t span) {
+    return RunOperator(ctx, PlanKind::kSort, span, [&](uint64_t sort_span) {
+      return DriveTopN(ctx, sort, chain, source_key_exprs, limit, sort_span);
+    });
+  });
 }
 
 /// Compiles and drives the pipeline rooted at `head`, handing each
 /// processed chunk to `consume` in morsel order on the driver thread.
-/// `*passthrough` is set when the chain had nothing to do and `consume`
-/// received the raw source table itself (so collectors can skip peak
-/// accounting: inputs are not intermediates).
+/// `*passthrough` is set when the chain had nothing to stream and
+/// `consume` received its uncut source — the pipeline's input, or a
+/// Grace join output already tracked — so collectors can skip peak
+/// accounting.
 Status StreamChainInto(ExecContext* ctx, const PlanNode& head,
                        uint64_t parent_span,
                        const std::function<Status(Table)>& consume,
@@ -3153,133 +3062,28 @@ Status StreamChainInto(ExecContext* ctx, const PlanNode& head,
     consumed += chunk.num_rows();
     return consume(std::move(chunk));
   };
-  auto close_limit = [&]() {
-    if (limit_span != 0) {
-      tracer->AddAttribute(limit_span, "rows_out", StrCat(consumed));
-      tracer->EndSpan(limit_span);
-    }
-  };
 
-  if (chain.ops.empty()) {
-    // Nothing to stream: hand over the source (sliced if a LIMIT caps it;
-    // an uncut source is a pass-through, not an intermediate).
-    Status s;
-    if (chain.limit_node != nullptr && source.num_rows() > chain.limit) {
-      BAUPLAN_ASSIGN_OR_RETURN(
-          Table sliced, columnar::SliceTable(source, 0, chain.limit));
-      s = counted_consume(std::move(sliced));
-    } else {
-      *passthrough = true;
-      s = counted_consume(std::move(source));
-    }
-    close_limit();
-    return s;
-  }
-
-  // Prepare the ops bottom-up, priming an empty chunk through each so the
-  // next op (and join key typing) sees its output schema before any
-  // morsel flows — the streaming analogue of MakeMorsels' one-empty-
-  // morsel contract.
-  BAUPLAN_ASSIGN_OR_RETURN(Table primer, columnar::SliceTable(source, 0, 0));
   std::vector<StreamOp> ops;
-  ops.reserve(chain.ops.size());
-  ChunkDelta primer_delta;  // discarded: the primer has no rows
-  for (const PlanNode* node : chain.ops) {
-    ++ctx->stats->operators_executed;
-    uint64_t op_span =
-        tracer != nullptr
-            ? tracer->StartSpan(StrCat("op.", OpName(node->kind)),
-                                obs::span_kind::kOperator, pipe.id())
-            : 0;
-    StreamOp op;
-    op.node = node;
-    op.span = op_span;
-    if (node->kind == PlanKind::kProject) {
-      op.all_refs = !node->expressions.empty();
-      for (const auto& expr : node->expressions) {
-        if (expr->kind != ExprKind::kColumnRef) {
-          op.all_refs = false;
-          break;
-        }
-      }
-    }
-    if (node->kind == PlanKind::kJoin) {
-      auto st = std::make_shared<JoinBuildState>();
-      BAUPLAN_ASSIGN_OR_RETURN(
-          st->right, ExecStreamingNode(ctx, *node->children[1], op_span));
-      for (const auto& k : node->right_keys) {
-        BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr, EvaluateExpr(*k, st->right));
-        st->right_keys.push_back(std::move(arr));
-      }
-      st->right_null = JoinNullFlags(st->right_keys, st->right.num_rows());
-      if (!node->left_keys.empty() &&
-          ShouldSpill(*ctx, st->right.EstimatedBytes())) {
-        // The build side blew the budget: Grace needs both sides
-        // materialized, so this join becomes a breaker. Materialize the
-        // probe input from the chain driven so far and restart the
-        // pipeline on the join's output.
-        Table left;
-        if (ops.empty()) {
-          left = std::move(source);
-        } else {
-          std::vector<Table> parts;
-          BAUPLAN_RETURN_NOT_OK(DriveMorsels(
-              ctx, source, &ops, /*limit=*/-1, [&](Table chunk) {
-                parts.push_back(std::move(chunk));
-                return Status::OK();
-              }));
-          if (parts.size() == 1) {
-            left = std::move(parts[0]);
-          } else {
-            BAUPLAN_ASSIGN_OR_RETURN(left, columnar::ConcatTables(parts));
-          }
-          ctx->TrackPeak(left.EstimatedBytes());
-        }
-        BAUPLAN_ASSIGN_OR_RETURN(
-            source, ExecJoinGrace(ctx, *node, left, st->right,
-                                  st->right_keys, st->right_null, op_span));
-        ctx->TrackPeak(source.EstimatedBytes());
-        if (tracer != nullptr) {
-          tracer->AddAttribute(op_span, "rows_out",
-                               StrCat(source.num_rows()));
-          tracer->EndSpan(op_span);
-        }
-        BAUPLAN_ASSIGN_OR_RETURN(primer,
-                                 columnar::SliceTable(source, 0, 0));
-        continue;
-      }
-      std::vector<TypeId> left_key_types;
-      left_key_types.reserve(node->left_keys.size());
-      for (const auto& k : node->left_keys) {
-        BAUPLAN_ASSIGN_OR_RETURN(ArrayPtr arr, EvaluateExpr(*k, primer));
-        left_key_types.push_back(arr->type());
-      }
-      BAUPLAN_RETURN_NOT_OK(st->Build(ctx, *node, left_key_types, op_span));
-      op.join = std::move(st);
-    }
-    ops.push_back(std::move(op));
-    SelectionVector scratch;
-    BAUPLAN_RETURN_NOT_OK(
-        ApplyStreamOp(ops.back(), &primer, &scratch, &primer_delta));
-  }
-
+  BAUPLAN_RETURN_NOT_OK(
+      PrepareChain(ctx, chain, pipe.id(), &source, &ops).status());
   Status s;
-  if (ops.empty()) {
-    // Every op collapsed into breaker-ized joins; the "chain" is now the
-    // last join's output.
-    if (chain.limit_node != nullptr && source.num_rows() > chain.limit) {
-      Result<Table> sliced = columnar::SliceTable(source, 0, chain.limit);
-      s = sliced.ok() ? counted_consume(std::move(*sliced))
-                      : sliced.status();
-    } else {
-      s = counted_consume(std::move(source));
-    }
-  } else {
+  if (!ops.empty()) {
     s = DriveMorsels(ctx, source, &ops,
                      chain.limit_node != nullptr ? chain.limit : -1,
                      counted_consume);
+  } else if (chain.limit_node != nullptr && source.num_rows() > chain.limit) {
+    // Nothing to stream (no ops, or every op became a Grace join): hand
+    // over the source, cut to the LIMIT here and uncut below.
+    Result<Table> sliced = columnar::SliceTable(source, 0, chain.limit);
+    s = sliced.ok() ? counted_consume(std::move(*sliced)) : sliced.status();
+  } else {
+    *passthrough = true;
+    s = counted_consume(std::move(source));
   }
-  close_limit();
+  if (limit_span != 0) {
+    tracer->AddAttribute(limit_span, "rows_out", StrCat(consumed));
+    tracer->EndSpan(limit_span);
+  }
   return s;
 }
 
@@ -3306,62 +3110,44 @@ Result<Table> ExecStreamChain(ExecContext* ctx, const PlanNode& head,
   return result;
 }
 
-/// Aggregate node under the streaming engine. With no budget (or a global
-/// aggregate, whose state is O(1) per morsel) the child pipeline streams
-/// straight into the aggregate sink; a grouped aggregate under a budget
+/// The aggregate breaker's body. The child pipeline streams straight into
+/// the aggregate sink, except under a budget: a grouped aggregate then
 /// materializes its input first so the spill decision — which is input-
-/// size-based — sees the whole input.
+/// size-based — sees the whole input, and input that fits goes through
+/// the same sink. A global aggregate keeps O(1) state per morsel and
+/// never needs to spill.
 Result<Table> ExecStreamAggregate(ExecContext* ctx, const PlanNode& plan,
-                                  uint64_t parent_span) {
-  ++ctx->stats->operators_executed;
-  obs::ScopedSpan span(ctx->options.tracer, "op.aggregate",
-                       obs::span_kind::kOperator, parent_span);
+                                  uint64_t span_id) {
   const PlanNode& child = *plan.children[0];
-  Result<Table> out = Status::Internal("unreachable");
+  AggregateStream sink(ctx, plan, span_id);
   if (!plan.group_by.empty() && ctx->options.memory_budget_bytes > 0) {
     BAUPLAN_ASSIGN_OR_RETURN(Table input,
-                             ExecStreamingNode(ctx, child, span.id()));
-    out = ExecAggregateVectorized(ctx, plan, input, span.id());
-  } else {
-    AggregateStream sink(ctx, plan, span.id());
-    bool passthrough = false;
-    Status s = StreamChainInto(
-        ctx, child, span.id(),
-        [&](Table chunk) { return sink.Consume(std::move(chunk)); },
-        &passthrough);
-    out = s.ok() ? sink.Finish() : Result<Table>(s);
-  }
-  if (out.ok()) {
-    ctx->TrackPeak(out->EstimatedBytes());
-    if (ctx->options.tracer != nullptr) {
-      ctx->options.tracer->AddAttribute(span.id(), "rows_out",
-                                        StrCat(out->num_rows()));
+                             ExecStreamingNode(ctx, child, span_id));
+    if (input.num_rows() > 0 && ShouldSpill(*ctx, input.EstimatedBytes())) {
+      return ExecAggregateSpilled(ctx, plan, input, span_id);
     }
+    BAUPLAN_RETURN_NOT_OK(sink.Consume(std::move(input)));
+  } else {
+    bool passthrough = false;
+    BAUPLAN_RETURN_NOT_OK(StreamChainInto(
+        ctx, child, span_id,
+        [&](Table chunk) { return sink.Consume(std::move(chunk)); },
+        &passthrough));
   }
-  return out;
+  return sink.Finish();
 }
 
-/// A breaker that materializes its child via the streaming engine and
-/// applies the vectorized operator `body` to it. Opens the breaker's
-/// op.* span; child pipelines nest under it.
-Result<Table> ExecStreamBreaker(
-    ExecContext* ctx, const PlanNode& plan, uint64_t parent_span,
-    const std::function<Result<Table>(const Table&, uint64_t)>& body) {
-  ++ctx->stats->operators_executed;
-  obs::ScopedSpan span(ctx->options.tracer,
-                       StrCat("op.", OpName(plan.kind)),
-                       obs::span_kind::kOperator, parent_span);
-  BAUPLAN_ASSIGN_OR_RETURN(
-      Table input, ExecStreamingNode(ctx, *plan.children[0], span.id()));
-  Result<Table> out = body(input, span.id());
-  if (out.ok()) {
-    ctx->TrackPeak(out->EstimatedBytes());
-    if (ctx->options.tracer != nullptr) {
-      ctx->options.tracer->AddAttribute(span.id(), "rows_out",
-                                        StrCat(out->num_rows()));
-    }
-  }
-  return out;
+/// The sort breaker: materializes the child and sorts it; `limit` >= 0
+/// keeps only the top-N prefix (LIMIT pushed into ORDER BY).
+Result<Table> ExecStreamSort(ExecContext* ctx, const PlanNode& sort,
+                             uint64_t parent_span, int64_t limit) {
+  return RunOperator(
+      ctx, PlanKind::kSort, parent_span,
+      [&](uint64_t span_id) -> Result<Table> {
+        BAUPLAN_ASSIGN_OR_RETURN(
+            Table input, ExecStreamingNode(ctx, *sort.children[0], span_id));
+        return ExecSortVectorized(ctx, sort, input, limit, span_id);
+      });
 }
 
 Result<Table> ExecStreamingNode(ExecContext* ctx, const PlanNode& plan,
@@ -3375,69 +3161,42 @@ Result<Table> ExecStreamingNode(ExecContext* ctx, const PlanNode& plan,
     case PlanKind::kLimit: {
       const PlanNode& child = *plan.children[0];
       if (child.kind == PlanKind::kSort && !child.sort_keys.empty()) {
-        // Top-N short-circuit: when the chain under the sort is
-        // filters-only and no budget applies, the LIMIT also prunes
-        // upstream morsel dispatch.
         bool handled = false;
         Result<Table> topn =
             ExecStreamTopN(ctx, plan, child, parent_span, &handled);
         if (handled) return topn;
-        // Top-N: the LIMIT pushes into the sort breaker (partial sort of
-        // the same total order) instead of streaming.
-        ++ctx->stats->operators_executed;  // the limit; the breaker
-                                           // counts the sort
-        obs::ScopedSpan limit_span(ctx->options.tracer, "op.limit",
-                                   obs::span_kind::kOperator, parent_span);
-        return ExecStreamBreaker(
-            ctx, child, limit_span.id(),
-            [&](const Table& input, uint64_t span_id) {
-              return ExecSortVectorized(ctx, child, input, plan.limit,
-                                        span_id);
-            });
+        // Top-N without the short-circuit: the LIMIT pushes into the sort
+        // breaker (partial sort of the same total order).
+        return RunOperator(ctx, PlanKind::kLimit, parent_span,
+                           [&](uint64_t limit_span) {
+                             return ExecStreamSort(ctx, child, limit_span,
+                                                   plan.limit);
+                           });
       }
       return ExecStreamChain(ctx, plan, parent_span);
     }
     case PlanKind::kAggregate:
-      return ExecStreamAggregate(ctx, plan, parent_span);
+      return RunOperator(ctx, PlanKind::kAggregate, parent_span,
+                         [&](uint64_t span_id) {
+                           return ExecStreamAggregate(ctx, plan, span_id);
+                         });
     case PlanKind::kSort:
-      return ExecStreamBreaker(
-          ctx, plan, parent_span,
-          [&](const Table& input, uint64_t span_id) {
-            return ExecSortVectorized(ctx, plan, input, /*limit=*/-1,
-                                      span_id);
-          });
+      return ExecStreamSort(ctx, plan, parent_span, /*limit=*/-1);
     case PlanKind::kDistinct:
-      return ExecStreamBreaker(
-          ctx, plan, parent_span,
-          [&](const Table& input, uint64_t span_id) {
-            (void)span_id;
+      return RunOperator(
+          ctx, PlanKind::kDistinct, parent_span,
+          [&](uint64_t span_id) -> Result<Table> {
+            BAUPLAN_ASSIGN_OR_RETURN(
+                Table input,
+                ExecStreamingNode(ctx, *plan.children[0], span_id));
             return ExecDistinctVectorized(input);
           });
-    case PlanKind::kUnion: {
-      ++ctx->stats->operators_executed;
-      obs::ScopedSpan span(ctx->options.tracer, "op.union",
-                           obs::span_kind::kOperator, parent_span);
-      std::vector<Table> pieces;
-      pieces.reserve(plan.children.size());
-      for (const auto& child : plan.children) {
-        BAUPLAN_ASSIGN_OR_RETURN(
-            Table piece, ExecStreamingNode(ctx, *child, span.id()));
-        BAUPLAN_ASSIGN_OR_RETURN(piece,
-                                 Table::Make(plan.schema, piece.columns()));
-        pieces.push_back(std::move(piece));
-      }
-      Result<Table> out = pieces.size() == 1
-                              ? Result<Table>(std::move(pieces[0]))
-                              : columnar::ConcatTables(pieces);
-      if (out.ok()) {
-        ctx->TrackPeak(out->EstimatedBytes());
-        if (ctx->options.tracer != nullptr) {
-          ctx->options.tracer->AddAttribute(span.id(), "rows_out",
-                                            StrCat(out->num_rows()));
-        }
-      }
-      return out;
-    }
+    case PlanKind::kUnion:
+      return RunOperator(ctx, PlanKind::kUnion, parent_span,
+                         [&](uint64_t span_id) {
+                           return ExecUnion(ctx, plan, span_id,
+                                            ExecStreamingNode);
+                         });
   }
   return Status::Internal("unhandled plan kind");
 }
@@ -3472,6 +3231,15 @@ Result<ExecOptions> ExecOptions::FromEnv() {
 
 Result<Table> ExecutePlan(const PlanNode& plan, TableSource* source,
                           ExecStats* stats, const ExecOptions& options) {
+  if (options.threads < 1) {
+    return Status::InvalidArgument(StrCat(
+        "ExecOptions::threads must be at least 1, got ", options.threads));
+  }
+  if (options.morsel_rows <= 0) {
+    return Status::InvalidArgument(
+        StrCat("ExecOptions::morsel_rows must be positive, got ",
+               options.morsel_rows));
+  }
   ExecStats local;
   if (stats == nullptr) stats = &local;
 
@@ -3511,6 +3279,7 @@ Result<Table> ExecutePlan(const PlanNode& plan, TableSource* source,
       ctx.pool = owned_pool.get();
     }
   }
+  if (ctx.pool != nullptr) ctx.width = ctx.pool->num_workers() + 1;
   Result<Table> out =
       options.engine == ExecOptions::Engine::kScalar
           ? ExecNode(&ctx, plan, options.parent_span)

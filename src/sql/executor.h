@@ -101,17 +101,20 @@ struct ExecOptions {
   };
   Engine engine = Engine::kStreaming;
 
-  /// Total threads working a query (1 = inline on the caller). The
-  /// executor spins up `threads - 1` pool workers unless `pool` is set;
-  /// requests beyond the hardware concurrency are clamped (an external
-  /// `pool` is used as-is). Thread count never affects result bytes.
+  /// Total threads working a query (at least 1; 1 = inline on the
+  /// caller). Without a `pool` the executor spins up `threads - 1`
+  /// workers, clamped to the hardware concurrency. Width rule: a query
+  /// runs at one width — its pool's workers + 1, or 1 with no pool — and
+  /// every dispatch batch and breaker partition count derives from it.
+  /// Neither ever affects result bytes.
   int threads = 1;
 
-  /// Rows per morsel; fixed across thread counts for determinism.
+  /// Rows per morsel (positive); fixed across thread counts for
+  /// determinism.
   int64_t morsel_rows = 64 * 1024;
 
-  /// Optional externally-owned worker pool. When set, `threads` only
-  /// bounds how many morsels run concurrently via that pool.
+  /// Optional externally-owned worker pool, used as-is: its size, not
+  /// `threads`, sets the width.
   ThreadPool* pool = nullptr;
 
   /// Per-operator span emission (null = no tracing). Spans are created on
@@ -149,7 +152,8 @@ struct ExecOptions {
 /// compiles the plan into pipelines split at breakers and pushes morsels
 /// through each pipeline on a shared ThreadPool, materializing only at
 /// breakers and the result; the scalar engine preserves the original
-/// row-at-a-time operators as the reference oracle.
+/// row-at-a-time operators as the reference oracle. A non-positive
+/// `threads` or `morsel_rows` is an InvalidArgument error.
 Result<columnar::Table> ExecutePlan(const PlanNode& plan,
                                     TableSource* source,
                                     ExecStats* stats = nullptr,

@@ -74,20 +74,6 @@ Status BindExpr(Expr* expr, const Schema& schema) {
   return Status::OK();
 }
 
-/// Deep-copies an expression tree (plans own their expressions so the
-/// optimizer can rewrite them without mutating the AST).
-ExprPtr CloneExpr(const ExprPtr& expr) {
-  if (expr == nullptr) return nullptr;
-  auto copy = std::make_shared<Expr>(*expr);
-  copy->left = CloneExpr(expr->left);
-  copy->right = CloneExpr(expr->right);
-  copy->between_low = CloneExpr(expr->between_low);
-  copy->between_high = CloneExpr(expr->between_high);
-  for (auto& a : copy->args) a = CloneExpr(a);
-  for (auto& e : copy->list) e = CloneExpr(e);
-  return copy;
-}
-
 /// Derives an output column name for an unaliased select expression.
 std::string DeriveName(const Expr& expr, size_t index) {
   if (expr.kind == ExprKind::kColumnRef) return expr.column_name;
@@ -128,20 +114,13 @@ void CollectAggregates(const ExprPtr& expr, std::vector<ExprPtr>* out,
 ExprPtr RewriteOverAggregate(
     const ExprPtr& expr,
     const std::vector<std::pair<std::string, std::string>>& replacements) {
-  if (expr == nullptr) return nullptr;
-  std::string key = expr->ToString();
-  for (const auto& [text, output] : replacements) {
-    if (key == text) return MakeColumnRef("", output);
-  }
-  auto copy = std::make_shared<Expr>(*expr);
-  copy->left = RewriteOverAggregate(expr->left, replacements);
-  copy->right = RewriteOverAggregate(expr->right, replacements);
-  copy->between_low = RewriteOverAggregate(expr->between_low, replacements);
-  copy->between_high =
-      RewriteOverAggregate(expr->between_high, replacements);
-  for (auto& a : copy->args) a = RewriteOverAggregate(a, replacements);
-  for (auto& e : copy->list) e = RewriteOverAggregate(e, replacements);
-  return copy;
+  return CloneExprWith(expr, [&](const Expr& node) -> ExprPtr {
+    std::string key = node.ToString();
+    for (const auto& [text, output] : replacements) {
+      if (key == text) return MakeColumnRef("", output);
+    }
+    return nullptr;
+  });
 }
 
 /// Verifies a post-aggregation expression references only aggregate

@@ -967,6 +967,33 @@ TEST_F(StreamingTest, EngineCountersAndSpanTreeArePinned) {
   }
 }
 
+// A non-positive morsel size or thread count is a caller bug: the plan
+// fails with InvalidArgument naming the field, on either engine, instead
+// of silently running with a substituted value.
+TEST_F(StreamingTest, MalformedExecOptionsAreRejected) {
+  struct Bad {
+    const char* field;
+    int threads;
+    int64_t morsel_rows;
+  };
+  const Bad kBad[] = {{"morsel_rows", 1, 0},
+                      {"morsel_rows", 4, -1024},
+                      {"threads", 0, 1024},
+                      {"threads", -2, 1024}};
+  for (const Bad& bad : kBad) {
+    for (ExecOptions::Engine engine :
+         {ExecOptions::Engine::kStreaming, ExecOptions::Engine::kScalar}) {
+      auto r = Run("SELECT id FROM facts WHERE qty > 3", /*budget=*/0,
+                   bad.threads, engine, bad.morsel_rows);
+      ASSERT_FALSE(r.ok()) << bad.field << "=" << bad.threads << "/"
+                           << bad.morsel_rows;
+      EXPECT_TRUE(r.status().IsInvalidArgument()) << r.status().ToString();
+      EXPECT_NE(r.status().message().find(bad.field), std::string::npos)
+          << r.status().ToString();
+    }
+  }
+}
+
 // Env-var defaults resolve in exactly one place, strictly.
 TEST(ExecOptionsFromEnvTest, ResolvesAndValidates) {
   unsetenv("BAUPLAN_THREADS");
