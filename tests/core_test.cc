@@ -1,11 +1,17 @@
 #include <gtest/gtest.h>
 
+#include <map>
 #include <set>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "columnar/builder.h"
 #include "columnar/compute.h"
 #include "columnar/datetime.h"
 #include "columnar/serialize.h"
+#include "common/hash.h"
+#include "common/strings.h"
 #include "core/bauplan.h"
 #include "pipeline/project.h"
 #include "storage/object_store.h"
@@ -586,6 +592,331 @@ TEST_F(BauplanTest, PipelineWithJoinAcrossSources) {
   auto result = platform_->Query("SELECT * FROM named_busy");
   ASSERT_TRUE(result.ok());
   EXPECT_EQ(result->table.num_rows(), 10);
+}
+
+// ---------------------------------------------------------------------
+// Runner output pins. Per run mode and scenario: a fingerprint of the
+// whole RunReport JSON (per-node timing fields, spill counts, the span
+// tree with its intervals, the metrics dump), a fingerprint of every
+// artifact's serialized bytes, the spill store's simulated time and the
+// final simulated clock. Refactoring the pipeline runner must leave all
+// of them unchanged.
+// ---------------------------------------------------------------------
+
+/// `base` with node `name`'s code replaced by `code`.
+pipeline::PipelineProject WithNodeCode(
+    const pipeline::PipelineProject& base, const std::string& name,
+    const std::string& code) {
+  pipeline::PipelineProject project(base.name());
+  for (const pipeline::PipelineNode& node : base.nodes()) {
+    const std::string& text = node.name == name ? code : node.code;
+    Status st =
+        node.kind == pipeline::NodeKind::kSqlModel
+            ? project.AddSqlNode(node.name, text, node.requirements)
+            : project.AddExpectationNode(node.name, text, node.requirements);
+    EXPECT_TRUE(st.ok()) << st.ToString();
+  }
+  return project;
+}
+
+class RunnerPinTest : public ::testing::Test {
+ protected:
+  void Open(BauplanOptions options = {}) {
+    options.lake_latency = storage::LatencyModel();  // S3-class
+    platform_ = Bauplan::Open(&store_, &clock_, options).ValueOrDie();
+    workload::TaxiGenOptions gen;
+    gen.rows = 3000;
+    gen.start_date = "2019-03-01";
+    gen.days = 90;
+    auto taxi = workload::GenerateTaxiTable(gen);
+    ASSERT_TRUE(taxi.ok());
+    ASSERT_TRUE(
+        platform_->CreateTable("main", "taxi_table", taxi->schema()).ok());
+    ASSERT_TRUE(platform_->WriteTable("main", "taxi_table", *taxi).ok());
+  }
+
+  /// Fingerprints `report` and the clock; keeps the JSON for diagnosis.
+  void Pin(const std::string& scenario, const Result<RunReport>& report) {
+    if (!report.ok()) {
+      pins_.emplace_back(scenario,
+                         StrCat("error ", report.status().ToString()));
+      json_[scenario] = "";
+      return;
+    }
+    std::string artifacts;
+    for (const auto& [name, table] : report->artifacts) {
+      Bytes bytes = columnar::SerializeTable(table);
+      artifacts += name;
+      artifacts.append(bytes.begin(), bytes.end());
+    }
+    std::string json = report->ToJson();
+    pins_.emplace_back(
+        scenario,
+        StrCat("json=", FingerprintHex(json),
+               " artifacts=", FingerprintHex(artifacts),
+               " spill_us=", report->spill_metrics.simulated_micros,
+               " clock=", clock_.NowMicros()));
+    json_[scenario] = std::move(json);
+  }
+
+  /// The scenario battery one run mode goes through, in order.
+  void RunScenarios(bool fused, int parallelism) {
+    Open();
+    const pipeline::PipelineProject wide = pipeline::MakeWideTaxiPipeline(4);
+    PipelineRunOptions options;
+    options.fused = fused;
+    options.parallelism = parallelism;
+
+    Pin("cold", platform_->Run(wide, "main", options));
+    Pin("warm", platform_->Run(wide, "main", options));
+    // A one-node edit: short_trips and trip_balance re-run, the rest hit.
+    Pin("edit", platform_->Run(
+                    WithNodeCode(wide, "short_trips",
+                                 "SELECT pickup_location_id, COUNT(*) AS "
+                                 "rides, SUM(fare) AS revenue FROM base "
+                                 "WHERE trip_distance < 3.0 GROUP BY "
+                                 "pickup_location_id"),
+                    "main", options));
+    Pin("rerun", platform_->Run(wide, "main", options));
+
+    // An append re-keys every node.
+    workload::TaxiGenOptions gen;
+    gen.rows = 300;
+    gen.start_date = "2019-03-01";
+    gen.days = 90;
+    gen.seed = 7;
+    auto extra = workload::GenerateTaxiTable(gen);
+    ASSERT_TRUE(extra.ok());
+    ASSERT_TRUE(platform_->WriteTable("main", "taxi_table", *extra).ok());
+    auto appended = platform_->Run(wide, "main", options);
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    const int64_t appended_run = appended->run_id;
+    Pin("append", appended);
+
+    PipelineRunOptions uncached = options;
+    uncached.use_cache = false;
+    Pin("uncached", platform_->Run(wide, "main", uncached));
+
+    Pin("replay", platform_->ReplayRun(appended_run, ""));
+    Pin("replay_cone", platform_->ReplayRun(appended_run, "short_trips+"));
+    Pin("replay_node", platform_->ReplayRun(appended_run, "long_trips"));
+    // Partial runs in this mode: unselected upstreams come from the
+    // catalog.
+    PipelineRunOptions cone = uncached;
+    cone.selected = {"short_trips", "trip_balance"};
+    Pin("selected_cone", platform_->Run(wide, "main", cone));
+    PipelineRunOptions single = options;
+    single.selected = {"long_trips"};
+    Pin("selected_node", platform_->Run(wide, "main", single));
+
+    Pin("failing_audit",
+        platform_->Run(
+            WithNodeCode(wide, "base_expectation", "mean(count) > 1000"),
+            "main", options));
+
+    const pipeline::PipelineProject paper =
+        pipeline::MakePaperTaxiPipeline(1.0);
+    Pin("paper_cold", platform_->Run(paper, "main", options));
+    Pin("paper_warm", platform_->Run(paper, "main", options));
+
+    if (fused) {
+      PipelineRunOptions trimmed = options;
+      trimmed.trim_unused_columns = true;
+      Pin("trimmed", platform_->Run(wide, "main", trimmed));
+    }
+  }
+
+  void ExpectPins(
+      const std::vector<std::pair<std::string, std::string>>& expected) {
+    std::string actual;
+    for (const auto& [scenario, pin] : pins_) {
+      actual += StrCat("{\"", scenario, "\", \"", pin, "\"},\n");
+    }
+    ASSERT_EQ(pins_.size(), expected.size()) << actual;
+    for (size_t i = 0; i < pins_.size(); ++i) {
+      EXPECT_EQ(pins_[i].first, expected[i].first);
+      EXPECT_EQ(pins_[i].second, expected[i].second)
+          << pins_[i].first << " report:\n"
+          << json_[pins_[i].first];
+    }
+  }
+
+  storage::MemoryObjectStore store_;
+  SimClock clock_{1700000000000000ull};
+  std::unique_ptr<Bauplan> platform_;
+  std::vector<std::pair<std::string, std::string>> pins_;
+  std::map<std::string, std::string> json_;
+};
+
+TEST_F(RunnerPinTest, FusedRunsArePinned) {
+  RunScenarios(/*fused=*/true, /*parallelism=*/1);
+  ExpectPins({
+      {"cold",
+       "json=dd137597fedd4ff3 artifacts=e806a55aedbaec9b "
+       "spill_us=0 clock=1700000006438896"},
+      {"warm",
+       "json=4271f15cc8ae2d93 artifacts=e806a55aedbaec9b "
+       "spill_us=0 clock=1700000009120378"},
+      {"edit",
+       "json=2fefb41de35d59ac artifacts=6bde167e187c0abb "
+       "spill_us=0 clock=1700000011831898"},
+      {"rerun",
+       "json=26dc4dac590c1872 artifacts=e806a55aedbaec9b "
+       "spill_us=0 clock=1700000014513436"},
+      {"append",
+       "json=c7fc12c9408bddb7 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000018032146"},
+      {"uncached",
+       "json=2e3eed4bae8e87f6 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000021038858"},
+      {"replay",
+       "json=5f9cf4cbcdc830c9 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000021353676"},
+      {"replay_cone",
+       "json=f538f70c72de4474 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000022875420"},
+      {"replay_node",
+       "json=1bd52402765d366f artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000023160036"},
+      {"selected_cone",
+       "json=3013f0fde3c48218 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000024384973"},
+      {"selected_node",
+       "json=8fbb59103812c26f artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000025354811"},
+      {"failing_audit",
+       "json=014a34418b5d5393 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000026085411"},
+      {"paper_cold",
+       "json=7e82f9194eb9bf60 artifacts=73702ea648b0fbfa "
+       "spill_us=0 clock=1700000027447588"},
+      {"paper_warm",
+       "json=bd7f1edc34e9f6ab artifacts=73702ea648b0fbfa "
+       "spill_us=0 clock=1700000028387441"},
+      {"trimmed",
+       "json=1bd3f24712458588 artifacts=4d6ea1a425ca7b82 "
+       "spill_us=0 clock=1700000029547236"}});
+}
+
+TEST_F(RunnerPinTest, NaiveWidthOneRunsArePinned) {
+  RunScenarios(/*fused=*/false, /*parallelism=*/1);
+  ExpectPins({
+      {"cold",
+       "json=3a4331454ef83e98 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000010294731"},
+      {"warm",
+       "json=10aa937fbe6fc0cd artifacts=e806a55aedbaec9b "
+       "spill_us=91481 clock=1700000013064694"},
+      {"edit",
+       "json=f665b335b79fe1e0 artifacts=6bde167e187c0abb "
+       "spill_us=168018 clock=1700000016621232"},
+      {"rerun",
+       "json=cea41b35d15b59ec artifacts=e806a55aedbaec9b "
+       "spill_us=91481 clock=1700000019391251"},
+      {"append",
+       "json=f00efb5d89f733b9 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000026213354"},
+      {"uncached",
+       "json=e540175e02b6bb60 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000032523459"},
+      {"replay",
+       "json=076cfc1097a60988 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000033135277"},
+      {"replay_cone",
+       "json=dbaf902df50451ce artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000033807021"},
+      {"replay_node",
+       "json=6e13e55fea2417a1 artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000034091637"},
+      {"selected_cone",
+       "json=61758aa9161eff5b artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000035772877"},
+      {"selected_node",
+       "json=b6346998db69c119 artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000037110399"},
+      {"failing_audit",
+       "json=3c3378c4bcb35d20 artifacts=ce2940f6a3884772 "
+       "spill_us=201308 clock=1700000039427302"},
+      {"paper_cold",
+       "json=c06923f57baaa075 artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000041883609"},
+      {"paper_warm",
+       "json=5b7877136ca7aa98 artifacts=73702ea648b0fbfa "
+       "spill_us=30591 clock=1700000042851053"}});
+}
+
+TEST_F(RunnerPinTest, NaiveWidthFourRunsArePinned) {
+  RunScenarios(/*fused=*/false, /*parallelism=*/4);
+  ExpectPins({
+      {"cold",
+       "json=65b4ad81833881a2 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000009853391"},
+      {"warm",
+       "json=d8f7ca1247d2d158 artifacts=e806a55aedbaec9b "
+       "spill_us=91481 clock=1700000012623354"},
+      {"edit",
+       "json=d22e9ab5d9653978 artifacts=6bde167e187c0abb "
+       "spill_us=168018 clock=1700000016179892"},
+      {"rerun",
+       "json=46dcd0b3dfc5ac87 artifacts=e806a55aedbaec9b "
+       "spill_us=91481 clock=1700000018949911"},
+      {"append",
+       "json=503f26841721ecbd artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000024389977"},
+      {"uncached",
+       "json=61022ac23618d92a artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000029318045"},
+      {"replay",
+       "json=80dfe79ffed7b6da artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000029929863"},
+      {"replay_cone",
+       "json=fc8d55dbee3f041c artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000030601607"},
+      {"replay_node",
+       "json=422a327e33da430f artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000030886223"},
+      {"selected_cone",
+       "json=dc47f3f814101cca artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000032567463"},
+      {"selected_node",
+       "json=f4c97518b7a153b4 artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000033904985"},
+      {"failing_audit",
+       "json=be975b7e45f7fc4f artifacts=ce2940f6a3884772 "
+       "spill_us=201308 clock=1700000036181888"},
+      {"paper_cold",
+       "json=85a329e0d738afd3 artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000038598195"},
+      {"paper_warm",
+       "json=10b7bdc52b6015dc artifacts=73702ea648b0fbfa "
+       "spill_us=30591 clock=1700000039565639"}});
+}
+
+// A scheduler with room for two functions at a time: width-4 waves
+// bounce their remaining members, which re-dispatch in later waves.
+TEST_F(RunnerPinTest, BouncedWaveMembersArePinned) {
+  BauplanOptions options;
+  options.scheduler.num_workers = 1;
+  options.scheduler.worker_memory_bytes = 600ull << 20;
+  Open(options);
+  PipelineRunOptions run;
+  run.fused = false;
+  run.parallelism = 4;
+  auto report = platform_->Run(pipeline::MakeWideTaxiPipeline(4), "main",
+                               run);
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  // With room for the whole wave this DAG needs three waves (sources,
+  // base's consumers, trip_balance); bounced members add more.
+  size_t waves = 0;
+  for (const observability::Span& span : report->trace.spans) {
+    if (span.kind == observability::span_kind::kWave) ++waves;
+  }
+  EXPECT_GT(waves, 3u);
+  Pin("bounced", report);
+  ExpectPins({
+      {"bounced",
+       "json=5034b45a948012cf artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000011104731"}});
 }
 
 }  // namespace
