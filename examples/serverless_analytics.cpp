@@ -73,7 +73,6 @@ int main() {
   producer.spec = pandas_env;
   producer.memory_bytes = 10ull << 30;  // vertical elasticity: 10 GB
   producer.output_artifact = "trips";
-  producer.output_bytes = 2ull << 30;
   producer.body = [&] {
     clock.AdvanceMicros(500000);  // pretend to compute for 500 ms
     return bauplan::Status::OK();
@@ -84,8 +83,7 @@ int main() {
   consumer.name = "audit_trips";
   consumer.spec = pandas_env;
   consumer.memory_bytes = 20ull << 30;  // bigger artifact, bigger slot
-  consumer.input_artifact = "trips";
-  consumer.input_bytes = 2ull << 30;
+  consumer.inputs = {{"trips", 2ull << 30}};
   consumer.body = [&] {
     clock.AdvanceMicros(200000);
     return bauplan::Status::OK();

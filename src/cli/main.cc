@@ -69,15 +69,16 @@ commands:
         --lineage renders the cross-pipeline column lineage graph
         instead of diagnostics (text, or JSON with --json); --werror
         (or BAUPLAN_WERROR=1) promotes warnings to errors
-  run --project DIR [-b BRANCH] [--naive] [--parallel N] [--explain]
-      [--no-verify] [--trim] [--trace-out FILE] [--no-cache]
+  run --project DIR [-b BRANCH] [--naive [--parallel N] | --trim]
+      [--explain] [--no-verify] [--trace-out FILE] [--no-cache]
       [--cache-budget BYTES] [--explain-metrics]
         execute a pipeline with transform-audit-write semantics; the
         project is statically analyzed first and refused on errors
         (--no-verify skips this); --parallel N dispatches independent
         nodes of a --naive run as wavefronts with up to N bodies at a
-        time; --trim drops dead columns from intermediate artifacts
-        (cross-node projection trimming from the lineage graph);
+        time (it needs --naive); --trim drops dead columns from
+        intermediate artifacts (cross-node projection trimming from the
+        lineage graph; fused runs only, so not with --naive);
         --trace-out writes the run's hierarchical span trace as JSON;
         unchanged nodes are served from the differential artifact cache
         (content-addressed, shared across branches) — --no-cache skips
@@ -86,7 +87,8 @@ commands:
         platform metric instruments (cache.*, query_cache.*, exec.*)
         after the report
   run --run-id N [-m NODE[+]] [--trace-out FILE]
-        replay a recorded run, sandboxed
+        replay a recorded run, sandboxed and fused; any other run flag
+        is a usage error
   runs  list recorded runs
   cache stats | cache clear
         show differential artifact cache contents and counters, or drop
@@ -522,6 +524,15 @@ int Main(int argc, char** argv) {
 
   if (command == "run") {
     if (args.Has("--run-id")) {
+      // A replay reads only -m and --trace-out (and the platform-wide
+      // --cache-budget); refuse flags it would silently ignore.
+      for (const char* flag :
+           {"--project", "--naive", "--parallel", "--trim", "--no-cache",
+            "--no-verify", "--explain", "--explain-metrics", "-b"}) {
+        if (args.Has(flag)) {
+          return UsageError(StrCat(flag, " does not apply to --run-id"));
+        }
+      }
       auto run_id = Int64Flag(args, "--run-id", 0, 0,
                               std::numeric_limits<int64_t>::max());
       if (!run_id.ok()) return UsageError(run_id.status().message());
@@ -547,6 +558,13 @@ int Main(int argc, char** argv) {
     }
     if (!args.Has("--project")) {
       return UsageError("run needs --project DIR (or --run-id N)");
+    }
+    if (args.Has("--parallel") && !args.Has("--naive")) {
+      return UsageError("--parallel needs --naive");
+    }
+    if (args.Has("--trim") && args.Has("--naive")) {
+      return UsageError("--trim is fused-only; it cannot combine with "
+                        "--naive");
     }
     auto project = LoadProjectFromDir(args.Get("--project"));
     if (!project.ok()) return Fail(project.status());

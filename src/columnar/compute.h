@@ -165,6 +165,11 @@ struct ColumnStats {
   Value max;
   int64_t null_count = 0;
   int64_t value_count = 0;
+
+  /// The one wire format of a zone map, shared by data-file footers and
+  /// table manifests: min, max, null count, value count.
+  void Serialize(BinaryWriter* writer) const;
+  static Result<ColumnStats> Deserialize(BinaryReader* reader);
 };
 
 /// Computes min/max/null stats over an array.

@@ -6,6 +6,31 @@
 
 namespace bauplan::core {
 
+namespace {
+
+/// InvalidArgument for an option combination the runner would silently
+/// ignore: trimming is fused-only, the wavefront width is naive-only,
+/// and a width below 1 means nothing.
+Status ValidateRunOptions(const PipelineRunOptions& options) {
+  if (options.trim_unused_columns && !options.fused) {
+    return Status::InvalidArgument(
+        "trim_unused_columns (--trim) needs a fused run");
+  }
+  if (options.fused && options.parallelism > 1) {
+    return Status::InvalidArgument(
+        StrCat("parallelism ", options.parallelism,
+               " (--parallel) needs a naive run; a fused run is one "
+               "function"));
+  }
+  if (options.parallelism < 1) {
+    return Status::InvalidArgument(StrCat(
+        "parallelism must be at least 1, got ", options.parallelism));
+  }
+  return Status::OK();
+}
+
+}  // namespace
+
 Bauplan::Bauplan(storage::ObjectStore* base_store, Clock* clock,
                  BauplanOptions options)
     : clock_(clock), options_(std::move(options)) {
@@ -302,6 +327,7 @@ Status Bauplan::MaterializeArtifacts(const RunReport& execution,
 Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
                                const std::string& branch,
                                const PipelineRunOptions& options) {
+  BAUPLAN_RETURN_NOT_OK(ValidateRunOptions(options));
   // Pre-flight: refuse to schedule a project the analyzer rejects —
   // before a run is registered, a branch is created, or any container is
   // acquired. `--no-verify` (options.verify = false) skips this.

@@ -124,7 +124,10 @@ class Bauplan {
   /// `bauplan run`: snapshots + fingerprints the project, executes its
   /// DAG inside an ephemeral branch (transform-audit-write), materializes
   /// every SQL artifact as a table, and merges into `branch` only when
-  /// all expectations pass.
+  /// all expectations pass. Option combinations the run would silently
+  /// ignore (trimming a naive run, a fused run wider than 1, a width
+  /// below 1) are InvalidArgument, before the pre-flight check, the run
+  /// record or any branch.
   Result<RunReport> Run(const pipeline::PipelineProject& project,
                         const std::string& branch,
                         const PipelineRunOptions& options = {});

@@ -37,9 +37,6 @@ Result<columnar::Table> LakehouseSource::ScanTable(
   BAUPLAN_ASSIGN_OR_RETURN(columnar::Table result,
                            ops_->ScanTable(metadata_key, options, &plan));
   last_plan_ = plan;
-  total_files_pruned_ +=
-      plan.files_pruned_by_partition + plan.files_pruned_by_stats;
-  total_files_read_ += static_cast<int64_t>(plan.files.size());
   return result;
 }
 

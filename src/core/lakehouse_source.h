@@ -45,10 +45,8 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
 
   const std::string& ref() const { return ref_; }
 
-  /// Cumulative pruning stats across all scans through this source.
+  /// Pruning stats of the latest catalog scan through this source.
   const table::ScanPlan& last_scan_plan() const { return last_plan_; }
-  int64_t total_files_pruned() const { return total_files_pruned_; }
-  int64_t total_files_read() const { return total_files_read_; }
 
   Result<columnar::Schema> GetTableSchema(
       const std::string& table_name) const override;
@@ -68,8 +66,6 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
   mutable std::optional<std::map<std::string, std::string>> tables_;
   std::map<std::string, columnar::Table> overlay_;
   table::ScanPlan last_plan_;
-  int64_t total_files_pruned_ = 0;
-  int64_t total_files_read_ = 0;
 };
 
 }  // namespace bauplan::core

@@ -1,7 +1,6 @@
 #include "core/pipeline_runner.h"
 
 #include <algorithm>
-#include <deque>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -44,6 +43,20 @@ struct NaiveRunContext {
   std::optional<Result<std::map<std::string, std::string>>> tables;
 };
 
+/// One selected node of a naive run. Bodies hold pointers to `report`,
+/// which stay valid because std::map never moves its values.
+struct NodeState {
+  /// Selected upstreams not finished yet; the node is ready at 0.
+  /// Replayed upstreams are already materialized, so they never count.
+  int waiting = 0;
+  /// Selected nodes that read this node's output.
+  std::vector<NodeState*> consumers;
+  NodeExecution report;
+  uint64_t span = 0;
+  bool probed = false;      // a node probes the cache once
+  bool dispatched = false;  // served from the cache, or sent in a wave
+};
+
 }  // namespace internal
 
 namespace {
@@ -65,25 +78,6 @@ std::string SpillKey(const std::string& node) {
   return StrCat("spill/", node, ".tbl");
 }
 
-/// Serialized-footprint estimate of a materialized catalog table:
-/// records times an ~8-bytes-per-value row width. Used to size functions
-/// reading replayed upstreams, where the exact spill size is unknown but
-/// the row count is right in the table metadata.
-/// Does any *selected* node read `name`'s output? When nothing selected
-/// consumes it, a cache hit needs no spill-store materialization — the
-/// table only has to reach the run's artifact map.
-bool HasSelectedConsumer(const Dag& dag,
-                         const std::set<std::string>& selected_set,
-                         const std::string& name) {
-  for (const auto& candidate : dag.execution_order()) {
-    if (selected_set.count(candidate) == 0) continue;
-    for (const auto& up : dag.GetNode(candidate).upstream_nodes) {
-      if (up == name) return true;
-    }
-  }
-  return false;
-}
-
 /// Metadata key of catalog table `name` in the run's resolved table map.
 Result<std::string> CatalogKey(const internal::NaiveRunContext& ctx,
                                const std::string& name) {
@@ -91,6 +85,10 @@ Result<std::string> CatalogKey(const internal::NaiveRunContext& ctx,
   return catalog::FindTableKey(**ctx.tables, name, ctx.ref);
 }
 
+/// Serialized-footprint estimate of a materialized catalog table:
+/// records times an ~8-bytes-per-value row width. Used to size functions
+/// reading replayed upstreams, where the exact spill size is unknown but
+/// the row count is right in the table metadata.
 int64_t EstimateCatalogArtifactBytes(const internal::NaiveRunContext& ctx,
                                      const table::TableOps* ops,
                                      const std::string& table_name) {
@@ -102,6 +100,16 @@ int64_t EstimateCatalogArtifactBytes(const internal::NaiveRunContext& ctx,
   if (!snapshot.ok()) return 0;
   int64_t row_width = 8 * metadata->schema.num_fields() + 8;
   return snapshot->total_records * row_width;
+}
+
+/// Completes `node_report` from a cache hit: the node never ran.
+void ApplyHit(const cache::CachedArtifact& hit, NodeExecution* node_report) {
+  node_report->cache_hit = true;
+  node_report->output_rows = hit.output_rows;
+  if (node_report->kind == NodeKind::kExpectation) {
+    node_report->expectation_passed = hit.expectation_passed;
+    node_report->details = hit.details;
+  }
 }
 
 }  // namespace
@@ -173,6 +181,14 @@ Result<RunReport> PipelineRunner::Execute(
                              options.exec, options.parallelism, keys_ptr,
                              run_span);
 
+  // One audit verdict for every mode: each expectation node, whether it
+  // ran or was served from the cache, passed.
+  if (result.ok()) {
+    result->all_expectations_passed = std::all_of(
+        result->nodes.begin(), result->nodes.end(),
+        [](const NodeExecution& node) { return node.expectation_passed; });
+  }
+
   // Memoize what this run actually computed — post-audit only: a run
   // with a failing expectation vouches for nothing.
   if (result.ok() && cache_on && result->all_expectations_passed) {
@@ -187,6 +203,46 @@ Result<RunReport> PipelineRunner::Execute(
     if (result.ok()) result->trace = std::move(trace);
   }
   return result;
+}
+
+// ---------------------------------------------------- shared node steps
+
+Result<Table> PipelineRunner::RunNode(const PipelineNode& node,
+                                      const sql::SchemaResolver& schemas,
+                                      sql::TableSource& source,
+                                      const sql::QueryOptions& qopts,
+                                      NodeExecution* node_report,
+                                      uint64_t parent_span) {
+  if (node.kind == NodeKind::kSqlModel) {
+    Result<sql::QueryResult> result = [&] {
+      ScopedSpan sql_span(tracer_, node.name,
+                          observability::span_kind::kSql, parent_span);
+      return sql::RunQuery(node.code, schemas, &source, qopts);
+    }();
+    BAUPLAN_RETURN_NOT_OK(result.status());
+    node_report->output_rows = result->table.num_rows();
+    return std::move(result->table);
+  }
+  ScopedSpan exp_span(tracer_, node.name,
+                      observability::span_kind::kExpectation, parent_span);
+  BAUPLAN_ASSIGN_OR_RETURN(std::string target, node.ExpectationTarget());
+  BAUPLAN_ASSIGN_OR_RETURN(expectations::Expectation expectation,
+                           expectations::ParseExpectation(node.code));
+  BAUPLAN_ASSIGN_OR_RETURN(Table table, source.ScanTable(target, {}, {}));
+  BAUPLAN_ASSIGN_OR_RETURN(auto outcome, expectation.Check(table));
+  node_report->expectation_passed = outcome.passed;
+  node_report->details = outcome.details;
+  node_report->output_rows = table.num_rows();
+  return Table();
+}
+
+std::optional<cache::CachedArtifact> PipelineRunner::Probe(
+    const cache::NodeFingerprints* keys, const std::string& name,
+    uint64_t parent_span) {
+  if (keys == nullptr || keys->Find(name).empty()) return std::nullopt;
+  ScopedSpan probe(tracer_, name, observability::span_kind::kCacheProbe,
+                   parent_span);
+  return cache_->Lookup(keys->Find(name));
 }
 
 // --------------------------------------------------------------- fused
@@ -255,6 +311,10 @@ Result<RunReport> PipelineRunner::ExecuteFused(
     // All intermediates live in the source overlay; the engine pushes
     // WHERE filters and projections into the lakehouse scans.
     LakehouseSource source(catalog_, ops_, ref);
+    auto publish = [&](const std::string& name, Table table) {
+      report.artifacts[name] = table;
+      source.AddOverlayTable(name, std::move(table));
+    };
     for (const auto& name : dag.execution_order()) {
       if (selected_set.count(name) == 0) continue;
       const PipelineNode& node = *dag.GetNode(name).node;
@@ -264,68 +324,34 @@ Result<RunReport> PipelineRunner::ExecuteFused(
       // Fused hits skip the node's work inside the shared function (the
       // single invocation itself still runs — nothing is dispatched per
       // node in this mode, so skipped_invocations stays untouched).
-      if (keys != nullptr && !keys->Find(name).empty()) {
-        std::optional<cache::CachedArtifact> hit;
-        {
-          ScopedSpan probe(tracer_, name,
-                           observability::span_kind::kCacheProbe,
-                           fused_span);
-          hit = cache_->Lookup(keys->Find(name));
+      if (auto hit = Probe(keys, name, fused_span)) {
+        ApplyHit(*hit, &node_report);
+        if (node.kind == NodeKind::kSqlModel) {
+          ScopedSpan mat(tracer_, name,
+                         observability::span_kind::kCacheMaterialize,
+                         fused_span);
+          publish(name, std::move(hit->table));
         }
-        if (hit.has_value()) {
-          node_report.cache_hit = true;
-          node_report.output_rows = hit->output_rows;
-          if (node.kind == NodeKind::kSqlModel) {
-            ScopedSpan mat(tracer_, name,
-                           observability::span_kind::kCacheMaterialize,
-                           fused_span);
-            report.artifacts[name] = hit->table;
-            source.AddOverlayTable(name, std::move(hit->table));
-          } else {
-            node_report.expectation_passed = hit->expectation_passed;
-            node_report.details = hit->details;
-            if (!hit->expectation_passed) {
-              report.all_expectations_passed = false;
-            }
-          }
-          report.nodes.push_back(std::move(node_report));
-          continue;
-        }
-      }
-      if (node.kind == NodeKind::kSqlModel) {
-        ScopedSpan sql_span(tracer_, name,
-                            observability::span_kind::kSql, fused_span);
+      } else {
         sql::QueryOptions qopts;
         qopts.exec = exec;
         if (auto it = required_columns.find(name);
             it != required_columns.end()) {
           qopts.optimizer.required_output_columns = it->second;
         }
-        auto result = sql::RunQuery(node.code, source, &source, qopts);
-        if (!result.ok()) {
-          return result.status().WithContext(
-              StrCat("node '", name, "'"));
+        Result<Table> output =
+            RunNode(node, source, source, qopts, &node_report, fused_span);
+        if (!output.ok()) {
+          // One function runs every node, so a failing query names its
+          // node.
+          return node.kind == NodeKind::kSqlModel
+                     ? output.status().WithContext(
+                           StrCat("node '", name, "'"))
+                     : output.status();
         }
-        node_report.output_rows = result->table.num_rows();
-        report.artifacts[name] = result->table;
-        source.AddOverlayTable(name, std::move(result->table));
-      } else {
-        ScopedSpan exp_span(tracer_, name,
-                            observability::span_kind::kExpectation,
-                            fused_span);
-        BAUPLAN_ASSIGN_OR_RETURN(std::string target,
-                                 node.ExpectationTarget());
-        BAUPLAN_ASSIGN_OR_RETURN(
-            expectations::Expectation expectation,
-            expectations::ParseExpectation(node.code));
-        BAUPLAN_ASSIGN_OR_RETURN(Table table,
-                                 source.ScanTable(target, {}, {}));
-        BAUPLAN_ASSIGN_OR_RETURN(auto outcome,
-                                 expectation.Check(table));
-        node_report.expectation_passed = outcome.passed;
-        node_report.details = outcome.details;
-        node_report.output_rows = table.num_rows();
-        if (!outcome.passed) report.all_expectations_passed = false;
+        if (node.kind == NodeKind::kSqlModel) {
+          publish(name, std::move(*output));
+        }
       }
       report.nodes.push_back(std::move(node_report));
     }
@@ -356,8 +382,6 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
     NodeExecution* node_report, uint64_t node_span) {
   const pipeline::DagNode& dag_node = ctx.dag->GetNode(name);
   const PipelineNode& node = *dag_node.node;
-  node_report->name = name;
-  node_report->kind = node.kind;
 
   // Each node is its own serverless function reading inputs through
   // the object store — the isomorphic mapping of plan to execution.
@@ -436,111 +460,40 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
       }
     }
 
-    if (node.kind == NodeKind::kSqlModel) {
-      sql::QueryOptions qopts;
-      qopts.exec = ctx.exec;
-      // No scan pushdown in the naive mapping.
-      qopts.optimizer.pushdown_predicates = false;
-      qopts.optimizer.pushdown_projections = false;
-      Result<sql::QueryResult> result = [&] {
-        ScopedSpan sql_span(tracer_, name,
-                            observability::span_kind::kSql, node_span);
-        return sql::RunQuery(node.code, inputs, &inputs, qopts);
-      }();
-      BAUPLAN_RETURN_NOT_OK(result.status());
-      node_report->output_rows = result->table.num_rows();
-      // Spill the artifact for downstream functions.
-      Bytes payload = columnar::SerializeTable(result->table);
-      int64_t payload_bytes = static_cast<int64_t>(payload.size());
-      {
-        ScopedSpan spill_span(tracer_, StrCat("put ", SpillKey(name)),
-                              observability::span_kind::kSpill,
-                              node_span);
-        BAUPLAN_RETURN_NOT_OK(
-            spill_store_->Put(SpillKey(name), std::move(payload)));
-      }
-      std::lock_guard<std::mutex> lock(ctx.mu);
-      ctx.artifact_bytes[name] = payload_bytes;
-      ctx.report->artifacts[name] = std::move(result->table);
-    } else {
-      ScopedSpan exp_span(tracer_, name,
-                          observability::span_kind::kExpectation,
-                          node_span);
-      BAUPLAN_ASSIGN_OR_RETURN(std::string target,
-                               node.ExpectationTarget());
-      BAUPLAN_ASSIGN_OR_RETURN(
-          expectations::Expectation expectation,
-          expectations::ParseExpectation(node.code));
-      BAUPLAN_ASSIGN_OR_RETURN(Table table,
-                               inputs.ScanTable(target, {}, {}));
-      BAUPLAN_ASSIGN_OR_RETURN(auto outcome, expectation.Check(table));
-      node_report->expectation_passed = outcome.passed;
-      node_report->details = outcome.details;
-      node_report->output_rows = table.num_rows();
-      if (!outcome.passed) {
-        std::lock_guard<std::mutex> lock(ctx.mu);
-        ctx.report->all_expectations_passed = false;
-      }
-    }
+    sql::QueryOptions qopts;
+    qopts.exec = ctx.exec;
+    // No scan pushdown in the naive mapping.
+    qopts.optimizer.pushdown_predicates = false;
+    qopts.optimizer.pushdown_projections = false;
+    BAUPLAN_ASSIGN_OR_RETURN(
+        Table output,
+        RunNode(node, inputs, inputs, qopts, node_report, node_span));
+    if (node.kind != NodeKind::kSqlModel) return Status::OK();
+    // Spill the artifact for downstream functions.
+    BAUPLAN_RETURN_NOT_OK(Spill(ctx, name, output,
+                                observability::span_kind::kSpill,
+                                node_span));
+    std::lock_guard<std::mutex> lock(ctx.mu);
+    ctx.report->artifacts[name] = std::move(output);
     return Status::OK();
   };
   return request;
 }
 
-bool PipelineRunner::TryServeFromCache(
-    internal::NaiveRunContext& ctx, const cache::NodeFingerprints* keys,
-    const std::string& name, bool has_selected_consumer,
-    NodeExecution* node_report, uint64_t node_span) {
-  if (keys == nullptr) return false;
-  const std::string& key = keys->Find(name);
-  if (key.empty()) return false;
-
-  const PipelineNode& node = *ctx.dag->GetNode(name).node;
-  std::optional<cache::CachedArtifact> hit;
+Status PipelineRunner::Spill(internal::NaiveRunContext& ctx,
+                             const std::string& name, const Table& table,
+                             const char* span_kind, uint64_t node_span) {
+  Bytes payload = columnar::SerializeTable(table);
+  int64_t payload_bytes = static_cast<int64_t>(payload.size());
   {
-    ScopedSpan probe(tracer_, name,
-                     observability::span_kind::kCacheProbe, node_span);
-    hit = cache_->Lookup(key);
+    ScopedSpan put_span(tracer_, StrCat("put ", SpillKey(name)), span_kind,
+                        node_span);
+    BAUPLAN_RETURN_NOT_OK(
+        spill_store_->Put(SpillKey(name), std::move(payload)));
   }
-  if (!hit.has_value()) return false;
-
-  if (node.kind == NodeKind::kSqlModel && has_selected_consumer) {
-    // Downstream functions fetch their inputs from the spill store;
-    // re-materialize the cached table under the node's spill key so
-    // their bodies stay oblivious to where it came from. If the put
-    // fails, fall back to executing the node — cache trouble never
-    // fails a run.
-    Bytes payload = columnar::SerializeTable(hit->table);
-    int64_t payload_bytes = static_cast<int64_t>(payload.size());
-    Status put_status = [&] {
-      ScopedSpan mat(tracer_, StrCat("put ", SpillKey(name)),
-                     observability::span_kind::kCacheMaterialize,
-                     node_span);
-      return spill_store_->Put(SpillKey(name), std::move(payload));
-    }();
-    if (!put_status.ok()) return false;
-    std::lock_guard<std::mutex> lock(ctx.mu);
-    ctx.artifact_bytes[name] = payload_bytes;
-  }
-
-  node_report->name = name;
-  node_report->kind = node.kind;
-  node_report->cache_hit = true;
-  node_report->output_rows = hit->output_rows;
-  {
-    std::lock_guard<std::mutex> lock(ctx.mu);
-    if (node.kind == NodeKind::kSqlModel) {
-      ctx.report->artifacts[name] = std::move(hit->table);
-    } else {
-      node_report->expectation_passed = hit->expectation_passed;
-      node_report->details = hit->details;
-      if (!hit->expectation_passed) {
-        ctx.report->all_expectations_passed = false;
-      }
-    }
-  }
-  if (skipped_invocations_ != nullptr) skipped_invocations_->Increment();
-  return true;
+  std::lock_guard<std::mutex> lock(ctx.mu);
+  ctx.artifact_bytes[name] = payload_bytes;
+  return Status::OK();
 }
 
 void PipelineRunner::InsertFreshArtifacts(
@@ -580,81 +533,82 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
   ctx.exec = exec;
   ctx.report = &report;
 
-  // Ready-set bookkeeping: indegree among selected nodes only (replayed
-  // upstreams are already materialized, hence never block).
-  std::map<std::string, int> indegree;
-  std::map<std::string, std::vector<std::string>> downstream;
+  std::map<std::string, internal::NodeState> nodes;
   for (const auto& name : dag.execution_order()) {
     if (ctx.selected_set.count(name) == 0) continue;
-    int degree = 0;
+    internal::NodeState& state = nodes[name];
+    state.report.name = name;
+    state.report.kind = dag.GetNode(name).node->kind;
     for (const auto& up : dag.GetNode(name).upstream_nodes) {
       if (ctx.selected_set.count(up) == 0) continue;
-      ++degree;
-      downstream[up].push_back(name);
+      ++state.waiting;
+      nodes.at(up).consumers.push_back(&state);
     }
-    indegree[name] = degree;
   }
-
-  // NodeExecutions live in a deque so function bodies hold stable
-  // pointers across waves.
-  std::deque<NodeExecution> slots;
-  std::map<std::string, NodeExecution*> slot_of;
-  std::map<std::string, uint64_t> span_of;
-  std::set<std::string> dispatched;
-  std::set<std::string> probed;  // each node probes the cache only once
   size_t completed = 0;
+  auto finish = [&completed](internal::NodeState& state) {
+    ++completed;
+    for (internal::NodeState* consumer : state.consumers) {
+      --consumer->waiting;
+    }
+  };
   int wave_index = 0;
 
-  while (completed < indegree.size()) {
-    // Serve ready cache hits before forming the wave: a hit completes
-    // its node with no container or memory reservation, which can
-    // unblock further hits downstream — a fully-warm cone drains right
-    // here without dispatching a single wave. Hit spans parent under
-    // the run span (they belong to no wave); missed nodes keep their
-    // pre-created span and re-parent under the wave that dispatches
-    // them, exactly like a resource bounce.
-    bool progressed = true;
-    while (progressed) {
-      progressed = false;
-      for (const auto& name : dag.execution_order()) {
-        auto it = indegree.find(name);
-        if (it == indegree.end() || it->second > 0) continue;
-        if (dispatched.count(name) > 0 || probed.count(name) > 0) {
+  while (completed < nodes.size()) {
+    // One ready pass in execution order. A ready node probes the cache
+    // once; a hit completes it with no container or memory reservation
+    // and, the order being topological, readies its consumers later in
+    // this same pass — a fully-warm cone drains without a single wave.
+    // Hit spans stay under the run span (they belong to no wave). The
+    // misses form the next wave: all of them, or only the first at
+    // width 1, so width 1 walks the execution order one node at a time.
+    std::vector<internal::NodeState*> misses;
+    for (const auto& name : dag.execution_order()) {
+      auto it = nodes.find(name);
+      if (it == nodes.end()) continue;
+      internal::NodeState& state = it->second;
+      if (state.waiting > 0 || state.dispatched) continue;
+      if (tracer_ != nullptr && state.span == 0) {
+        state.span = tracer_->StartSpan(
+            name, observability::span_kind::kNode, run_span);
+      }
+      if (!state.probed) {
+        state.probed = true;
+        std::optional<cache::CachedArtifact> hit =
+            Probe(keys, name, state.span);
+        const bool sql = state.report.kind == NodeKind::kSqlModel;
+        // Selected consumers fetch their inputs from the spill store, so
+        // a SQL hit is re-materialized under the node's spill key first.
+        // If that put fails the node executes instead — cache trouble
+        // never fails a run.
+        if (hit.has_value() && sql && !state.consumers.empty() &&
+            !Spill(ctx, name, hit->table,
+                   observability::span_kind::kCacheMaterialize, state.span)
+                 .ok()) {
+          hit.reset();
+        }
+        if (hit.has_value()) {
+          ApplyHit(*hit, &state.report);
+          if (sql) report.artifacts[name] = std::move(hit->table);
+          if (skipped_invocations_ != nullptr) {
+            skipped_invocations_->Increment();
+          }
+          if (tracer_ != nullptr) {
+            tracer_->AddAttribute(state.span, "cache_hit", "true");
+            tracer_->EndSpan(state.span);
+          }
+          state.dispatched = true;
+          finish(state);
           continue;
         }
-        if (keys == nullptr || keys->Find(name).empty()) continue;
-        probed.insert(name);
-        NodeExecution*& slot = slot_of[name];
-        if (slot == nullptr) {
-          slots.emplace_back();
-          slot = &slots.back();
-        }
-        uint64_t node_span = 0;
-        if (tracer_ != nullptr) {
-          uint64_t& span = span_of[name];
-          if (span == 0) {
-            span = tracer_->StartSpan(
-                name, observability::span_kind::kNode, run_span);
-          }
-          node_span = span;
-        }
-        if (!TryServeFromCache(ctx, keys, name,
-                               HasSelectedConsumer(dag, ctx.selected_set,
-                                                   name),
-                               slot, node_span)) {
-          continue;  // dispatches in a wave; span interval set there
-        }
-        if (tracer_ != nullptr) {
-          tracer_->AddAttribute(node_span, "cache_hit", "true");
-          tracer_->EndSpan(node_span);
-        }
-        dispatched.insert(name);
-        ++completed;
-        for (const auto& down : downstream[name]) --indegree[down];
-        progressed = true;
       }
+      if (misses.empty() || parallelism > 1) misses.push_back(&state);
     }
-    if (completed >= indegree.size()) break;
+    if (completed == nodes.size()) break;
+    if (misses.empty()) {
+      return Status::Internal(
+          "pipeline wavefront stalled with nodes unfinished");
+    }
 
     uint64_t wave_span = 0;
     if (tracer_ != nullptr) {
@@ -664,47 +618,20 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
     }
     ++wave_index;
 
-    // The next wave: every undispatched node whose selected upstreams
-    // all finished, in execution order (deterministic). Width 1 takes
-    // only the first, so waves replay the execution order one node at a
-    // time — the sequential walk.
+    // Requests are built after the pass, in its order: sizing replayed
+    // upstreams reads catalog metadata, which may charge the clock.
     std::vector<runtime::FunctionRequest> ready;
-    for (const auto& name : dag.execution_order()) {
-      auto it = indegree.find(name);
-      if (it == indegree.end() || it->second > 0) continue;
-      if (dispatched.count(name) > 0) continue;
-      NodeExecution*& slot = slot_of[name];
-      if (slot == nullptr) {
-        slots.emplace_back();
-        slot = &slots.back();
-      }
-      uint64_t node_span = 0;
-      if (tracer_ != nullptr) {
-        uint64_t& span = span_of[name];
-        if (span == 0) {
-          // Pre-created: the member's final interval is only known once
-          // the wave completes (per-worker serialization).
-          span = tracer_->StartSpan(
-              name, observability::span_kind::kNode, wave_span);
-        } else {
-          // Bounced in an earlier wave; it re-dispatches under this one.
-          tracer_->SetSpanParent(span, wave_span);
-        }
-        node_span = span;
-      }
-      ready.push_back(BuildNaiveRequest(ctx, name, slot, node_span));
-      dispatched.insert(name);
-      if (parallelism <= 1) break;
-    }
-    if (ready.empty()) {
-      if (tracer_ != nullptr) tracer_->EndSpan(wave_span);
-      return Status::Internal(
-          "pipeline wavefront stalled with nodes unfinished");
+    for (internal::NodeState* state : misses) {
+      // The member's interval is only known once the wave completes
+      // (per-worker serialization); a bounced member re-parents under
+      // the wave that re-dispatches it.
+      if (tracer_ != nullptr) tracer_->SetSpanParent(state->span, wave_span);
+      ready.push_back(BuildNaiveRequest(ctx, state->report.name,
+                                        &state->report, state->span));
+      state->dispatched = true;
     }
 
-    // Building requests may itself charge the clock (sizing replayed
-    // upstreams reads catalog metadata), so member intervals are placed
-    // from the clock at dispatch.
+    // Member intervals are placed from the clock at dispatch.
     const uint64_t dispatch_start = clock_->NowMicros();
     Result<runtime::WaveReport> wave =
         executor_->InvokeWave(std::move(ready), parallelism);
@@ -716,42 +643,40 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
     // waves run members back to back, tracked by a running offset.
     uint64_t sequential_offset = 0;
     for (runtime::InvocationReport& invocation : wave->reports) {
-      const std::string node_name = invocation.name;
+      internal::NodeState& state = nodes.at(invocation.name);
       if (tracer_ != nullptr) {
-        uint64_t span = span_of.at(node_name);
         uint64_t begin = wave->forked
                              ? dispatch_start + invocation.queue_micros
                              : dispatch_start + sequential_offset;
         uint64_t end = wave->forked
                            ? dispatch_start + invocation.total_micros
                            : begin + invocation.total_micros;
-        tracer_->SetSpanInterval(span, begin, end);
+        tracer_->SetSpanInterval(state.span, begin, end);
         if (wave->forked && invocation.queue_micros > 0) {
           // Body children were stamped on a fork starting at
           // dispatch_start + prelude; slide them to the member's real
           // slot.
           tracer_->ShiftDescendants(
-              span, static_cast<int64_t>(invocation.queue_micros));
+              state.span, static_cast<int64_t>(invocation.queue_micros));
         }
-        tracer_->AddAttribute(span, "worker", StrCat(invocation.worker));
+        tracer_->AddAttribute(state.span, "worker",
+                              StrCat(invocation.worker));
         sequential_offset += invocation.total_micros;
       }
-      slot_of.at(node_name)->ApplyInvocation(invocation);
-      ++completed;
-      for (const auto& down : downstream[node_name]) --indegree[down];
+      state.report.ApplyInvocation(invocation);
+      finish(state);
     }
     // Members bounced on resources stay ready; rebuild them next wave.
     for (const runtime::FunctionRequest& bounced : wave->deferred) {
-      dispatched.erase(bounced.name);
+      nodes.at(bounced.name).dispatched = false;
     }
   }
 
   // Merge per-node reports deterministically, in execution order, for
   // every width.
   for (const auto& name : dag.execution_order()) {
-    auto it = slot_of.find(name);
-    if (it == slot_of.end()) continue;
-    report.nodes.push_back(std::move(*it->second));
+    auto it = nodes.find(name);
+    if (it != nodes.end()) report.nodes.push_back(std::move(it->second.report));
   }
 
   report.total_micros = clock_->NowMicros() - start;

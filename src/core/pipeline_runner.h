@@ -1,6 +1,7 @@
 #ifndef BAUPLAN_CORE_PIPELINE_RUNNER_H_
 #define BAUPLAN_CORE_PIPELINE_RUNNER_H_
 
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -13,6 +14,7 @@
 #include "observability/trace.h"
 #include "pipeline/dag.h"
 #include "runtime/executor.h"
+#include "sql/engine.h"
 #include "sql/executor.h"
 #include "storage/metered_store.h"
 #include "table/table_ops.h"
@@ -36,7 +38,7 @@ struct PipelineRunOptions {
   /// waves whose bodies run on up to this many threads, so with > 1 the
   /// run's latency reflects the DAG's critical path instead of the sum
   /// of nodes. 1 = each wave holds the next node in execution order,
-  /// i.e. a sequential walk. Ignored in fused mode (one function has
+  /// i.e. a sequential walk. A fused run takes only 1 (one function has
   /// nothing to parallelize over).
   int parallelism = 1;
   /// Run only these nodes (replay selection); empty = all. Upstream
@@ -46,11 +48,12 @@ struct PipelineRunOptions {
   /// to run (FailedPrecondition, no container acquired) when the
   /// analyzer reports errors. `bauplan run --no-verify` turns this off.
   bool verify = true;
-  /// Fused mode only: build the cross-pipeline lineage graph and trim
-  /// each node's materialized output to the columns some downstream
-  /// node, expectation, or terminal artifact actually reads (`bauplan
-  /// run --trim`). Off by default because trimmed intermediate
-  /// artifacts are observably narrower than the node's SELECT list.
+  /// Fused mode only (a naive run refuses it): build the cross-pipeline
+  /// lineage graph and trim each node's materialized output to the
+  /// columns some downstream node, expectation, or terminal artifact
+  /// actually reads (`bauplan run --trim`). Off by default because
+  /// trimmed intermediate artifacts are observably narrower than the
+  /// node's SELECT list.
   bool trim_unused_columns = false;
   /// Execution knobs for every SQL node body (engine, threads, morsel
   /// size, memory budget) — the same struct queries take, embedded by
@@ -114,31 +117,47 @@ class PipelineRunner {
                                  bool trim_unused_columns,
                                  const cache::NodeFingerprints* keys,
                                  uint64_t run_span);
-  /// The naive scheduler: ready nodes dispatch as waves through
-  /// ServerlessExecutor::InvokeWave, up to `parallelism` bodies at a
-  /// time. Width 1 dispatches one node per wave in execution order. Every
-  /// width produces the same artifacts, expectation outcomes and spill
-  /// metrics (the bodies are identical; only the schedule differs).
+  /// The naive scheduler. Each round is one ready pass in execution
+  /// order: a ready node probes the cache once (a hit completes without
+  /// a function and readies its consumers in the same pass), and the
+  /// misses dispatch as one wave through ServerlessExecutor::InvokeWave,
+  /// up to `parallelism` bodies at a time. Width 1 dispatches one node
+  /// per wave in execution order. Every width produces the same
+  /// artifacts, expectation outcomes and spill metrics (the bodies are
+  /// identical; only the schedule differs).
   Result<RunReport> ExecuteWavefront(
       const pipeline::Dag& dag, const std::string& ref,
       const std::vector<std::string>& selected,
       const sql::ExecOptions& exec, int parallelism,
       const cache::NodeFingerprints* keys, uint64_t run_span);
 
-  /// Probes the cache for `name` (`keys` may be null = caching off) and,
-  /// on a hit, completes the node without dispatching a function: fills
-  /// `node_report` (cache_hit, rows, audit outcome), feeds the run's
-  /// artifact map, and — when a selected downstream consumer will read
-  /// the output through the spill store — re-materializes the cached
-  /// table under the node's spill key so downstream bodies are untouched.
-  /// Returns false on a miss, an empty key, or a failed materialize (the
-  /// caller then executes the node normally; cache trouble never fails a
-  /// run). `node_span` parents the cache.probe / cache.materialize spans.
-  bool TryServeFromCache(internal::NaiveRunContext& ctx,
-                         const cache::NodeFingerprints* keys,
-                         const std::string& name,
-                         bool has_selected_consumer,
-                         NodeExecution* node_report, uint64_t node_span);
+  /// The node step both modes share: a SQL node runs its query over
+  /// `schemas`/`source`; an expectation scans its target from `source`
+  /// and checks it. Fills `node_report` (rows, audit outcome) and returns
+  /// the SQL node's output (an empty table for an expectation). Fused
+  /// mode passes its lakehouse overlay with pushdown on; naive mode its
+  /// fully-scanned inputs with pushdown off. The sql / expectation span
+  /// parents under `parent_span`.
+  Result<columnar::Table> RunNode(const pipeline::PipelineNode& node,
+                                  const sql::SchemaResolver& schemas,
+                                  sql::TableSource& source,
+                                  const sql::QueryOptions& qopts,
+                                  NodeExecution* node_report,
+                                  uint64_t parent_span);
+
+  /// Looks `name` up in the cache under a cache.probe span. nullopt on a
+  /// miss, or when `keys` is null (caching off) or holds an empty key.
+  std::optional<cache::CachedArtifact> Probe(
+      const cache::NodeFingerprints* keys, const std::string& name,
+      uint64_t parent_span);
+
+  /// Puts `table` under `name`'s spill key, in a `span_kind` span under
+  /// `node_span`, and records its size for sizing downstream functions:
+  /// a naive node's output spill, or a cache hit's re-materialization
+  /// for its consumers.
+  Status Spill(internal::NaiveRunContext& ctx, const std::string& name,
+               const columnar::Table& table, const char* span_kind,
+               uint64_t node_span);
 
   /// Memoizes every freshly-executed node of a finished run whose
   /// expectations all passed (cached artifacts are post-audit by

@@ -2,31 +2,11 @@
 
 namespace bauplan::format {
 
-namespace {
-
-void SerializeStats(const columnar::ColumnStats& stats, BinaryWriter* w) {
-  stats.min.Serialize(w);
-  stats.max.Serialize(w);
-  w->PutI64(stats.null_count);
-  w->PutI64(stats.value_count);
-}
-
-Result<columnar::ColumnStats> DeserializeStats(BinaryReader* r) {
-  columnar::ColumnStats stats;
-  BAUPLAN_ASSIGN_OR_RETURN(stats.min, columnar::Value::Deserialize(r));
-  BAUPLAN_ASSIGN_OR_RETURN(stats.max, columnar::Value::Deserialize(r));
-  BAUPLAN_ASSIGN_OR_RETURN(stats.null_count, r->GetI64());
-  BAUPLAN_ASSIGN_OR_RETURN(stats.value_count, r->GetI64());
-  return stats;
-}
-
-}  // namespace
-
 void ColumnChunkMeta::Serialize(BinaryWriter* writer) const {
   writer->PutU8(static_cast<uint8_t>(encoding));
   writer->PutU64(offset);
   writer->PutU64(size);
-  SerializeStats(stats, writer);
+  stats.Serialize(writer);
 }
 
 Result<ColumnChunkMeta> ColumnChunkMeta::Deserialize(BinaryReader* reader) {
@@ -38,7 +18,8 @@ Result<ColumnChunkMeta> ColumnChunkMeta::Deserialize(BinaryReader* reader) {
   meta.encoding = static_cast<Encoding>(enc);
   BAUPLAN_ASSIGN_OR_RETURN(meta.offset, reader->GetU64());
   BAUPLAN_ASSIGN_OR_RETURN(meta.size, reader->GetU64());
-  BAUPLAN_ASSIGN_OR_RETURN(meta.stats, DeserializeStats(reader));
+  BAUPLAN_ASSIGN_OR_RETURN(meta.stats,
+                           columnar::ColumnStats::Deserialize(reader));
   return meta;
 }
 

@@ -41,17 +41,6 @@ class ScopedReservation {
   uint64_t bytes_;
 };
 
-/// The full input set of a request: `inputs` plus the single-input
-/// convenience fields.
-std::vector<ArtifactRef> EffectiveInputs(const FunctionRequest& request) {
-  std::vector<ArtifactRef> inputs = request.inputs;
-  if (!request.input_artifact.empty()) {
-    inputs.push_back(ArtifactRef{request.input_artifact,
-                                 request.input_bytes});
-  }
-  return inputs;
-}
-
 Status FailureOf(const Status& body_status, const std::string& name) {
   return body_status.WithContext(
       std::string("function '") + name + "' failed");
@@ -80,7 +69,7 @@ Result<InvocationReport> ServerlessExecutor::Invoke(
   // Place for memory + locality (charges transfer time).
   BAUPLAN_ASSIGN_OR_RETURN(
       Placement placement,
-      scheduler_->Place(EffectiveInputs(request), request.memory_bytes));
+      scheduler_->Place(request.inputs, request.memory_bytes));
   ScopedReservation reservation(scheduler_, placement.worker,
                                 request.memory_bytes);
   report.worker = placement.worker;
@@ -161,7 +150,7 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
     member.request = std::move(request);
 
     Result<Placement> placed = scheduler_->Place(
-        EffectiveInputs(member.request), member.request.memory_bytes);
+        member.request.inputs, member.request.memory_bytes);
     if (!placed.ok()) {
       fork_clock->EndFork();
       if (placed.status().IsResourceExhausted() && !members.empty()) {

@@ -26,13 +26,9 @@ struct FunctionRequest {
   /// upstream DAG nodes list every upstream here so placement and
   /// transfer accounting see all of them.
   std::vector<ArtifactRef> inputs;
-  /// Single-input convenience, folded into `inputs`; empty = none.
-  std::string input_artifact;
-  uint64_t input_bytes = 0;
   /// Artifact the function produces (registered at its worker on
   /// success; a failed body registers nothing).
   std::string output_artifact;
-  uint64_t output_bytes = 0;
   /// Keep the container warm-idle after this invocation instead of
   /// freezing it. The platform's runtime uses this inside a development
   /// feedback loop (paper: "freezing a container after initialization

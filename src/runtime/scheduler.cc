@@ -110,16 +110,6 @@ Result<Placement> Scheduler::Place(const std::vector<ArtifactRef>& inputs,
   return placement;
 }
 
-Result<Placement> Scheduler::Place(const std::string& input_artifact,
-                                   uint64_t input_bytes,
-                                   uint64_t memory_bytes) {
-  std::vector<ArtifactRef> inputs;
-  if (!input_artifact.empty()) {
-    inputs.push_back(ArtifactRef{input_artifact, input_bytes});
-  }
-  return Place(inputs, memory_bytes);
-}
-
 Status Scheduler::ReleaseMemory(int worker, uint64_t memory_bytes) {
   std::lock_guard<std::mutex> lock(mu_);
   if (worker < 0 || worker >= options_.num_workers) {

@@ -70,10 +70,6 @@ class Scheduler {
   Result<Placement> Place(const std::vector<ArtifactRef>& inputs,
                           uint64_t memory_bytes);
 
-  /// Single-input convenience (empty `input_artifact` = no input).
-  Result<Placement> Place(const std::string& input_artifact,
-                          uint64_t input_bytes, uint64_t memory_bytes);
-
   /// Releases a reservation made by Place.
   Status ReleaseMemory(int worker, uint64_t memory_bytes);
 

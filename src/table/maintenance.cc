@@ -11,22 +11,6 @@ namespace bauplan::table {
 
 using columnar::Value;
 
-namespace {
-
-/// Lexicographic order for partition tuples (same as the writer's).
-struct TupleLess {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
-};
-
-}  // namespace
-
 Result<CompactionResult> TableMaintenance::CompactFiles(
     const std::string& metadata_key, int max_files_per_partition) {
   if (max_files_per_partition < 1) {

@@ -10,22 +10,6 @@ namespace {
 constexpr uint32_t kManifestMagic = 0x464E414D;  // "MANF"
 constexpr uint32_t kMetadataMagic = 0x4154454D;  // "META"
 
-void SerializeStats(const columnar::ColumnStats& stats, BinaryWriter* w) {
-  stats.min.Serialize(w);
-  stats.max.Serialize(w);
-  w->PutI64(stats.null_count);
-  w->PutI64(stats.value_count);
-}
-
-Result<columnar::ColumnStats> DeserializeStats(BinaryReader* r) {
-  columnar::ColumnStats stats;
-  BAUPLAN_ASSIGN_OR_RETURN(stats.min, columnar::Value::Deserialize(r));
-  BAUPLAN_ASSIGN_OR_RETURN(stats.max, columnar::Value::Deserialize(r));
-  BAUPLAN_ASSIGN_OR_RETURN(stats.null_count, r->GetI64());
-  BAUPLAN_ASSIGN_OR_RETURN(stats.value_count, r->GetI64());
-  return stats;
-}
-
 }  // namespace
 
 void DataFile::Serialize(BinaryWriter* writer) const {
@@ -35,7 +19,7 @@ void DataFile::Serialize(BinaryWriter* writer) const {
   writer->PutU32(static_cast<uint32_t>(partition.size()));
   for (const auto& v : partition) v.Serialize(writer);
   writer->PutU32(static_cast<uint32_t>(column_stats.size()));
-  for (const auto& s : column_stats) SerializeStats(s, writer);
+  for (const auto& s : column_stats) s.Serialize(writer);
 }
 
 Result<DataFile> DataFile::Deserialize(BinaryReader* reader) {
@@ -60,7 +44,7 @@ Result<DataFile> DataFile::Deserialize(BinaryReader* reader) {
   file.column_stats.reserve(nstats);
   for (uint32_t i = 0; i < nstats; ++i) {
     BAUPLAN_ASSIGN_OR_RETURN(columnar::ColumnStats s,
-                             DeserializeStats(reader));
+                             columnar::ColumnStats::Deserialize(reader));
     file.column_stats.push_back(std::move(s));
   }
   return file;

@@ -48,6 +48,19 @@ struct PartitionField {
   }
 };
 
+/// Lexicographic Value order over partition tuples: writes split rows
+/// into files in this order, and compaction groups files by it.
+struct TupleLess {
+  bool operator()(const std::vector<columnar::Value>& a,
+                  const std::vector<columnar::Value>& b) const {
+    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
+      int c = a[i].Compare(b[i]);
+      if (c != 0) return c < 0;
+    }
+    return a.size() < b.size();
+  }
+};
+
 /// How a table's rows map to files. Empty spec = unpartitioned.
 class PartitionSpec {
  public:

@@ -74,23 +74,6 @@ Result<TableMetadata> TableOps::LoadMetadata(
   return TableMetadata::Deserialize(image);
 }
 
-namespace {
-
-/// Groups row indices by partition tuple; tuple order is the map key's
-/// lexicographic Value order.
-struct TupleLess {
-  bool operator()(const std::vector<Value>& a,
-                  const std::vector<Value>& b) const {
-    for (size_t i = 0; i < a.size() && i < b.size(); ++i) {
-      int c = a[i].Compare(b[i]);
-      if (c != 0) return c < 0;
-    }
-    return a.size() < b.size();
-  }
-};
-
-}  // namespace
-
 Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
                                             const columnar::Table& data,
                                             const std::string& operation) {

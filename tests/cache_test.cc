@@ -201,8 +201,7 @@ TEST(ArtifactCachePlatformTest, CacheCrossesFusionMode) {
 TEST(ArtifactCachePlatformTest, TrimmedRunsBypassTheCache) {
   Platform p;
   auto project = SmallPipeline();
-  core::PipelineRunOptions run;
-  run.fused = false;
+  core::PipelineRunOptions run;  // fused: the mode that trims
   ASSERT_TRUE(p.bp->Run(project, "main", run).ok());  // fill, untrimmed
 
   core::PipelineRunOptions trimmed = run;

@@ -307,6 +307,51 @@ TEST_F(BauplanTest, FailedExpectationRollsBackEverything) {
   EXPECT_NE(record->status.find("failed"), std::string::npos);
 }
 
+// Option combinations a run would silently ignore are refused before
+// the pre-flight check (the project below would fail it), the run
+// record and any branch.
+TEST_F(BauplanTest, RunRejectsIgnoredOptionCombinations) {
+  pipeline::PipelineProject project("unchecked");
+  ASSERT_TRUE(
+      project.AddSqlNode("bad", "SELECT no_such_column FROM taxi_table")
+          .ok());
+  PipelineRunOptions naive_trim;
+  naive_trim.fused = false;
+  naive_trim.trim_unused_columns = true;
+  PipelineRunOptions fused_wide;
+  fused_wide.parallelism = 4;
+  PipelineRunOptions naive_zero;
+  naive_zero.fused = false;
+  naive_zero.parallelism = 0;
+  PipelineRunOptions fused_negative;
+  fused_negative.parallelism = -1;
+  for (const PipelineRunOptions& options :
+       {naive_trim, fused_wide, naive_zero, fused_negative}) {
+    auto report = platform_->Run(project, "main", options);
+    EXPECT_TRUE(report.status().IsInvalidArgument())
+        << report.status().ToString();
+  }
+  auto runs = platform_->run_registry().ListRuns();
+  ASSERT_TRUE(runs.ok());
+  EXPECT_TRUE(runs->empty());
+  auto branches = platform_->ListBranches();
+  ASSERT_TRUE(branches.ok());
+  EXPECT_EQ(branches->size(), 1u);
+
+  // Their valid neighbours still run.
+  PipelineRunOptions naive_wide;
+  naive_wide.fused = false;
+  naive_wide.parallelism = 4;
+  PipelineRunOptions fused_trim;
+  fused_trim.trim_unused_columns = true;
+  for (const PipelineRunOptions& options : {naive_wide, fused_trim}) {
+    auto report =
+        platform_->Run(pipeline::MakePaperTaxiPipeline(1.0), "main", options);
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    EXPECT_TRUE(report->merged);
+  }
+}
+
 TEST_F(BauplanTest, RunOnBranchIsIsolatedUntilMerged) {
   ASSERT_TRUE(platform_->CreateBranch("feat_1", "main").ok());
   auto report =

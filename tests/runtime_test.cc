@@ -238,7 +238,7 @@ TEST(SchedulerTest, LocalityPreferred) {
   Scheduler scheduler(&clock, options);
   scheduler.RecordArtifact("trips", 2);
 
-  auto placement = scheduler.Place("trips", 1 << 20, 1 << 20);
+  auto placement = scheduler.Place({{"trips", 1 << 20}}, 1 << 20);
   ASSERT_TRUE(placement.ok());
   EXPECT_EQ(placement->worker, 2);
   EXPECT_TRUE(placement->locality_hit);
@@ -255,7 +255,7 @@ TEST(SchedulerTest, MissPaysTransfer) {
   scheduler.RecordArtifact("trips", 1);
 
   uint64_t mb = 1 << 20;
-  auto placement = scheduler.Place("trips", 100 * mb, mb);
+  auto placement = scheduler.Place({{"trips", 100 * mb}}, mb);
   ASSERT_TRUE(placement.ok());
   EXPECT_GT(placement->transfer_micros, 0u);
   EXPECT_EQ(placement->bytes_moved, 100 * mb);
@@ -270,15 +270,15 @@ TEST(SchedulerTest, MemoryAccounting) {
   options.worker_memory_bytes = 10ull << 30;
   Scheduler scheduler(&clock, options);
 
-  auto a = scheduler.Place("", 0, 6ull << 30);
+  auto a = scheduler.Place({}, 6ull << 30);
   ASSERT_TRUE(a.ok());
   // Vertical elasticity: a second 6 GiB function cannot fit.
-  auto b = scheduler.Place("", 0, 6ull << 30);
+  auto b = scheduler.Place({}, 6ull << 30);
   ASSERT_FALSE(b.ok());
   EXPECT_TRUE(b.status().IsResourceExhausted());
 
   ASSERT_TRUE(scheduler.ReleaseMemory(a->worker, 6ull << 30).ok());
-  EXPECT_TRUE(scheduler.Place("", 0, 6ull << 30).ok());
+  EXPECT_TRUE(scheduler.Place({}, 6ull << 30).ok());
   EXPECT_EQ(scheduler.peak_memory(0), 6ull << 30);
 }
 
@@ -318,7 +318,7 @@ TEST(SchedulerTest, OversizedRequestRejected) {
   options.worker_memory_bytes = 1 << 20;
   Scheduler scheduler(&clock, options);
   EXPECT_TRUE(
-      scheduler.Place("", 0, 1 << 21).status().IsResourceExhausted());
+      scheduler.Place({}, 1 << 21).status().IsResourceExhausted());
   EXPECT_TRUE(scheduler.ReleaseMemory(99, 1).IsInvalidArgument());
 }
 
@@ -407,14 +407,12 @@ TEST_F(ExecutorTest, AsyncSubmitDrain) {
 TEST_F(ExecutorTest, OutputArtifactRegisteredForLocality) {
   FunctionRequest producer = MakeRequest("producer");
   producer.output_artifact = "artifact_x";
-  producer.output_bytes = 1 << 20;
   producer.body = [] { return Status::OK(); };
   auto r1 = executor_.Invoke(producer);
   ASSERT_TRUE(r1.ok());
 
   FunctionRequest consumer = MakeRequest("consumer");
-  consumer.input_artifact = "artifact_x";
-  consumer.input_bytes = 1 << 20;
+  consumer.inputs = {{"artifact_x", 1 << 20}};
   consumer.body = [] { return Status::OK(); };
   auto r2 = executor_.Invoke(consumer);
   ASSERT_TRUE(r2.ok());
@@ -426,7 +424,6 @@ TEST_F(ExecutorTest, OutputArtifactRegisteredForLocality) {
 TEST_F(ExecutorTest, FailedBodyRecordsNoArtifact) {
   FunctionRequest request = MakeRequest("broken_producer");
   request.output_artifact = "phantom";
-  request.output_bytes = 1 << 20;
   request.body = [] { return Status::Internal("body blew up"); };
   auto report = executor_.Invoke(request);
   ASSERT_FALSE(report.ok());
