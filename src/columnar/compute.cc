@@ -1115,20 +1115,4 @@ ColumnStats ComputeStats(const Array& array) {
   return stats;
 }
 
-void ColumnStats::Serialize(BinaryWriter* writer) const {
-  min.Serialize(writer);
-  max.Serialize(writer);
-  writer->PutI64(null_count);
-  writer->PutI64(value_count);
-}
-
-Result<ColumnStats> ColumnStats::Deserialize(BinaryReader* reader) {
-  ColumnStats stats;
-  BAUPLAN_ASSIGN_OR_RETURN(stats.min, Value::Deserialize(reader));
-  BAUPLAN_ASSIGN_OR_RETURN(stats.max, Value::Deserialize(reader));
-  BAUPLAN_ASSIGN_OR_RETURN(stats.null_count, reader->GetI64());
-  BAUPLAN_ASSIGN_OR_RETURN(stats.value_count, reader->GetI64());
-  return stats;
-}
-
 }  // namespace bauplan::columnar

@@ -167,9 +167,22 @@ struct ColumnStats {
   int64_t value_count = 0;
 
   /// The one wire format of a zone map, shared by data-file footers and
-  /// table manifests: min, max, null count, value count.
-  void Serialize(BinaryWriter* writer) const;
-  static Result<ColumnStats> Deserialize(BinaryReader* reader);
+  /// table manifests: min, max, null count, value count. Defined here so
+  /// both decoders inline it; they run it per column of every file.
+  void Serialize(BinaryWriter* writer) const {
+    min.Serialize(writer);
+    max.Serialize(writer);
+    writer->PutI64(null_count);
+    writer->PutI64(value_count);
+  }
+  static Result<ColumnStats> Deserialize(BinaryReader* reader) {
+    ColumnStats stats;
+    BAUPLAN_ASSIGN_OR_RETURN(stats.min, Value::Deserialize(reader));
+    BAUPLAN_ASSIGN_OR_RETURN(stats.max, Value::Deserialize(reader));
+    BAUPLAN_ASSIGN_OR_RETURN(stats.null_count, reader->GetI64());
+    BAUPLAN_ASSIGN_OR_RETURN(stats.value_count, reader->GetI64());
+    return stats;
+  }
 };
 
 /// Computes min/max/null stats over an array.

@@ -43,6 +43,10 @@ struct NaiveRunContext {
   std::optional<Result<std::map<std::string, std::string>>> tables;
 };
 
+}  // namespace internal
+
+namespace {
+
 /// One selected node of a naive run. Bodies hold pointers to `report`,
 /// which stay valid because std::map never moves its values.
 struct NodeState {
@@ -56,10 +60,6 @@ struct NodeState {
   bool probed = false;      // a node probes the cache once
   bool dispatched = false;  // served from the cache, or sent in a wave
 };
-
-}  // namespace internal
-
-namespace {
 
 /// Estimated function memory for a table of `bytes`: artifact + working
 /// set, floored at 256 MiB — the vertical-elasticity knob.
@@ -533,10 +533,10 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
   ctx.exec = exec;
   ctx.report = &report;
 
-  std::map<std::string, internal::NodeState> nodes;
+  std::map<std::string, NodeState> nodes;
   for (const auto& name : dag.execution_order()) {
     if (ctx.selected_set.count(name) == 0) continue;
-    internal::NodeState& state = nodes[name];
+    NodeState& state = nodes[name];
     state.report.name = name;
     state.report.kind = dag.GetNode(name).node->kind;
     for (const auto& up : dag.GetNode(name).upstream_nodes) {
@@ -546,9 +546,9 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
     }
   }
   size_t completed = 0;
-  auto finish = [&completed](internal::NodeState& state) {
+  auto finish = [&completed](NodeState& state) {
     ++completed;
-    for (internal::NodeState* consumer : state.consumers) {
+    for (NodeState* consumer : state.consumers) {
       --consumer->waiting;
     }
   };
@@ -562,11 +562,11 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
     // Hit spans stay under the run span (they belong to no wave). The
     // misses form the next wave: all of them, or only the first at
     // width 1, so width 1 walks the execution order one node at a time.
-    std::vector<internal::NodeState*> misses;
+    std::vector<NodeState*> misses;
     for (const auto& name : dag.execution_order()) {
       auto it = nodes.find(name);
       if (it == nodes.end()) continue;
-      internal::NodeState& state = it->second;
+      NodeState& state = it->second;
       if (state.waiting > 0 || state.dispatched) continue;
       if (tracer_ != nullptr && state.span == 0) {
         state.span = tracer_->StartSpan(
@@ -621,7 +621,7 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
     // Requests are built after the pass, in its order: sizing replayed
     // upstreams reads catalog metadata, which may charge the clock.
     std::vector<runtime::FunctionRequest> ready;
-    for (internal::NodeState* state : misses) {
+    for (NodeState* state : misses) {
       // The member's interval is only known once the wave completes
       // (per-worker serialization); a bounced member re-parents under
       // the wave that re-dispatches it.
@@ -643,7 +643,7 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
     // waves run members back to back, tracked by a running offset.
     uint64_t sequential_offset = 0;
     for (runtime::InvocationReport& invocation : wave->reports) {
-      internal::NodeState& state = nodes.at(invocation.name);
+      NodeState& state = nodes.at(invocation.name);
       if (tracer_ != nullptr) {
         uint64_t begin = wave->forked
                              ? dispatch_start + invocation.queue_micros
