@@ -2,22 +2,29 @@
 
 namespace bauplan::core {
 
-Result<std::string> LakehouseSource::MetadataKey(
+Result<const table::TableMetadata*> LakehouseSource::Metadata(
     const std::string& name) const {
   if (!tables_.has_value()) {
     BAUPLAN_ASSIGN_OR_RETURN(tables_, catalog_->GetTables(ref_));
   }
-  return catalog::FindTableKey(*tables_, name, ref_);
+  BAUPLAN_ASSIGN_OR_RETURN(std::string key,
+                           catalog::FindTableKey(*tables_, name, ref_));
+  auto it = metadata_.find(key);
+  if (it == metadata_.end()) {
+    BAUPLAN_ASSIGN_OR_RETURN(table::TableMetadata metadata,
+                             ops_->LoadMetadata(key));
+    it = metadata_.emplace(std::move(key), std::move(metadata)).first;
+  }
+  return &it->second;
 }
 
 Result<columnar::Schema> LakehouseSource::GetTableSchema(
     const std::string& table_name) const {
   auto overlay_it = overlay_.find(table_name);
   if (overlay_it != overlay_.end()) return overlay_it->second.schema();
-  BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key, MetadataKey(table_name));
-  BAUPLAN_ASSIGN_OR_RETURN(table::TableMetadata metadata,
-                           ops_->LoadMetadata(metadata_key));
-  return metadata.schema;
+  BAUPLAN_ASSIGN_OR_RETURN(const table::TableMetadata* metadata,
+                           Metadata(table_name));
+  return metadata->schema;
 }
 
 Result<columnar::Table> LakehouseSource::ScanTable(
@@ -29,14 +36,16 @@ Result<columnar::Table> LakehouseSource::ScanTable(
     if (columns.empty()) return overlay_it->second;
     return overlay_it->second.SelectColumns(columns);
   }
-  BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key, MetadataKey(name));
+  BAUPLAN_ASSIGN_OR_RETURN(const table::TableMetadata* metadata,
+                           Metadata(name));
   table::ScanOptions options;
   options.columns = columns;
   options.predicates = predicates;
-  table::ScanPlan plan;
+  BAUPLAN_ASSIGN_OR_RETURN(table::ScanPlan plan,
+                           ops_->PlanScan(*metadata, options));
   BAUPLAN_ASSIGN_OR_RETURN(columnar::Table result,
-                           ops_->ScanTable(metadata_key, options, &plan));
-  last_plan_ = plan;
+                           ops_->ReadScan(*metadata, plan, options));
+  last_plan_ = std::move(plan);
   return result;
 }
 

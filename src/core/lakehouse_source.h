@@ -21,7 +21,9 @@ namespace bauplan::core {
 /// fused executor keeps artifacts off object storage.
 ///
 /// The ref resolves to its table map once, on first use, so every schema
-/// lookup and scan through one source reads the same snapshot.
+/// lookup and scan through one source reads the same snapshot. Each
+/// table's metadata loads once per source too: metadata keys are
+/// content-addressed and write-once, and a source serves one thread.
 class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
  public:
   /// Does not own `catalog` or `ops`. `ref` is a branch, tag, or commit.
@@ -56,14 +58,16 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
       const std::vector<format::ColumnPredicate>& predicates) override;
 
  private:
-  /// Metadata key of `name` in the ref's table map.
-  Result<std::string> MetadataKey(const std::string& name) const;
+  /// Metadata of catalog table `name` at the ref, loaded on first use.
+  Result<const table::TableMetadata*> Metadata(const std::string& name) const;
 
   const catalog::Catalog* catalog_;
   const table::TableOps* ops_;
   std::string ref_;
   /// Resolved on first use; a failed resolution is retried next time.
   mutable std::optional<std::map<std::string, std::string>> tables_;
+  /// Decoded metadata by metadata key; a failed load is retried.
+  mutable std::map<std::string, table::TableMetadata> metadata_;
   std::map<std::string, columnar::Table> overlay_;
   table::ScanPlan last_plan_;
 };

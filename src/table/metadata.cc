@@ -7,10 +7,24 @@ namespace bauplan::table {
 
 namespace {
 
-constexpr uint32_t kManifestMagic = 0x464E414D;  // "MANF"
+constexpr uint32_t kManifestMagic = 0x324E414D;  // "MAN2": named stats
+constexpr uint32_t kPositionalManifestMagic = 0x464E414D;  // "MANF"
 constexpr uint32_t kMetadataMagic = 0x4154454D;  // "META"
 
 }  // namespace
+
+const columnar::ColumnStats* DataFile::StatsFor(
+    const columnar::Schema& schema, const std::string& column) const {
+  size_t idx = 0;
+  if (stats_columns.empty()) {
+    int field = schema.GetFieldIndex(column);
+    if (field < 0) return nullptr;
+    idx = static_cast<size_t>(field);
+  } else {
+    while (idx < stats_columns.size() && stats_columns[idx] != column) ++idx;
+  }
+  return idx < column_stats.size() ? &column_stats[idx] : nullptr;
+}
 
 void DataFile::Serialize(BinaryWriter* writer) const {
   writer->PutString(path);
@@ -20,9 +34,12 @@ void DataFile::Serialize(BinaryWriter* writer) const {
   for (const auto& v : partition) v.Serialize(writer);
   writer->PutU32(static_cast<uint32_t>(column_stats.size()));
   for (const auto& s : column_stats) s.Serialize(writer);
+  writer->PutU32(static_cast<uint32_t>(stats_columns.size()));
+  for (const auto& name : stats_columns) writer->PutString(name);
 }
 
-Result<DataFile> DataFile::Deserialize(BinaryReader* reader) {
+Result<DataFile> DataFile::Deserialize(BinaryReader* reader,
+                                       bool named_stats) {
   DataFile file;
   BAUPLAN_ASSIGN_OR_RETURN(file.path, reader->GetString());
   BAUPLAN_ASSIGN_OR_RETURN(file.record_count, reader->GetI64());
@@ -47,6 +64,16 @@ Result<DataFile> DataFile::Deserialize(BinaryReader* reader) {
                              columnar::ColumnStats::Deserialize(reader));
     file.column_stats.push_back(std::move(s));
   }
+  if (!named_stats) return file;
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t nnames, reader->GetU32());
+  if (nnames != 0 && nnames != nstats) {
+    return Status::IOError("stats names do not match stats count");
+  }
+  file.stats_columns.reserve(nnames);
+  for (uint32_t i = 0; i < nnames; ++i) {
+    BAUPLAN_ASSIGN_OR_RETURN(std::string name, reader->GetString());
+    file.stats_columns.push_back(std::move(name));
+  }
   return file;
 }
 
@@ -61,7 +88,7 @@ Bytes Manifest::Serialize() const {
 Result<Manifest> Manifest::Deserialize(const Bytes& bytes) {
   BinaryReader r(bytes);
   BAUPLAN_ASSIGN_OR_RETURN(uint32_t magic, r.GetU32());
-  if (magic != kManifestMagic) {
+  if (magic != kManifestMagic && magic != kPositionalManifestMagic) {
     return Status::IOError("bad magic in manifest");
   }
   BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
@@ -71,7 +98,8 @@ Result<Manifest> Manifest::Deserialize(const Bytes& bytes) {
   Manifest m;
   m.files.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
-    BAUPLAN_ASSIGN_OR_RETURN(DataFile f, DataFile::Deserialize(&r));
+    BAUPLAN_ASSIGN_OR_RETURN(
+        DataFile f, DataFile::Deserialize(&r, magic == kManifestMagic));
     m.files.push_back(std::move(f));
   }
   return m;

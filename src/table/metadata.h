@@ -27,13 +27,28 @@ struct DataFile {
   /// Per-column stats ordered as the schema fields at write time; columns
   /// appended later (schema evolution) are simply absent.
   std::vector<columnar::ColumnStats> column_stats;
+  /// The column each entry of `column_stats` describes, so stats stay
+  /// attached to their column after a drop or rename. Empty for entries
+  /// written by builds that predate named stats: those are positional in
+  /// the current schema.
+  std::vector<std::string> stats_columns;
+
+  /// Zone map of `column` of the table's current `schema`, or null when
+  /// this file has none: the column postdates the file or was renamed
+  /// since, so the file reads it as all nulls.
+  const columnar::ColumnStats* StatsFor(const columnar::Schema& schema,
+                                        const std::string& column) const;
 
   void Serialize(BinaryWriter* writer) const;
-  static Result<DataFile> Deserialize(BinaryReader* reader);
+  /// `named_stats` is false for entries of pre-named-stats manifests.
+  static Result<DataFile> Deserialize(BinaryReader* reader,
+                                      bool named_stats);
 };
 
-/// A manifest: the list of data files added by one snapshot. Stored as its
-/// own object so unrelated snapshots share nothing.
+/// A manifest: every data file live at one snapshot, in scan order.
+/// Stored as its own write-once object. An append writes a new manifest
+/// holding its parent's entries followed by its own, so planning a scan
+/// reads one manifest however many appends came before.
 struct Manifest {
   std::vector<DataFile> files;
 
@@ -41,17 +56,17 @@ struct Manifest {
   static Result<Manifest> Deserialize(const Bytes& bytes);
 };
 
-/// One version of the table's contents. A snapshot owns a list of manifest
-/// keys; the live data of the table at this snapshot is the union of their
-/// files. Overwrites start a fresh manifest list; appends extend the
-/// parent's.
+/// One version of the table's contents: the files of its manifests, in
+/// list order. Every writer lists exactly one manifest; snapshots written
+/// by older builds, whose appends extended the parent's list, may list
+/// several, and scans still read them.
 struct Snapshot {
   int64_t snapshot_id = 0;
   int64_t parent_snapshot_id = -1;
   uint64_t timestamp_micros = 0;
-  /// "append" or "overwrite".
+  /// "append", "overwrite" or "replace" (compaction).
   std::string operation;
-  /// Object-store keys of all manifests live at this snapshot.
+  /// Object-store keys of the manifests holding this snapshot's files.
   std::vector<std::string> manifest_keys;
   int64_t total_records = 0;
 

@@ -1,6 +1,7 @@
 #include "table/table_ops.h"
 
 #include <atomic>
+#include <iterator>
 #include <map>
 #include <optional>
 #include <thread>
@@ -29,6 +30,14 @@ namespace {
 std::string ContentHex(const Bytes& bytes) {
   return FingerprintHex(std::string_view(
       reinterpret_cast<const char*>(bytes.data()), bytes.size()));
+}
+
+/// Records `data`'s zone map of every column, by name, on `file`.
+void AddStats(const columnar::Table& data, DataFile* file) {
+  for (int c = 0; c < data.num_columns(); ++c) {
+    file->column_stats.push_back(columnar::ComputeStats(*data.column(c)));
+    file->stats_columns.push_back(data.schema().field(c).name);
+  }
 }
 
 }  // namespace
@@ -74,6 +83,19 @@ Result<TableMetadata> TableOps::LoadMetadata(
   return TableMetadata::Deserialize(image);
 }
 
+Result<std::vector<DataFile>> TableOps::LiveFiles(
+    const Snapshot& snapshot) const {
+  std::vector<DataFile> files;
+  for (const auto& manifest_key : snapshot.manifest_keys) {
+    BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, store_->Get(manifest_key));
+    BAUPLAN_ASSIGN_OR_RETURN(Manifest manifest,
+                             Manifest::Deserialize(bytes));
+    files.insert(files.end(), std::make_move_iterator(manifest.files.begin()),
+                 std::make_move_iterator(manifest.files.end()));
+  }
+  return files;
+}
+
 Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
                                             const columnar::Table& data,
                                             const std::string& operation) {
@@ -105,8 +127,17 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
           ? 1
           : metadata.snapshots.back().snapshot_id + 1;
 
-  // Write one BPF file per non-empty partition.
+  // An append's manifest lists the parent's live files first, so the
+  // snapshot keeps one manifest and scans keep their file order.
   Manifest manifest;
+  int64_t total_records = data.num_rows();
+  if (operation == "append" && metadata.current_snapshot_id >= 0) {
+    BAUPLAN_ASSIGN_OR_RETURN(Snapshot parent, metadata.CurrentSnapshot());
+    BAUPLAN_ASSIGN_OR_RETURN(manifest.files, LiveFiles(parent));
+    total_records += parent.total_records;
+  }
+
+  // Write one BPF file per non-empty partition.
   int file_index = 0;
   for (const auto& [tuple, indices] : groups) {
     if (indices.empty()) continue;
@@ -120,9 +151,7 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
     file.record_count = part.num_rows();
     file.file_size_bytes = file_bytes.size();
     file.partition = tuple;
-    for (int c = 0; c < part.num_columns(); ++c) {
-      file.column_stats.push_back(columnar::ComputeStats(*part.column(c)));
-    }
+    AddStats(part, &file);
     BAUPLAN_RETURN_NOT_OK(store_->Put(file.path, std::move(file_bytes)));
     manifest.files.push_back(std::move(file));
   }
@@ -136,13 +165,8 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
   snapshot.parent_snapshot_id = metadata.current_snapshot_id;
   snapshot.timestamp_micros = clock_->NowMicros();
   snapshot.operation = operation;
-  snapshot.total_records = data.num_rows();
-  if (operation == "append" && metadata.current_snapshot_id >= 0) {
-    BAUPLAN_ASSIGN_OR_RETURN(Snapshot parent, metadata.CurrentSnapshot());
-    snapshot.manifest_keys = parent.manifest_keys;
-    snapshot.total_records += parent.total_records;
-  }
-  snapshot.manifest_keys.push_back(manifest_key);
+  snapshot.manifest_keys = {manifest_key};
+  snapshot.total_records = total_records;
 
   metadata.snapshots.push_back(snapshot);
   metadata.current_snapshot_id = snapshot.snapshot_id;
@@ -164,9 +188,7 @@ Result<DataFile> TableOps::WriteDataFile(
   file.record_count = data.num_rows();
   file.file_size_bytes = file_bytes.size();
   file.partition = std::move(partition);
-  for (int c = 0; c < data.num_columns(); ++c) {
-    file.column_stats.push_back(columnar::ComputeStats(*data.column(c)));
-  }
+  AddStats(data, &file);
   BAUPLAN_RETURN_NOT_OK(store_->Put(file.path, std::move(file_bytes)));
   return file;
 }
@@ -312,9 +334,6 @@ Result<ScanPlan> TableOps::PlanScan(const TableMetadata& metadata,
     }
   }
 
-  ScanPlan plan;
-  if (metadata.current_snapshot_id < 0) return plan;  // empty table
-
   Snapshot snapshot;
   if (options.snapshot_id >= 0) {
     BAUPLAN_ASSIGN_OR_RETURN(snapshot,
@@ -322,48 +341,42 @@ Result<ScanPlan> TableOps::PlanScan(const TableMetadata& metadata,
   } else if (options.as_of_micros > 0) {
     BAUPLAN_ASSIGN_OR_RETURN(snapshot,
                              metadata.SnapshotAsOf(options.as_of_micros));
+  } else if (metadata.current_snapshot_id < 0) {
+    return ScanPlan();  // empty table
   } else {
     BAUPLAN_ASSIGN_OR_RETURN(snapshot, metadata.CurrentSnapshot());
   }
 
-  for (const auto& manifest_key : snapshot.manifest_keys) {
-    BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, store_->Get(manifest_key));
-    BAUPLAN_ASSIGN_OR_RETURN(Manifest manifest,
-                             Manifest::Deserialize(bytes));
-    for (auto& file : manifest.files) {
-      ++plan.files_total;
-      // 1. Partition pruning: no data object touched.
-      if (!PartitionMightMatch(metadata.spec, file.partition,
-                               options.predicates)) {
-        ++plan.files_pruned_by_partition;
-        plan.bytes_pruned += static_cast<int64_t>(file.file_size_bytes);
-        continue;
-      }
-      // 2. Column-stats pruning from the manifest entry. Stats are indexed
-      // by the schema at write time; evolved columns have no stats (and a
-      // predicate on a column absent from the file can never match, since
-      // the file reads as all-null there).
-      bool keep = true;
-      for (const auto& pred : options.predicates) {
-        int idx = metadata.schema.GetFieldIndex(pred.column);
-        if (idx >= static_cast<int>(file.column_stats.size())) {
-          keep = false;  // column postdates this file: all null
-          break;
-        }
-        if (!pred.MightMatch(
-                file.column_stats[static_cast<size_t>(idx)])) {
-          keep = false;
-          break;
-        }
-      }
-      if (!keep) {
-        ++plan.files_pruned_by_stats;
-        plan.bytes_pruned += static_cast<int64_t>(file.file_size_bytes);
-        continue;
-      }
-      plan.bytes_to_read += static_cast<int64_t>(file.file_size_bytes);
-      plan.files.push_back(std::move(file));
+  ScanPlan plan;
+  BAUPLAN_ASSIGN_OR_RETURN(std::vector<DataFile> files, LiveFiles(snapshot));
+  for (auto& file : files) {
+    ++plan.files_total;
+    // 1. Partition pruning: no data object touched.
+    if (!PartitionMightMatch(metadata.spec, file.partition,
+                             options.predicates)) {
+      ++plan.files_pruned_by_partition;
+      plan.bytes_pruned += static_cast<int64_t>(file.file_size_bytes);
+      continue;
     }
+    // 2. Column-stats pruning from the manifest entry. A predicate on a
+    // column the file has no stats for can never match, since the file
+    // reads as all-null there.
+    bool keep = true;
+    for (const auto& pred : options.predicates) {
+      const columnar::ColumnStats* stats =
+          file.StatsFor(metadata.schema, pred.column);
+      if (stats == nullptr || !pred.MightMatch(*stats)) {
+        keep = false;
+        break;
+      }
+    }
+    if (!keep) {
+      ++plan.files_pruned_by_stats;
+      plan.bytes_pruned += static_cast<int64_t>(file.file_size_bytes);
+      continue;
+    }
+    plan.bytes_to_read += static_cast<int64_t>(file.file_size_bytes);
+    plan.files.push_back(std::move(file));
   }
   return plan;
 }
@@ -472,15 +485,11 @@ Result<columnar::Table> TableOps::ReadScan(const TableMetadata& metadata,
 }
 
 Result<columnar::Table> TableOps::ScanTable(const std::string& metadata_key,
-                                            const ScanOptions& options,
-                                            ScanPlan* plan_out) const {
+                                            const ScanOptions& options) const {
   BAUPLAN_ASSIGN_OR_RETURN(TableMetadata metadata,
                            LoadMetadata(metadata_key));
   BAUPLAN_ASSIGN_OR_RETURN(ScanPlan plan, PlanScan(metadata, options));
-  BAUPLAN_ASSIGN_OR_RETURN(columnar::Table result,
-                           ReadScan(metadata, plan, options));
-  if (plan_out != nullptr) *plan_out = std::move(plan);
-  return result;
+  return ReadScan(metadata, plan, options);
 }
 
 }  // namespace bauplan::table

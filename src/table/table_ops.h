@@ -122,7 +122,8 @@ class TableOps {
   // -- reads ----------------------------------------------------------
 
   /// Chooses the files a scan must read, pruning by partition values and
-  /// column statistics without touching data objects.
+  /// column statistics without touching data objects. Reads the chosen
+  /// snapshot's manifests: one GET, since every writer leaves one.
   Result<ScanPlan> PlanScan(const TableMetadata& metadata,
                             const ScanOptions& options) const;
 
@@ -133,14 +134,15 @@ class TableOps {
                                    const ScanPlan& plan,
                                    const ScanOptions& options) const;
 
-  /// PlanScan + ReadScan convenience; `plan_out` receives the plan when
-  /// non-null.
+  /// LoadMetadata + PlanScan + ReadScan convenience.
   Result<columnar::Table> ScanTable(const std::string& metadata_key,
-                                    const ScanOptions& options = {},
-                                    ScanPlan* plan_out = nullptr) const;
+                                    const ScanOptions& options = {}) const;
 
  private:
   Result<std::string> WriteMetadata(const TableMetadata& metadata);
+  /// The files live at `snapshot`, in scan order: its manifests' entries
+  /// in list order.
+  Result<std::vector<DataFile>> LiveFiles(const Snapshot& snapshot) const;
   /// Writes `manifest` as the manifest of snapshot `snapshot_id`.
   Result<std::string> WriteManifest(const TableMetadata& metadata,
                                     int64_t snapshot_id,

@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <map>
 #include <set>
 #include <string>
@@ -640,6 +641,55 @@ TEST_F(BauplanTest, PipelineWithJoinAcrossSources) {
 }
 
 // ---------------------------------------------------------------------
+// Table metadata round trips: a source loads each table's metadata once,
+// however many schema lookups and scans it serves.
+// ---------------------------------------------------------------------
+
+/// A memory store that counts GETs of table metadata objects.
+class MetadataCountingStore : public storage::MemoryObjectStore {
+ public:
+  Result<Bytes> Get(const std::string& key) const override {
+    if (EndsWith(key, ".meta")) ++metadata_gets;
+    return MemoryObjectStore::Get(key);
+  }
+
+  mutable std::atomic<int> metadata_gets{0};
+};
+
+class MetadataGetsTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    platform_ = Bauplan::Open(&store_, &clock_).ValueOrDie();
+    workload::TaxiGenOptions gen;
+    gen.rows = 500;
+    auto taxi = workload::GenerateTaxiTable(gen);
+    ASSERT_TRUE(taxi.ok());
+    ASSERT_TRUE(
+        platform_->CreateTable("main", "taxi_table", taxi->schema()).ok());
+    ASSERT_TRUE(platform_->WriteTable("main", "taxi_table", *taxi).ok());
+    store_.metadata_gets = 0;
+  }
+
+  MetadataCountingStore store_;
+  SimClock clock_{1700000000000000ull};
+  std::unique_ptr<Bauplan> platform_;
+};
+
+TEST_F(MetadataGetsTest, QueryLoadsTableMetadataOnce) {
+  auto result = platform_->Query(
+      "SELECT COUNT(*) AS n FROM taxi_table WHERE fare > 10");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_EQ(store_.metadata_gets.load(), 1);
+}
+
+TEST_F(MetadataGetsTest, CheckLoadsTableMetadataOnce) {
+  auto result = platform_->Check(pipeline::MakeWideTaxiPipeline(6), "main");
+  ASSERT_TRUE(result.ok()) << result.status().ToString();
+  EXPECT_TRUE(result->ok());
+  EXPECT_EQ(store_.metadata_gets.load(), 1);
+}
+
+// ---------------------------------------------------------------------
 // Runner output pins. Per run mode and scenario: a fingerprint of the
 // whole RunReport JSON (per-node timing fields, spill counts, the span
 // tree with its intervals, the metrics dump), a fingerprint of every
@@ -797,144 +847,144 @@ TEST_F(RunnerPinTest, FusedRunsArePinned) {
   RunScenarios(/*fused=*/true, /*parallelism=*/1);
   ExpectPins({
       {"cold",
-       "json=dd137597fedd4ff3 artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000006438896"},
+       "json=b06c54f5015dbad9 artifacts=e806a55aedbaec9b "
+       "spill_us=0 clock=1700000006168853"},
       {"warm",
-       "json=4271f15cc8ae2d93 artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000009120378"},
+       "json=84e497c33569adea artifacts=e806a55aedbaec9b "
+       "spill_us=0 clock=1700000008715313"},
       {"edit",
-       "json=2fefb41de35d59ac artifacts=6bde167e187c0abb "
-       "spill_us=0 clock=1700000011831898"},
+       "json=e5ba809601095834 artifacts=6bde167e187c0abb "
+       "spill_us=0 clock=1700000011291811"},
       {"rerun",
-       "json=26dc4dac590c1872 artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000014513436"},
+       "json=c68fa29ff7b473df artifacts=e806a55aedbaec9b "
+       "spill_us=0 clock=1700000013838327"},
       {"append",
-       "json=c7fc12c9408bddb7 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000018032146"},
+       "json=09aa27087858fd67 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000017026970"},
       {"uncached",
-       "json=2e3eed4bae8e87f6 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000021038858"},
+       "json=708c8f4b570476c0 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000019688605"},
       {"replay",
-       "json=5f9cf4cbcdc830c9 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000021353676"},
+       "json=79d9eb57941f7e5c artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000020003423"},
       {"replay_cone",
-       "json=f538f70c72de4474 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000022875420"},
+       "json=2527304fc8942f1b artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000021495154"},
       {"replay_node",
-       "json=1bd52402765d366f artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000023160036"},
+       "json=952c768578b6108f artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000021764764"},
       {"selected_cone",
-       "json=3013f0fde3c48218 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000024384973"},
+       "json=c2663a4632742e20 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000022824640"},
       {"selected_node",
-       "json=8fbb59103812c26f artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000025354811"},
+       "json=181cf2671509b32e artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000023644425"},
       {"failing_audit",
-       "json=014a34418b5d5393 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000026085411"},
+       "json=d8ac3006f202e747 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000024209975"},
       {"paper_cold",
-       "json=7e82f9194eb9bf60 artifacts=73702ea648b0fbfa "
-       "spill_us=0 clock=1700000027447588"},
+       "json=ef872c7f50033923 artifacts=73702ea648b0fbfa "
+       "spill_us=0 clock=1700000025527142"},
       {"paper_warm",
-       "json=bd7f1edc34e9f6ab artifacts=73702ea648b0fbfa "
-       "spill_us=0 clock=1700000028387441"},
+       "json=6ded7052d57bee27 artifacts=73702ea648b0fbfa "
+       "spill_us=0 clock=1700000026451989"},
       {"trimmed",
-       "json=1bd3f24712458588 artifacts=4d6ea1a425ca7b82 "
-       "spill_us=0 clock=1700000029547236"}});
+       "json=cc1aad51cb78a7de artifacts=4d6ea1a425ca7b82 "
+       "spill_us=0 clock=1700000027206681"}});
 }
 
 TEST_F(RunnerPinTest, NaiveWidthOneRunsArePinned) {
   RunScenarios(/*fused=*/false, /*parallelism=*/1);
   ExpectPins({
       {"cold",
-       "json=3a4331454ef83e98 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000010294731"},
+       "json=943431885ccde693 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000010159715"},
       {"warm",
-       "json=10aa937fbe6fc0cd artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000013064694"},
+       "json=40fc0263637261c3 artifacts=e806a55aedbaec9b "
+       "spill_us=91481 clock=1700000012794656"},
       {"edit",
-       "json=f665b335b79fe1e0 artifacts=6bde167e187c0abb "
-       "spill_us=168018 clock=1700000016621232"},
+       "json=e9c8e9e80e35aed1 artifacts=6bde167e187c0abb "
+       "spill_us=168018 clock=1700000016216172"},
       {"rerun",
-       "json=cea41b35d15b59ec artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000019391251"},
+       "json=1189c11d02c75bab artifacts=e806a55aedbaec9b "
+       "spill_us=91481 clock=1700000018851169"},
       {"append",
-       "json=f00efb5d89f733b9 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000026213354"},
+       "json=e50a6543a9601a30 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000025478246"},
       {"uncached",
-       "json=e540175e02b6bb60 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000032523459"},
+       "json=0d04925a79085934 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000031578315"},
       {"replay",
-       "json=076cfc1097a60988 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000033135277"},
+       "json=daa81008fe60f30f artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000032190133"},
       {"replay_cone",
-       "json=dbaf902df50451ce artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000033807021"},
+       "json=b9b0f116f4a939c5 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000032831864"},
       {"replay_node",
-       "json=6e13e55fea2417a1 artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000034091637"},
+       "json=0d57805951f9149d artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000033101474"},
       {"selected_cone",
-       "json=61758aa9161eff5b artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000035772877"},
+       "json=5ae81f1d4fcd86c8 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000034647669"},
       {"selected_node",
-       "json=b6346998db69c119 artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000037110399"},
+       "json=c9c2648e9926146e artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000035850146"},
       {"failing_audit",
-       "json=3c3378c4bcb35d20 artifacts=ce2940f6a3884772 "
-       "spill_us=201308 clock=1700000039427302"},
+       "json=13f7906f1b4a20c6 artifacts=ce2940f6a3884772 "
+       "spill_us=201308 clock=1700000038017004"},
       {"paper_cold",
-       "json=c06923f57baaa075 artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000041883609"},
+       "json=2e52e1e2758bf30b artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000040443306"},
       {"paper_warm",
-       "json=5b7877136ca7aa98 artifacts=73702ea648b0fbfa "
-       "spill_us=30591 clock=1700000042851053"}});
+       "json=c33e5b4e4c5b5637 artifacts=73702ea648b0fbfa "
+       "spill_us=30591 clock=1700000041395744"}});
 }
 
 TEST_F(RunnerPinTest, NaiveWidthFourRunsArePinned) {
   RunScenarios(/*fused=*/false, /*parallelism=*/4);
   ExpectPins({
       {"cold",
-       "json=65b4ad81833881a2 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000009853391"},
+       "json=647f36983d11c82a artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000009718372"},
       {"warm",
-       "json=d8f7ca1247d2d158 artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000012623354"},
+       "json=02358cfc0f571a50 artifacts=e806a55aedbaec9b "
+       "spill_us=91481 clock=1700000012353313"},
       {"edit",
-       "json=d22e9ab5d9653978 artifacts=6bde167e187c0abb "
-       "spill_us=168018 clock=1700000016179892"},
+       "json=b2671b1aebfb6bcf artifacts=6bde167e187c0abb "
+       "spill_us=168018 clock=1700000015774829"},
       {"rerun",
-       "json=46dcd0b3dfc5ac87 artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000018949911"},
+       "json=c671859ea7e85e3f artifacts=e806a55aedbaec9b "
+       "spill_us=91481 clock=1700000018409826"},
       {"append",
-       "json=503f26841721ecbd artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000024389977"},
+       "json=2d9d72a47e95694b artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000023699863"},
       {"uncached",
-       "json=61022ac23618d92a artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000029318045"},
+       "json=3aed41d0710487ba artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000028462892"},
       {"replay",
-       "json=80dfe79ffed7b6da artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000029929863"},
+       "json=365c46354e90589d artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000029074710"},
       {"replay_cone",
-       "json=fc8d55dbee3f041c artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000030601607"},
+       "json=80628063d09b129e artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000029716441"},
       {"replay_node",
-       "json=422a327e33da430f artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000030886223"},
+       "json=8af5bc44348402bd artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000029986051"},
       {"selected_cone",
-       "json=dc47f3f814101cca artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000032567463"},
+       "json=d2855ee6e690efbc artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000031532246"},
       {"selected_node",
-       "json=f4c97518b7a153b4 artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000033904985"},
+       "json=6de7de43c1f301fa artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000032734723"},
       {"failing_audit",
-       "json=be975b7e45f7fc4f artifacts=ce2940f6a3884772 "
-       "spill_us=201308 clock=1700000036181888"},
+       "json=30554020f4afb7d7 artifacts=ce2940f6a3884772 "
+       "spill_us=201308 clock=1700000034861581"},
       {"paper_cold",
-       "json=85a329e0d738afd3 artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000038598195"},
+       "json=5071dd57c386e51e artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000037247883"},
       {"paper_warm",
-       "json=10b7bdc52b6015dc artifacts=73702ea648b0fbfa "
-       "spill_us=30591 clock=1700000039565639"}});
+       "json=21517fbce8350ce8 artifacts=73702ea648b0fbfa "
+       "spill_us=30591 clock=1700000038200321"}});
 }
 
 // A scheduler with room for two functions at a time: width-4 waves
@@ -960,8 +1010,8 @@ TEST_F(RunnerPinTest, BouncedWaveMembersArePinned) {
   Pin("bounced", report);
   ExpectPins({
       {"bounced",
-       "json=5034b45a948012cf artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000011104731"}});
+       "json=bc9a61f61db89881 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000010969715"}});
 }
 
 }  // namespace

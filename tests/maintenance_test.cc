@@ -124,9 +124,10 @@ TEST_F(MaintenanceTest, ExpireDeletesUnreferencedObjects) {
   auto result = maint_.ExpireSnapshots(key);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->snapshots_removed, 3);  // all but current
-  // Append snapshots share earlier files via shared manifests; only the
-  // manifests exclusive to expired snapshots go away. Current snapshot
-  // references all four manifests, so nothing is reclaimed here.
+  // Each append snapshot has its own merged manifest, so the three
+  // expired manifests go away; the current manifest lists all four
+  // files, so no data file is reclaimed here.
+  EXPECT_EQ(result->manifests_deleted, 3);
   EXPECT_EQ(result->data_files_deleted, 0);
 
   // After an overwrite, expiry really reclaims the old generation.
@@ -138,9 +139,9 @@ TEST_F(MaintenanceTest, ExpireDeletesUnreferencedObjects) {
                       *workload::GenerateTaxiTable(gen));
   auto expired = maint_.ExpireSnapshots(overwritten);
   ASSERT_TRUE(expired.ok());
-  EXPECT_GE(expired->data_files_deleted, 4);
+  EXPECT_EQ(expired->data_files_deleted, 4);
   EXPECT_GT(expired->bytes_reclaimed, 0u);
-  EXPECT_GE(expired->manifests_deleted, 4);
+  EXPECT_EQ(expired->manifests_deleted, 1);
   EXPECT_LT(store_.object_count(), objects_before + 10);
 
   // Table still reads correctly.

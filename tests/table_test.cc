@@ -4,9 +4,13 @@
 #include <gtest/gtest.h>
 
 #include "columnar/builder.h"
+#include "columnar/compute.h"
 #include "columnar/datetime.h"
+#include "columnar/serialize.h"
 #include "columnar/table.h"
 #include "common/clock.h"
+#include "common/strings.h"
+#include "storage/metered_store.h"
 #include "storage/object_store.h"
 #include "table/metadata.h"
 #include "table/partition.h"
@@ -15,9 +19,11 @@
 namespace bauplan::table {
 namespace {
 
+using columnar::ConcatTables;
 using columnar::Field;
 using columnar::Int64Builder;
 using columnar::ParseTimestampString;
+using columnar::SerializeTable;
 using columnar::Schema;
 using columnar::StringBuilder;
 using columnar::Table;
@@ -500,6 +506,204 @@ TEST_F(TableOpsTest, ParallelDecodeWithPredicatesAndProjection) {
 TEST_F(TableOpsTest, LoadMissingMetadataFails) {
   EXPECT_FALSE(ops_.LoadMetadata("nope").ok());
 }
+
+TEST_F(TableOpsTest, ZoneMapsFollowTheirColumnAfterDropColumn) {
+  Schema schema({{"x", TypeId::kInt64, false}, {"y", TypeId::kInt64, false}});
+  Int64Builder xs;
+  Int64Builder ys;
+  for (int64_t i = 0; i < 5; ++i) {
+    xs.Append(1000 + i);
+    ys.Append(i);
+  }
+  auto key = ops_.CreateTable("t", schema);
+  auto v2 = ops_.Append(*key, *Table::Make(schema, {xs.Finish(), ys.Finish()}));
+  auto v3 = ops_.DropColumn(*v2, "x");
+  ASSERT_TRUE(v3.ok());
+  // y's zone map is [0, 4]; x's [1000, 1004] must not stand in for it.
+  ScanOptions opts;
+  opts.predicates = {{"y", CompareOp::kLe, Value::Int64(4)}};
+  auto scanned = ops_.ScanTable(*v3, opts);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(scanned->num_rows(), 5);
+}
+
+TEST_F(TableOpsTest, PositionalStatsOfOlderManifestsStillPrune) {
+  // Manifests written before stats were named ("MANF") hold each zone map
+  // at its column's position in the schema; they decode and prune so.
+  auto key = ops_.CreateTable("taxi_table", TripSchema());
+  TableMetadata meta = *ops_.LoadMetadata(*key);
+  DataFile file =
+      *ops_.WriteDataFile(meta, MakeTrips(5, "2019-04-01"), {}, "old");
+  BinaryWriter w;
+  w.PutU32(0x464E414D);  // "MANF"
+  w.PutU32(1);
+  w.PutString(file.path);
+  w.PutI64(file.record_count);
+  w.PutU64(file.file_size_bytes);
+  w.PutU32(0);  // unpartitioned
+  w.PutU32(static_cast<uint32_t>(file.column_stats.size()));
+  for (const auto& stats : file.column_stats) stats.Serialize(&w);
+  auto decoded = Manifest::Deserialize(w.buffer());
+  ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
+  ASSERT_EQ(decoded->files.size(), 1u);
+  EXPECT_TRUE(decoded->files[0].stats_columns.empty());
+  ASSERT_TRUE(store_.Put("lake/taxi_table/metadata/old.manifest",
+                         w.TakeBuffer())
+                  .ok());
+  Snapshot snapshot;
+  snapshot.snapshot_id = 1;
+  snapshot.operation = "append";
+  snapshot.manifest_keys = {"lake/taxi_table/metadata/old.manifest"};
+  snapshot.total_records = 5;
+  meta.snapshots = {snapshot};
+  meta.current_snapshot_id = 1;
+
+  ScanOptions hit;
+  hit.predicates = {{"trip_id", CompareOp::kLe, Value::Int64(4)}};
+  EXPECT_EQ(ops_.PlanScan(meta, hit)->files.size(), 1u);
+  ScanOptions miss;
+  miss.predicates = {{"trip_id", CompareOp::kGe, Value::Int64(100)}};
+  EXPECT_EQ(ops_.PlanScan(meta, miss)->files_pruned_by_stats, 1);
+}
+
+TEST_F(TableOpsTest, TimeTravelOnEmptyTableIsNotFound) {
+  auto key = ops_.CreateTable("taxi_table", TripSchema());
+  ScanOptions by_snap;
+  by_snap.snapshot_id = 7;
+  EXPECT_TRUE(ops_.ScanTable(*key, by_snap).status().IsNotFound());
+  ScanOptions by_time;
+  by_time.as_of_micros = clock_.NowMicros();
+  EXPECT_TRUE(ops_.ScanTable(*key, by_time).status().IsNotFound());
+  // The current state of an empty table still scans as zero rows.
+  EXPECT_EQ(ops_.ScanTable(*key)->num_rows(), 0);
+}
+
+TEST_F(TableOpsTest, LegacyMultiManifestSnapshotsReadAndMergeOnAppend) {
+  // Older builds appended by extending the parent's manifest list: write
+  // such a three-append history by hand, one manifest per append.
+  auto key = ops_.CreateTable("taxi_table", TripSchema());
+  TableMetadata meta = *ops_.LoadMetadata(*key);
+  std::vector<Table> batches;
+  std::vector<std::string> paths;
+  std::vector<std::string> manifest_keys;
+  for (int i = 0; i < 3; ++i) {
+    batches.push_back(MakeTrips(4, "2019-04-01", 4 * i));
+    DataFile file = *ops_.WriteDataFile(meta, batches.back(), {},
+                                        StrCat("legacy-", i));
+    paths.push_back(file.path);
+    Manifest manifest;
+    manifest.files = {file};
+    manifest_keys.push_back(
+        StrCat("lake/taxi_table/metadata/legacy-", i, ".manifest"));
+    ASSERT_TRUE(store_.Put(manifest_keys.back(), manifest.Serialize()).ok());
+    Snapshot snapshot;
+    snapshot.snapshot_id = i + 1;
+    snapshot.parent_snapshot_id = i == 0 ? -1 : i;
+    snapshot.timestamp_micros = clock_.NowMicros();
+    snapshot.operation = "append";
+    snapshot.manifest_keys = manifest_keys;
+    snapshot.total_records = 4 * (i + 1);
+    meta.snapshots.push_back(snapshot);
+    meta.current_snapshot_id = snapshot.snapshot_id;
+    clock_.AdvanceMicros(1000);
+  }
+  const std::string legacy_key = "lake/taxi_table/metadata/legacy.meta";
+  ASSERT_TRUE(store_.Put(legacy_key, meta.Serialize()).ok());
+
+  auto scanned = ops_.ScanTable(legacy_key);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(SerializeTable(*scanned), SerializeTable(*ConcatTables(batches)));
+
+  // The first append onto it writes one manifest holding every file.
+  batches.push_back(MakeTrips(4, "2019-04-02", 12));
+  auto merged_key = ops_.Append(legacy_key, batches.back());
+  ASSERT_TRUE(merged_key.ok());
+  Snapshot current = *ops_.LoadMetadata(*merged_key)->CurrentSnapshot();
+  ASSERT_EQ(current.manifest_keys.size(), 1u);
+  auto manifest =
+      Manifest::Deserialize(*store_.Get(current.manifest_keys[0]));
+  ASSERT_TRUE(manifest.ok());
+  ASSERT_EQ(manifest->files.size(), 4u);
+  for (size_t i = 0; i < paths.size(); ++i) {
+    EXPECT_EQ(manifest->files[i].path, paths[i]);
+  }
+  EXPECT_EQ(current.total_records, 16);
+  auto merged = ops_.ScanTable(*merged_key);
+  ASSERT_TRUE(merged.ok());
+  EXPECT_EQ(SerializeTable(*merged), SerializeTable(*ConcatTables(batches)));
+}
+
+// ------------------------------------------------------- append history
+
+/// A month-partitioned table after GetParam() appends of three trips each,
+/// batch i on day i after 2019-01-01, over a metered store.
+class AppendHistoryTest : public ::testing::TestWithParam<int> {
+ protected:
+  void SetUp() override {
+    PartitionSpec spec({{"pickup_at", Transform::kMonth, 0}});
+    key_ = *ops_.CreateTable("taxi_table", TripSchema(), spec);
+    const int64_t day = 24ll * 3600 * 1000000;
+    const int64_t start = *ParseTimestampString("2019-01-01");
+    for (int i = 0; i < GetParam(); ++i) {
+      batches_.push_back(MakeTrips(
+          3, columnar::FormatTimestampString(start + i * day), 3 * i));
+      clock_.AdvanceMicros(1000);
+      key_ = *ops_.Append(key_, batches_.back());
+    }
+    metadata_ = *ops_.LoadMetadata(key_);
+  }
+
+  /// The first `n` batches, serialized as one table.
+  Bytes Prefix(size_t n) const {
+    std::vector<Table> prefix = {MakeTrips(0, "2019-01-01")};
+    prefix.insert(prefix.end(), batches_.begin(), batches_.begin() + n);
+    return SerializeTable(*ConcatTables(prefix));
+  }
+
+  storage::MemoryObjectStore backing_;
+  SimClock clock_{1000000};
+  storage::MeteredObjectStore store_{&backing_, &clock_,
+                                     storage::LatencyModel()};
+  TableOps ops_{&store_, &clock_};
+  std::string key_;
+  TableMetadata metadata_;
+  std::vector<Table> batches_;
+};
+
+TEST_P(AppendHistoryTest, PlanScanReadsOneManifest) {
+  store_.ResetMetrics();
+  auto plan = ops_.PlanScan(metadata_, ScanOptions());
+  ASSERT_TRUE(plan.ok());
+  EXPECT_EQ(plan->files_total, GetParam());
+  EXPECT_EQ(store_.metrics().gets, GetParam() == 0 ? 0 : 1);
+}
+
+TEST_P(AppendHistoryTest, FullScanIsTheAppendsInOrder) {
+  auto scanned = ops_.ScanTable(key_);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(SerializeTable(*scanned),
+            Prefix(static_cast<size_t>(GetParam())));
+}
+
+TEST_P(AppendHistoryTest, TimeTravelReturnsEachPrefix) {
+  ASSERT_EQ(metadata_.snapshots.size(), static_cast<size_t>(GetParam()));
+  for (size_t k = 1; k <= metadata_.snapshots.size(); ++k) {
+    const Snapshot& snapshot = metadata_.snapshots[k - 1];
+    ScanOptions by_id;
+    by_id.snapshot_id = snapshot.snapshot_id;
+    auto at_id = ops_.ScanTable(key_, by_id);
+    ASSERT_TRUE(at_id.ok());
+    EXPECT_EQ(SerializeTable(*at_id), Prefix(k)) << "snapshot " << k;
+    ScanOptions by_time;
+    by_time.as_of_micros = snapshot.timestamp_micros;
+    auto at_time = ops_.ScanTable(key_, by_time);
+    ASSERT_TRUE(at_time.ok());
+    EXPECT_EQ(SerializeTable(*at_time), Prefix(k)) << "as of " << k;
+  }
+}
+
+INSTANTIATE_TEST_SUITE_P(Appends, AppendHistoryTest,
+                         ::testing::Values(0, 1, 10, 100));
 
 }  // namespace
 }  // namespace bauplan::table
