@@ -1,5 +1,6 @@
 #include "table/maintenance.h"
 
+#include <algorithm>
 #include <map>
 #include <set>
 
@@ -95,37 +96,53 @@ Result<ExpireResult> TableMaintenance::ExpireSnapshots(
   std::set<std::string> live_manifests;
   std::set<std::string> live_files;
   for (const auto& snapshot : survivors) {
+    live_manifests.insert(snapshot.manifest_keys.begin(),
+                          snapshot.manifest_keys.end());
+    BAUPLAN_ASSIGN_OR_RETURN(std::vector<DataFile> files,
+                             ops_->LiveFiles(snapshot));
+    for (const auto& file : files) live_files.insert(file.path);
+  }
+
+  // Manifests only the expired snapshots list, and the data files only
+  // they reference (path -> size).
+  std::map<std::string, Manifest> doomed_manifests;
+  std::map<std::string, uint64_t> doomed_files;
+  for (const auto& snapshot : expired) {
     for (const auto& key : snapshot.manifest_keys) {
-      live_manifests.insert(key);
-      BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, store_->Get(key));
-      BAUPLAN_ASSIGN_OR_RETURN(Manifest manifest,
-                               Manifest::Deserialize(bytes));
-      for (const auto& file : manifest.files) live_files.insert(file.path);
+      if (live_manifests.count(key) > 0 || doomed_manifests.count(key) > 0) {
+        continue;
+      }
+      BAUPLAN_ASSIGN_OR_RETURN(Manifest manifest, ops_->ReadManifest(key));
+      for (const auto& file : manifest.files) {
+        if (live_files.count(file.path) == 0) {
+          doomed_files.emplace(file.path, file.file_size_bytes);
+        }
+      }
+      doomed_manifests.emplace(key, std::move(manifest));
     }
   }
 
-  // Delete everything only the expired snapshots reference.
-  std::set<std::string> doomed_manifests;
-  for (const auto& snapshot : expired) {
-    for (const auto& key : snapshot.manifest_keys) {
-      if (live_manifests.count(key) == 0) doomed_manifests.insert(key);
+  for (const auto& [path, size] : doomed_files) {
+    Status st = store_->Delete(path);
+    if (st.ok()) {
+      ++result.data_files_deleted;
+      result.bytes_reclaimed += size;
+    } else if (!st.IsNotFound()) {
+      return st;
     }
   }
-  for (const auto& key : doomed_manifests) {
-    BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, store_->Get(key));
-    BAUPLAN_ASSIGN_OR_RETURN(Manifest manifest,
-                             Manifest::Deserialize(bytes));
-    for (const auto& file : manifest.files) {
-      if (live_files.count(file.path) > 0) continue;
-      Status st = store_->Delete(file.path);
-      if (st.ok()) {
-        ++result.data_files_deleted;
-        result.bytes_reclaimed += file.file_size_bytes;
-        live_files.insert(file.path);  // avoid double-deleting shares
-      } else if (!st.IsNotFound()) {
-        return st;
-      }
-    }
+  // Another branch, or an older metadata object of this table, may still
+  // list a manifest that no survivor lists: each expired append leaves
+  // one, since appends merge their parent's manifest into a new one.
+  // This metadata cannot see those readers, so a manifest goes only when
+  // it lists a data file just deleted, which they could not read anyway.
+  for (const auto& [key, manifest] : doomed_manifests) {
+    bool lists_deleted = std::any_of(
+        manifest.files.begin(), manifest.files.end(),
+        [&](const DataFile& file) {
+          return doomed_files.count(file.path) > 0;
+        });
+    if (!lists_deleted) continue;
     BAUPLAN_RETURN_NOT_OK(store_->Delete(key));
     ++result.manifests_deleted;
   }

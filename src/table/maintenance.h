@@ -50,9 +50,12 @@ class TableMaintenance {
 
   /// Drops all snapshots except the current one (plus, when
   /// `keep_after_micros` > 0, any snapshot at or after that instant),
-  /// then deletes every data file and manifest no surviving snapshot
-  /// references. This is the only operation in the repo that deletes
-  /// data objects.
+  /// then deletes every data file no surviving snapshot references, and
+  /// each manifest no survivor lists that names one of those files. A
+  /// manifest naming only surviving files stays: another branch or an
+  /// older metadata object may still list it, so an append-only history
+  /// reclaims nothing. This is the only operation in the repo that
+  /// deletes data objects.
   Result<ExpireResult> ExpireSnapshots(const std::string& metadata_key,
                                        uint64_t keep_after_micros = 0);
 

@@ -66,7 +66,7 @@ Result<DataFile> DataFile::Deserialize(BinaryReader* reader,
   }
   if (!named_stats) return file;
   BAUPLAN_ASSIGN_OR_RETURN(uint32_t nnames, reader->GetU32());
-  if (nnames != 0 && nnames != nstats) {
+  if (nnames != nstats) {
     return Status::IOError("stats names do not match stats count");
   }
   file.stats_columns.reserve(nnames);

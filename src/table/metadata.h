@@ -28,9 +28,10 @@ struct DataFile {
   /// appended later (schema evolution) are simply absent.
   std::vector<columnar::ColumnStats> column_stats;
   /// The column each entry of `column_stats` describes, so stats stay
-  /// attached to their column after a drop or rename. Empty for entries
-  /// written by builds that predate named stats: those are positional in
-  /// the current schema.
+  /// attached to their column after a drop or rename. Empty only on
+  /// entries decoded from manifests of builds that predate named stats
+  /// (magic MANF): those are positional in the current schema, and the
+  /// next manifest that carries them names them so.
   std::vector<std::string> stats_columns;
 
   /// Zone map of `column` of the table's current `schema`, or null when

@@ -1,5 +1,6 @@
 #include "table/table_ops.h"
 
+#include <algorithm>
 #include <atomic>
 #include <iterator>
 #include <map>
@@ -40,6 +41,22 @@ void AddStats(const columnar::Table& data, DataFile* file) {
   }
 }
 
+/// Names the zone maps of an entry decoded from a positional (MANF)
+/// manifest after the fields of `schema` at their positions, which is
+/// how PlanScan reads them, so naming them loses nothing. Stats past the
+/// schema's last field are unreachable and dropped.
+void NamePositionalStats(const columnar::Schema& schema, DataFile* file) {
+  if (!file->stats_columns.empty()) return;
+  size_t named = std::min(file->column_stats.size(),
+                          static_cast<size_t>(schema.num_fields()));
+  file->column_stats.erase(
+      file->column_stats.begin() + static_cast<std::ptrdiff_t>(named),
+      file->column_stats.end());
+  for (size_t i = 0; i < named; ++i) {
+    file->stats_columns.push_back(schema.field(static_cast<int>(i)).name);
+  }
+}
+
 }  // namespace
 
 Result<std::string> TableOps::WriteMetadata(const TableMetadata& metadata) {
@@ -52,7 +69,10 @@ Result<std::string> TableOps::WriteMetadata(const TableMetadata& metadata) {
 
 Result<std::string> TableOps::WriteManifest(const TableMetadata& metadata,
                                             int64_t snapshot_id,
-                                            const Manifest& manifest) {
+                                            Manifest manifest) {
+  for (auto& file : manifest.files) {
+    NamePositionalStats(metadata.schema, &file);
+  }
   Bytes image = manifest.Serialize();
   std::string key =
       StrCat(data_prefix_, "/", metadata.table_name, "/metadata/manifest-",
@@ -83,13 +103,17 @@ Result<TableMetadata> TableOps::LoadMetadata(
   return TableMetadata::Deserialize(image);
 }
 
+Result<Manifest> TableOps::ReadManifest(
+    const std::string& manifest_key) const {
+  BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, store_->Get(manifest_key));
+  return Manifest::Deserialize(bytes);
+}
+
 Result<std::vector<DataFile>> TableOps::LiveFiles(
     const Snapshot& snapshot) const {
   std::vector<DataFile> files;
   for (const auto& manifest_key : snapshot.manifest_keys) {
-    BAUPLAN_ASSIGN_OR_RETURN(Bytes bytes, store_->Get(manifest_key));
-    BAUPLAN_ASSIGN_OR_RETURN(Manifest manifest,
-                             Manifest::Deserialize(bytes));
+    BAUPLAN_ASSIGN_OR_RETURN(Manifest manifest, ReadManifest(manifest_key));
     files.insert(files.end(), std::make_move_iterator(manifest.files.begin()),
                  std::make_move_iterator(manifest.files.end()));
   }
@@ -158,7 +182,7 @@ Result<std::string> TableOps::WriteSnapshot(TableMetadata metadata,
 
   BAUPLAN_ASSIGN_OR_RETURN(
       std::string manifest_key,
-      WriteManifest(metadata, next_snapshot_id, manifest));
+      WriteManifest(metadata, next_snapshot_id, std::move(manifest)));
 
   Snapshot snapshot;
   snapshot.snapshot_id = next_snapshot_id;
@@ -208,7 +232,7 @@ Result<std::string> TableOps::CommitFileSet(TableMetadata metadata,
   }
   BAUPLAN_ASSIGN_OR_RETURN(
       std::string manifest_key,
-      WriteManifest(metadata, next_snapshot_id, manifest));
+      WriteManifest(metadata, next_snapshot_id, std::move(manifest)));
 
   Snapshot snapshot;
   snapshot.snapshot_id = next_snapshot_id;

@@ -138,15 +138,20 @@ class TableOps {
   Result<columnar::Table> ScanTable(const std::string& metadata_key,
                                     const ScanOptions& options = {}) const;
 
- private:
-  Result<std::string> WriteMetadata(const TableMetadata& metadata);
+  /// GETs and decodes the manifest stored at `manifest_key`.
+  Result<Manifest> ReadManifest(const std::string& manifest_key) const;
+
   /// The files live at `snapshot`, in scan order: its manifests' entries
   /// in list order.
   Result<std::vector<DataFile>> LiveFiles(const Snapshot& snapshot) const;
-  /// Writes `manifest` as the manifest of snapshot `snapshot_id`.
+
+ private:
+  Result<std::string> WriteMetadata(const TableMetadata& metadata);
+  /// Writes `manifest` as the manifest of snapshot `snapshot_id`, first
+  /// naming the positional stats of entries carried over from manifests
+  /// of older builds after the current schema.
   Result<std::string> WriteManifest(const TableMetadata& metadata,
-                                    int64_t snapshot_id,
-                                    const Manifest& manifest);
+                                    int64_t snapshot_id, Manifest manifest);
   Result<std::string> WriteSnapshot(TableMetadata metadata,
                                     const columnar::Table& data,
                                     const std::string& operation);

@@ -124,10 +124,10 @@ TEST_F(MaintenanceTest, ExpireDeletesUnreferencedObjects) {
   auto result = maint_.ExpireSnapshots(key);
   ASSERT_TRUE(result.ok()) << result.status().ToString();
   EXPECT_EQ(result->snapshots_removed, 3);  // all but current
-  // Each append snapshot has its own merged manifest, so the three
-  // expired manifests go away; the current manifest lists all four
-  // files, so no data file is reclaimed here.
-  EXPECT_EQ(result->manifests_deleted, 3);
+  // The current manifest lists all four files, so no data file is
+  // reclaimed, and each expired append's merged manifest lists only
+  // those files, so it stays for readers this metadata cannot see.
+  EXPECT_EQ(result->manifests_deleted, 0);
   EXPECT_EQ(result->data_files_deleted, 0);
 
   // After an overwrite, expiry really reclaims the old generation.
@@ -154,6 +154,33 @@ TEST_F(MaintenanceTest, ExpireDeletesUnreferencedObjects) {
   EXPECT_TRUE(
       ops_.ScanTable(expired->metadata_key, old_snap).status()
           .IsNotFound());
+}
+
+TEST_F(MaintenanceTest, ExpireAfterAppendLeavesOtherReadersWhole) {
+  // A sibling branch pins the table at `branched`; main appends onto it
+  // and expires. The sibling's snapshots still scan, old ones included.
+  std::string branched = BuildTable(3, 100);
+  workload::TaxiGenOptions gen;
+  gen.rows = 100;
+  gen.seed = 42;
+  clock_.AdvanceMicros(1000000);
+  std::string main_key =
+      *ops_.Append(branched, *workload::GenerateTaxiTable(gen));
+  auto expired = maint_.ExpireSnapshots(main_key);
+  ASSERT_TRUE(expired.ok()) << expired.status().ToString();
+  EXPECT_EQ(expired->snapshots_removed, 3);
+  EXPECT_EQ(expired->manifests_deleted, 0);
+  EXPECT_EQ(expired->data_files_deleted, 0);
+  EXPECT_EQ(CountRows(expired->metadata_key), 400);
+
+  for (int64_t id = 1; id <= 3; ++id) {
+    ScanOptions at;
+    at.snapshot_id = id;
+    auto scanned = ops_.ScanTable(branched, at);
+    ASSERT_TRUE(scanned.ok())
+        << "snapshot " << id << ": " << scanned.status().ToString();
+    EXPECT_EQ(scanned->num_rows(), 100 * id);
+  }
 }
 
 TEST_F(MaintenanceTest, ExpireKeepsRecentSnapshots) {

@@ -507,7 +507,8 @@ TEST_F(TableOpsTest, LoadMissingMetadataFails) {
   EXPECT_FALSE(ops_.LoadMetadata("nope").ok());
 }
 
-TEST_F(TableOpsTest, ZoneMapsFollowTheirColumnAfterDropColumn) {
+/// Five rows of (x, y): x 1000-1004, y 0-4.
+Table MakeXY() {
   Schema schema({{"x", TypeId::kInt64, false}, {"y", TypeId::kInt64, false}});
   Int64Builder xs;
   Int64Builder ys;
@@ -515,8 +516,29 @@ TEST_F(TableOpsTest, ZoneMapsFollowTheirColumnAfterDropColumn) {
     xs.Append(1000 + i);
     ys.Append(i);
   }
-  auto key = ops_.CreateTable("t", schema);
-  auto v2 = ops_.Append(*key, *Table::Make(schema, {xs.Finish(), ys.Finish()}));
+  return *Table::Make(schema, {xs.Finish(), ys.Finish()});
+}
+
+/// `file` as the sole entry of a manifest in the layout of builds that
+/// predate named stats ("MANF"): each zone map sits at its column's
+/// position, with no names.
+Bytes PositionalManifest(const DataFile& file) {
+  BinaryWriter w;
+  w.PutU32(0x464E414D);  // "MANF"
+  w.PutU32(1);
+  w.PutString(file.path);
+  w.PutI64(file.record_count);
+  w.PutU64(file.file_size_bytes);
+  w.PutU32(0);  // unpartitioned
+  w.PutU32(static_cast<uint32_t>(file.column_stats.size()));
+  for (const auto& stats : file.column_stats) stats.Serialize(&w);
+  return w.TakeBuffer();
+}
+
+TEST_F(TableOpsTest, ZoneMapsFollowTheirColumnAfterDropColumn) {
+  Table xy = MakeXY();
+  auto key = ops_.CreateTable("t", xy.schema());
+  auto v2 = ops_.Append(*key, xy);
   auto v3 = ops_.DropColumn(*v2, "x");
   ASSERT_TRUE(v3.ok());
   // y's zone map is [0, 4]; x's [1000, 1004] must not stand in for it.
@@ -534,22 +556,14 @@ TEST_F(TableOpsTest, PositionalStatsOfOlderManifestsStillPrune) {
   TableMetadata meta = *ops_.LoadMetadata(*key);
   DataFile file =
       *ops_.WriteDataFile(meta, MakeTrips(5, "2019-04-01"), {}, "old");
-  BinaryWriter w;
-  w.PutU32(0x464E414D);  // "MANF"
-  w.PutU32(1);
-  w.PutString(file.path);
-  w.PutI64(file.record_count);
-  w.PutU64(file.file_size_bytes);
-  w.PutU32(0);  // unpartitioned
-  w.PutU32(static_cast<uint32_t>(file.column_stats.size()));
-  for (const auto& stats : file.column_stats) stats.Serialize(&w);
-  auto decoded = Manifest::Deserialize(w.buffer());
+  Bytes image = PositionalManifest(file);
+  auto decoded = Manifest::Deserialize(image);
   ASSERT_TRUE(decoded.ok()) << decoded.status().ToString();
   ASSERT_EQ(decoded->files.size(), 1u);
   EXPECT_TRUE(decoded->files[0].stats_columns.empty());
-  ASSERT_TRUE(store_.Put("lake/taxi_table/metadata/old.manifest",
-                         w.TakeBuffer())
-                  .ok());
+  ASSERT_TRUE(
+      store_.Put("lake/taxi_table/metadata/old.manifest", std::move(image))
+          .ok());
   Snapshot snapshot;
   snapshot.snapshot_id = 1;
   snapshot.operation = "append";
@@ -564,6 +578,59 @@ TEST_F(TableOpsTest, PositionalStatsOfOlderManifestsStillPrune) {
   ScanOptions miss;
   miss.predicates = {{"trip_id", CompareOp::kGe, Value::Int64(100)}};
   EXPECT_EQ(ops_.PlanScan(meta, miss)->files_pruned_by_stats, 1);
+}
+
+TEST_F(TableOpsTest, AppendNamesPositionalStatsItCarries) {
+  // The first append onto a snapshot of an older build names the zone
+  // maps it carries, so a later DropColumn still prunes by the right
+  // column.
+  Table xy = MakeXY();
+  auto key = ops_.CreateTable("t", xy.schema());
+  TableMetadata meta = *ops_.LoadMetadata(*key);
+  DataFile file = *ops_.WriteDataFile(meta, xy, {}, "old");
+  ASSERT_TRUE(
+      store_.Put("lake/t/metadata/old.manifest", PositionalManifest(file))
+          .ok());
+  Snapshot snapshot;
+  snapshot.snapshot_id = 1;
+  snapshot.operation = "append";
+  snapshot.manifest_keys = {"lake/t/metadata/old.manifest"};
+  snapshot.total_records = 5;
+  meta.snapshots = {snapshot};
+  meta.current_snapshot_id = 1;
+  const std::string legacy_key = "lake/t/metadata/old.meta";
+  ASSERT_TRUE(store_.Put(legacy_key, meta.Serialize()).ok());
+
+  auto v2 = ops_.Append(legacy_key, xy);
+  ASSERT_TRUE(v2.ok()) << v2.status().ToString();
+  Snapshot current = *ops_.LoadMetadata(*v2)->CurrentSnapshot();
+  ASSERT_EQ(current.manifest_keys.size(), 1u);
+  auto manifest = ops_.ReadManifest(current.manifest_keys[0]);
+  ASSERT_TRUE(manifest.ok()) << manifest.status().ToString();
+  ASSERT_EQ(manifest->files.size(), 2u);
+  for (const auto& entry : manifest->files) {
+    EXPECT_EQ(entry.stats_columns, (std::vector<std::string>{"x", "y"}));
+  }
+
+  auto v3 = ops_.DropColumn(*v2, "x");
+  ASSERT_TRUE(v3.ok());
+  ScanOptions opts;
+  opts.predicates = {{"y", CompareOp::kLe, Value::Int64(4)}};
+  auto scanned = ops_.ScanTable(*v3, opts);
+  ASSERT_TRUE(scanned.ok());
+  EXPECT_EQ(scanned->num_rows(), 10);
+}
+
+TEST_F(TableOpsTest, NamedStatsManifestRejectsUnnamedEntries) {
+  // Only MANF entries may omit stats names; in a current manifest a
+  // count mismatch is corruption.
+  TableMetadata meta = *ops_.LoadMetadata(*ops_.CreateTable("t", TripSchema()));
+  DataFile file =
+      *ops_.WriteDataFile(meta, MakeTrips(3, "2019-04-01"), {}, "f");
+  file.stats_columns.clear();
+  Manifest manifest;
+  manifest.files = {file};
+  EXPECT_FALSE(Manifest::Deserialize(manifest.Serialize()).ok());
 }
 
 TEST_F(TableOpsTest, TimeTravelOnEmptyTableIsNotFound) {
