@@ -13,8 +13,10 @@
 #include "cli/project_loader.h"
 #include "sql/parser.h"
 #include "common/clock.h"
+#include "common/hash.h"
 #include "common/strings.h"
 #include "core/bauplan.h"
+#include "pipeline/dag.h"
 #include "pipeline/project.h"
 #include "storage/object_store.h"
 #include "workload/taxi_gen.h"
@@ -710,6 +712,112 @@ TEST(LineageTest, RendersTextAndJson) {
             std::string::npos);
   // Deterministic: rendering twice is byte-identical.
   EXPECT_EQ(json, graph.ToJson());
+}
+
+// ------------------------------------------------ front-end output pins
+// What the analyzer and DAG extraction report for whole projects over
+// the taxi catalog: the lineage JSON and both diagnostic renderings
+// (fingerprinted, as RunnerPinTest does) and Dag::Build's execution
+// order or error message verbatim. A mismatch prints the full text.
+
+void ExpectFrontEndPin(const PipelineProject& project,
+                       const std::string& expected) {
+  AnalysisResult result = AnalyzeWithTaxi(project);
+  auto dag = pipeline::Dag::Build(project, {"taxi_table"});
+  std::string pin = StrCat(
+      "lineage=", FingerprintHex(result.lineage.ToJson()),
+      " text=", FingerprintHex(result.diagnostics.ToText()),
+      " json=", FingerprintHex(result.diagnostics.ToJson()), " dag=",
+      dag.ok() ? StrJoin(dag->execution_order(), ",")
+               : dag.status().ToString());
+  EXPECT_EQ(pin, expected) << result.lineage.ToJson() << "\n"
+                           << result.diagnostics.ToText()
+                           << result.diagnostics.ToJson();
+}
+
+TEST(FrontEndPinTest, PaperTaxiPipeline) {
+  ExpectFrontEndPin(
+      pipeline::MakePaperTaxiPipeline(),
+      "lineage=6d7a6ff98856a84a text=82c8b0b4126de23c json=05b11789f7532aaa "
+      "dag=trips,trips_expectation,pickups");
+}
+
+TEST(FrontEndPinTest, WideTaxiPipeline) {
+  ExpectFrontEndPin(
+      pipeline::MakeWideTaxiPipeline(6),
+      "lineage=6a50fdc32de8bbba text=68b9051ea9d71a63 json=a97b908ba0898aa5 "
+      "dag=base,fan_1,fan_2,fan_3,fan_4,fan_5,fan_6,base_expectation,"
+      "short_trips,long_trips,trip_balance");
+}
+
+TEST(FrontEndPinTest, ExamplesTaxiPipeline) {
+  auto project = cli::LoadProjectFromDir(
+      std::string(BAUPLAN_EXAMPLES_DIR) + "/taxi_pipeline");
+  ASSERT_TRUE(project.ok()) << project.status().ToString();
+  ExpectFrontEndPin(
+      *project,
+      "lineage=6d7a6ff98856a84a text=82c8b0b4126de23c json=05b11789f7532aaa "
+      "dag=trips,pickups,trips_expectation");
+}
+
+TEST(FrontEndPinTest, ConsumersListedBeforeProducers) {
+  PipelineProject project("reversed");
+  ASSERT_TRUE(project
+                  .AddSqlNode("report",
+                              "SELECT zone, rides FROM summary "
+                              "WHERE rides > 1 ORDER BY rides DESC")
+                  .ok());
+  ASSERT_TRUE(
+      project.AddExpectationNode("summary_expectation", "mean(rides) > 0")
+          .ok());
+  ASSERT_TRUE(project
+                  .AddSqlNode("summary",
+                              "SELECT zone, COUNT(*) AS rides, SUM(fare) "
+                              "AS revenue FROM base GROUP BY zone")
+                  .ok());
+  ASSERT_TRUE(project
+                  .AddSqlNode("base",
+                              "SELECT trip_id, fare, zone, trip_distance "
+                              "FROM taxi_table WHERE fare > 0")
+                  .ok());
+  ASSERT_TRUE(project
+                  .AddSqlNode("audit",
+                              "SELECT trip_id, fare FROM base "
+                              "WHERE fare > 100")
+                  .ok());
+  ExpectFrontEndPin(
+      project,
+      "lineage=cf7fd7748d1d9003 text=2bf06337beaa06d7 json=0c7b08baa6254e54 "
+      "dag=base,summary,audit,report,summary_expectation");
+}
+
+TEST(FrontEndPinTest, UnknownColumnWithDownstreamReader) {
+  PipelineProject project("unknown_column");
+  ASSERT_TRUE(
+      project.AddSqlNode("a", "SELECT no_such_column FROM taxi_table")
+          .ok());
+  ASSERT_TRUE(project.AddSqlNode("b", "SELECT no_such_column FROM a").ok());
+  ASSERT_TRUE(
+      project.AddSqlNode("c", "SELECT fare, zone FROM taxi_table").ok());
+  ASSERT_TRUE(project.AddSqlNode("d", "SELECT fare FROM c").ok());
+  ExpectFrontEndPin(
+      project,
+      "lineage=0db5b2a96e634669 text=9a5d6f2da605f93f json=75368fabeef43860 "
+      "dag=a,c,b,d");
+}
+
+TEST(FrontEndPinTest, TwoNodeCycle) {
+  PipelineProject project("cycle");
+  ASSERT_TRUE(project.AddSqlNode("a", "SELECT fare FROM b").ok());
+  ASSERT_TRUE(project.AddSqlNode("b", "SELECT fare FROM a").ok());
+  ASSERT_TRUE(project.AddSqlNode("c", "SELECT fare FROM a").ok());
+  ASSERT_TRUE(
+      project.AddSqlNode("d", "SELECT fare, zone FROM taxi_table").ok());
+  ExpectFrontEndPin(
+      project,
+      "lineage=cedf76ec4093a1d7 text=d95f27d9fbc41e13 json=70ee0b77edead350 "
+      "dag=InvalidArgument: pipeline has a dependency cycle involving: "
+      "a, b, c");
 }
 
 TEST(AnalyzerTest, AnalysisResultCarriesLineage) {
