@@ -1,12 +1,12 @@
 #include "analysis/analyzer.h"
 
 #include <algorithm>
-#include <deque>
 #include <optional>
 #include <vector>
 
 #include "common/strings.h"
 #include "expectations/expectation.h"
+#include "pipeline/dag.h"
 #include "sql/parser.h"
 
 namespace bauplan::analysis {
@@ -115,8 +115,6 @@ struct NodeFacts {
   /// True once any pass reported an error on this node; downstream
   /// passes skip it instead of cascading secondary noise.
   bool poisoned = false;
-  /// True when the node sits on a dependency cycle.
-  bool on_cycle = false;
 };
 
 }  // namespace
@@ -163,8 +161,7 @@ AnalysisResult Analyzer::Analyze(const PipelineProject& project,
         d.hint = "the node's SQL must be a single SELECT statement";
       } else {
         f.stmt = std::move(stmt).ValueOrDie();
-        // A parsed statement always extracts cleanly.
-        f.refs = sql::ExtractTableReferences(node.code).ValueOrDie();
+        f.refs = f.stmt->ReferencedTables();
       }
     } else {
       expectation_node_names.insert(node.name);
@@ -252,44 +249,23 @@ AnalysisResult Analyzer::Analyze(const PipelineProject& project,
     }
   }
 
-  // Cycle detection over project-internal edges (ref -> reader), Kahn
-  // peeling: whatever survives sits on (or downstream-inside) a cycle.
-  std::map<std::string, int> indegree;
-  std::map<std::string, std::vector<std::string>> readers;
-  for (const std::string& name : sql_node_names) indegree[name] = 0;
-  for (const std::string& name : sql_node_names) {
-    for (const std::string& ref : facts.at(name).refs) {
-      if (sql_node_names.count(ref) == 0) continue;
-      readers[ref].push_back(name);
-      ++indegree[name];
-    }
-  }
-  std::deque<std::string> ready;
-  std::vector<std::string> topo_order;
-  for (const auto& [name, deg] : indegree) {
-    if (deg == 0) ready.push_back(name);
-  }
-  while (!ready.empty()) {
-    std::string name = ready.front();
-    ready.pop_front();
-    topo_order.push_back(name);
-    for (const std::string& reader : readers[name]) {
-      if (--indegree[reader] == 0) ready.push_back(reader);
-    }
-  }
-  if (topo_order.size() < sql_node_names.size()) {
-    std::set<std::string> cyclic;
-    for (const auto& [name, deg] : indegree) {
-      if (deg > 0) cyclic.insert(name);
-    }
-    for (const std::string& name : cyclic) {
-      facts.at(name).on_cycle = true;
+  // Cycle detection over project-internal edges (ref -> reader): Kahn
+  // leaves behind whatever sits on (or downstream-inside) a cycle.
+  const pipeline::TopologicalOrder sorted = pipeline::SortTopologically(
+      std::vector<std::string>(sql_node_names.begin(), sql_node_names.end()),
+      [&](const std::string& name) -> const std::vector<std::string>& {
+        return facts.at(name).refs;
+      });
+  const std::vector<std::string>& topo_order = sorted.order;
+  if (!sorted.blocked.empty()) {
+    for (const std::string& name : sorted.blocked) {
       facts.at(name).poisoned = true;
     }
     Diagnostic d;
     d.code = codes::kDependencyCycle;
     d.severity = DiagnosticSeverity::kError;
-    d.message = StrCat("dependency cycle among nodes: ", JoinNames(cyclic));
+    d.message = StrCat("dependency cycle among nodes: ",
+                       StrJoin(sorted.blocked, ", "));
     d.hint =
         "a node may not read its own output (directly or transitively); "
         "remove one of the FROM references among these nodes";
@@ -302,9 +278,9 @@ AnalysisResult Analyzer::Analyze(const PipelineProject& project,
   // every node sees the inferred output schemas of its upstreams.
   span = pass_span("schema");
   ChainedResolver resolver(&result.node_schemas, catalog_schemas_);
-  // Logical plans survive this pass for the linter: the interval pass
-  // walks filter predicates against each node's *input* schemas, which
-  // only the planned tree knows.
+  // Logical plans survive this pass for the linter and the lineage
+  // fold: the interval pass walks filter predicates against each node's
+  // *input* schemas, which only the planned tree knows.
   std::map<std::string, sql::PlanPtr> plans;
   for (const std::string& name : topo_order) {
     NodeFacts& f = facts.at(name);
@@ -469,7 +445,8 @@ AnalysisResult Analyzer::Analyze(const PipelineProject& project,
     auto it = plans.find(name);
     if (it != plans.end()) LintPlan(it->second, name, location, &diag);
   }
-  result.lineage = BuildLineage(project, resolver);
+  // Last reader of `plans`: the fold rewrites them in place.
+  result.lineage = BuildLineage(project, plans);
   for (const auto& [name, lineage_node] : result.lineage.nodes()) {
     for (const std::string& column :
          result.lineage.DeadColumns(name)) {

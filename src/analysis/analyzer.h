@@ -72,9 +72,10 @@ struct AnalysisResult {
   /// Column-level output schema inferred for each SQL node that planned
   /// cleanly (the schema its materialized artifact will have).
   std::map<std::string, columnar::Schema> node_schemas;
-  /// Cross-pipeline column lineage (see lineage.h), built during the
-  /// lint pass; `check --lineage` renders it and the runner derives
-  /// projection trimming from it.
+  /// Cross-pipeline column lineage (see lineage.h), folded at the end of
+  /// the lint pass from the plans the schema pass built. `check
+  /// --lineage` renders it, and `Bauplan::Run` hands the runner its
+  /// RequiredOutputColumns() when a verified run trims (`run --trim`).
   LineageGraph lineage;
   /// Id of the "analysis" span (0 without a tracer). Callers that own
   /// the tracer may ExtractTrace it into `trace`.
@@ -91,9 +92,10 @@ struct AnalysisResult {
 /// whole pipeline project and rejects broken ones before any container
 /// is scheduled. Three passes over the extracted reference graph:
 ///
-///   1. structural  — resolve every FROM/JOIN/expectation reference
-///      against project nodes and the catalog; find unknown references,
-///      cycles, shadowed outputs and dead audits.
+///   1. structural  — parse each SQL node once, resolve every FROM/JOIN/
+///      expectation reference against project nodes and the catalog, and
+///      order the nodes (pipeline::SortTopologically); find unknown
+///      references, cycles, shadowed outputs and dead audits.
 ///   2. schema      — fold each SQL node through the query planner in
 ///      topological order, feeding every node the inferred output
 ///      schemas of its upstream nodes; surfaces unknown columns, type

@@ -7,7 +7,6 @@
 #include "common/strings.h"
 #include "expectations/expectation.h"
 #include "sql/optimizer.h"
-#include "sql/parser.h"
 
 namespace bauplan::analysis {
 
@@ -16,31 +15,6 @@ using pipeline::PipelineNode;
 using pipeline::PipelineProject;
 
 namespace {
-
-/// Resolves upstream node names to their inferred schemas, falling back
-/// to the catalog for source tables.
-class OverlayResolver : public sql::SchemaResolver {
- public:
-  explicit OverlayResolver(const sql::SchemaResolver* base) : base_(base) {}
-
-  void Add(const std::string& name, columnar::Schema schema) {
-    inferred_[name] = std::move(schema);
-  }
-  bool Has(const std::string& name) const {
-    return inferred_.count(name) > 0;
-  }
-
-  Result<columnar::Schema> GetTableSchema(
-      const std::string& table_name) const override {
-    auto it = inferred_.find(table_name);
-    if (it != inferred_.end()) return it->second;
-    return base_->GetTableSchema(table_name);
-  }
-
- private:
-  const sql::SchemaResolver* base_;
-  std::map<std::string, columnar::Schema> inferred_;
-};
 
 /// Collects each scan's read set: the columns projection pushdown left
 /// in `scan_columns`, or the scan's whole schema when nothing was
@@ -74,86 +48,35 @@ const char* ConsumerKindName(ColumnConsumer::Kind kind) {
 }  // namespace
 
 LineageGraph BuildLineage(const PipelineProject& project,
-                          const sql::SchemaResolver& catalog) {
-  LineageGraph graph;
-  OverlayResolver resolver(&catalog);
-  std::set<std::string> node_names;
-  for (const PipelineNode& node : project.nodes()) {
-    if (node.kind == NodeKind::kSqlModel) node_names.insert(node.name);
-  }
-
-  // Plan nodes in dependency order: a node is ready once every upstream
-  // *node* it references has an inferred schema (source tables resolve
-  // through the catalog). Unplannable nodes (parse errors, cycles,
-  // missing tables) are skipped — earlier analyzer passes own those
-  // diagnostics.
-  struct Planned {
-    const PipelineNode* node;
-    sql::PlanPtr plan;
-  };
-  std::vector<Planned> planned;
-  std::vector<const PipelineNode*> pending;
-  for (const PipelineNode& node : project.nodes()) {
-    if (node.kind == NodeKind::kSqlModel) pending.push_back(&node);
-  }
-  bool progress = true;
-  while (progress && !pending.empty()) {
-    progress = false;
-    std::vector<const PipelineNode*> next;
-    for (const PipelineNode* node : pending) {
-      auto stmt = sql::ParseSelect(node->code);
-      if (!stmt.ok()) {
-        progress = true;  // drop it; never becomes ready
-        continue;
-      }
-      bool ready = true;
-      for (const std::string& ref : stmt->ReferencedTables()) {
-        if (node_names.count(ref) > 0 && !resolver.Has(ref)) {
-          ready = false;
-        }
-      }
-      if (!ready) {
-        next.push_back(node);
-        continue;
-      }
-      progress = true;
-      auto plan = sql::PlanQuery(*stmt, resolver);
-      if (!plan.ok()) continue;
-      // Projection pushdown alone computes the exact per-scan read
-      // sets; every other rewrite is noise for lineage purposes.
-      sql::OptimizerOptions opts;
-      opts.pushdown_predicates = false;
-      opts.pushdown_filters = false;
-      opts.fold_constants = false;
-      opts.prune_contradictions = false;
-      opts.trim_output_columns = false;
-      auto optimized = sql::OptimizePlan(*plan, opts);
-      if (!optimized.ok()) continue;
-      resolver.Add(node->name, (*optimized)->schema);
-      planned.push_back({node, *optimized});
-    }
-    pending = std::move(next);
-  }
-
-  // First pass: nodes, read sets, outputs.
-  for (const Planned& p : planned) {
-    LineageNode ln;
-    ln.name = p.node->name;
+                          const std::map<std::string, sql::PlanPtr>& plans) {
+  // First pass: nodes, read sets, outputs. Projection pushdown alone
+  // computes the exact per-scan read sets; every other rewrite is noise
+  // for lineage purposes.
+  sql::OptimizerOptions opts;
+  opts.pushdown_predicates = false;
+  opts.pushdown_filters = false;
+  opts.fold_constants = false;
+  opts.prune_contradictions = false;
+  opts.trim_output_columns = false;
+  std::map<std::string, LineageNode> nodes;
+  for (const auto& [name, plan] : plans) {
+    auto optimized = sql::OptimizePlan(plan, opts);
+    if (!optimized.ok()) continue;
+    LineageNode& ln = nodes[name];
+    ln.name = name;
     std::map<std::string, std::set<std::string>> reads;
-    CollectScanReads(p.plan, &reads);
+    CollectScanReads(*optimized, &reads);
     for (auto& [table, columns] : reads) {
       ln.reads[table] =
           std::vector<std::string>(columns.begin(), columns.end());
     }
-    for (const auto& f : p.plan->schema.fields()) {
+    for (const auto& f : (*optimized)->schema.fields()) {
       ln.outputs.push_back(f.name);
       ln.consumers[f.name];  // materialize the (possibly empty) entry
     }
-    graph.AddNode(std::move(ln));
   }
 
   // Second pass: wire consumers.
-  std::map<std::string, LineageNode> nodes = graph.nodes();
   for (auto& [reader_name, reader] : nodes) {
     for (const auto& [input, columns] : reader.reads) {
       auto it = nodes.find(input);
@@ -188,10 +111,7 @@ LineageGraph BuildLineage(const PipelineProject& project,
       consumers.push_back({ColumnConsumer::Kind::kTerminal, ""});
     }
   }
-
-  LineageGraph out;
-  for (auto& [name, node] : nodes) out.AddNode(std::move(node));
-  return out;
+  return LineageGraph(std::move(nodes));
 }
 
 std::vector<std::string> LineageGraph::DeadColumns(

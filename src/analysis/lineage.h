@@ -5,21 +5,20 @@
 #include <string>
 #include <vector>
 
-#include "columnar/type.h"
 #include "pipeline/project.h"
-#include "sql/planner.h"
+#include "sql/logical_plan.h"
 
 /// Cross-pipeline column lineage: which columns every node reads from
 /// each of its inputs, and which consumer (downstream node, expectation,
 /// or the terminal output) reads each column a node produces. Built by
-/// folding every node's logical plan over the whole PipelineProject —
+/// folding the logical plans the analyzer already made for every node —
 /// the projection-pushdown pass computes the exact per-scan read sets,
 /// so lineage is as precise as the optimizer itself.
 ///
-/// Two consumers: `bauplan check --lineage` renders the graph, and the
-/// pipeline runner derives each node's required output columns from it
-/// (cross-node projection trimming — a node only materializes columns
-/// somebody reads).
+/// Two consumers: `bauplan check --lineage` renders the graph, and a
+/// verified `bauplan run --trim` derives each node's required output
+/// columns from its pre-flight's graph (cross-node projection trimming
+/// — a node only materializes columns somebody reads).
 namespace bauplan::analysis {
 
 /// One reader of a produced column.
@@ -48,6 +47,10 @@ struct LineageNode {
 
 class LineageGraph {
  public:
+  LineageGraph() = default;
+  explicit LineageGraph(std::map<std::string, LineageNode> nodes)
+      : nodes_(std::move(nodes)) {}
+
   /// Nodes keyed (and therefore rendered) by name.
   const std::map<std::string, LineageNode>& nodes() const {
     return nodes_;
@@ -70,20 +73,18 @@ class LineageGraph {
   /// Deterministic JSON rendering for `check --lineage --json`.
   std::string ToJson() const;
 
-  void AddNode(LineageNode node) {
-    nodes_[node.name] = std::move(node);
-  }
-
  private:
   std::map<std::string, LineageNode> nodes_;
 };
 
-/// Builds the lineage graph for `project`, resolving source tables
-/// through `catalog`. Nodes that fail to parse or plan are skipped (the
-/// analyzer's earlier passes already diagnosed them), so the graph is
-/// best-effort on broken projects and exact on clean ones.
+/// Folds `plans` — the logical plan of each SQL node of `project` that
+/// planned, by node name — into the lineage graph; `project` supplies
+/// the expectations that read columns. A node without a plan is absent
+/// (the analyzer already diagnosed it), so the graph is best-effort on
+/// broken projects and exact on clean ones. Runs projection pushdown on
+/// every plan in place, so callers read the plans before the fold.
 LineageGraph BuildLineage(const pipeline::PipelineProject& project,
-                          const sql::SchemaResolver& catalog);
+                          const std::map<std::string, sql::PlanPtr>& plans);
 
 }  // namespace bauplan::analysis
 

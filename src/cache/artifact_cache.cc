@@ -41,7 +41,7 @@ Result<CachedArtifact> CachedArtifact::Deserialize(const Bytes& bytes) {
   BAUPLAN_ASSIGN_OR_RETURN(artifact.details, r.GetString());
   BAUPLAN_ASSIGN_OR_RETURN(artifact.output_rows, r.GetI64());
   if (artifact.kind == pipeline::NodeKind::kSqlModel) {
-    BAUPLAN_ASSIGN_OR_RETURN(uint32_t size, r.GetU32());
+    BAUPLAN_ASSIGN_OR_RETURN(uint32_t size, r.GetCount());
     Bytes payload(size);
     BAUPLAN_RETURN_NOT_OK(r.GetRaw(payload.data(), size));
     BAUPLAN_ASSIGN_OR_RETURN(artifact.table,

@@ -27,7 +27,7 @@ Result<Commit> Commit::Deserialize(const Bytes& bytes) {
   BAUPLAN_ASSIGN_OR_RETURN(c.message, r.GetString());
   BAUPLAN_ASSIGN_OR_RETURN(c.author, r.GetString());
   BAUPLAN_ASSIGN_OR_RETURN(c.timestamp_micros, r.GetU64());
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t ntables, r.GetU32());
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t ntables, r.GetCount());
   for (uint32_t i = 0; i < ntables; ++i) {
     BAUPLAN_ASSIGN_OR_RETURN(std::string name, r.GetString());
     BAUPLAN_ASSIGN_OR_RETURN(std::string key, r.GetString());

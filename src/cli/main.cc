@@ -78,7 +78,8 @@ commands:
         nodes of a --naive run as wavefronts with up to N bodies at a
         time (it needs --naive); --trim drops dead columns from
         intermediate artifacts (cross-node projection trimming from the
-        lineage graph; fused runs only, so not with --naive);
+        pre-flight check's lineage graph; fused runs only, so not with
+        --naive, and not with --no-verify);
         --trace-out writes the run's hierarchical span trace as JSON;
         unchanged nodes are served from the differential artifact cache
         (content-addressed, shared across branches) — --no-cache skips
@@ -565,6 +566,10 @@ int Main(int argc, char** argv) {
     if (args.Has("--trim") && args.Has("--naive")) {
       return UsageError("--trim is fused-only; it cannot combine with "
                         "--naive");
+    }
+    if (args.Has("--trim") && args.Has("--no-verify")) {
+      return UsageError("--trim trims by the pre-flight check's lineage; "
+                        "it cannot combine with --no-verify");
     }
     auto project = LoadProjectFromDir(args.Get("--project"));
     if (!project.ok()) return Fail(project.status());

@@ -65,7 +65,13 @@ Result<ArrayPtr> DeserializeArray(BinaryReader* reader) {
     return Status::IOError("invalid array type tag");
   }
   TypeId type = static_cast<TypeId>(type_tag);
-  BAUPLAN_ASSIGN_OR_RETURN(uint64_t length, reader->GetU64());
+  // Each value is stored at least as wide as its bool byte, string
+  // offset or 8-byte number, which bounds the length by the payload.
+  const size_t value_bytes = type == TypeId::kBool     ? 1
+                             : type == TypeId::kString ? sizeof(uint32_t)
+                                                       : sizeof(int64_t);
+  BAUPLAN_ASSIGN_OR_RETURN(uint64_t length,
+                           reader->GetCount<uint64_t>(value_bytes));
   BAUPLAN_ASSIGN_OR_RETURN(uint64_t null_count, reader->GetU64());
   if (null_count > length) return Status::IOError("null_count > length");
   if (length > kMaxArrayLength) {
@@ -73,18 +79,12 @@ Result<ArrayPtr> DeserializeArray(BinaryReader* reader) {
   }
   std::vector<uint8_t> validity;
   if (null_count > 0) {
-    if (length > reader->Remaining()) {
-      return Status::IOError("validity extends past payload");
-    }
     validity.resize(length);
     BAUPLAN_RETURN_NOT_OK(reader->GetRaw(validity.data(), length));
   }
   switch (type) {
     case TypeId::kInt64:
     case TypeId::kTimestamp: {
-      if (length * sizeof(int64_t) > reader->Remaining()) {
-        return Status::IOError("int64 values extend past payload");
-      }
       std::vector<int64_t> values(length);
       BAUPLAN_RETURN_NOT_OK(
           reader->GetRaw(values.data(), length * sizeof(int64_t)));
@@ -94,9 +94,6 @@ Result<ArrayPtr> DeserializeArray(BinaryReader* reader) {
                                           type);
     }
     case TypeId::kDouble: {
-      if (length * sizeof(double) > reader->Remaining()) {
-        return Status::IOError("double values extend past payload");
-      }
       std::vector<double> values(length);
       BAUPLAN_RETURN_NOT_OK(
           reader->GetRaw(values.data(), length * sizeof(double)));
@@ -105,9 +102,6 @@ Result<ArrayPtr> DeserializeArray(BinaryReader* reader) {
                                            static_cast<int64_t>(null_count));
     }
     case TypeId::kBool: {
-      if (length > reader->Remaining()) {
-        return Status::IOError("bool values extend past payload");
-      }
       std::vector<uint8_t> values(length);
       BAUPLAN_RETURN_NOT_OK(reader->GetRaw(values.data(), length));
       return std::make_shared<BoolArray>(std::move(values),
@@ -118,9 +112,6 @@ Result<ArrayPtr> DeserializeArray(BinaryReader* reader) {
       BAUPLAN_ASSIGN_OR_RETURN(uint64_t noffsets, reader->GetU64());
       if (noffsets != length + 1) {
         return Status::IOError("string offsets count mismatch");
-      }
-      if (noffsets * sizeof(uint32_t) > reader->Remaining()) {
-        return Status::IOError("string offsets extend past payload");
       }
       std::vector<uint32_t> offsets(noffsets);
       BAUPLAN_RETURN_NOT_OK(

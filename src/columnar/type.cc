@@ -98,12 +98,7 @@ void Schema::Serialize(BinaryWriter* writer) const {
 }
 
 Result<Schema> Schema::Deserialize(BinaryReader* reader) {
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, reader->GetU32());
-  // Each serialized field needs at least 6 bytes; a larger count is
-  // corruption and must not drive the reserve below.
-  if (n > reader->Remaining()) {
-    return Status::IOError("implausible field count in schema");
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, reader->GetCount());
   std::vector<Field> fields;
   fields.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

@@ -74,11 +74,21 @@ class BinaryReader {
     return v != 0;
   }
 
-  Result<std::string> GetString() {
-    BAUPLAN_ASSIGN_OR_RETURN(uint32_t len, GetU32());
-    if (len > Remaining()) {
-      return Status::IOError("truncated string in binary payload");
+  /// Reads a count of items at least `item_bytes` wide each (a byte
+  /// size when 1): a u32, or the fixed-width `T` a codec declares.
+  /// IOError when the rest of the payload cannot hold that many, so a
+  /// corrupt count never sizes an allocation or a loop.
+  template <typename T = uint32_t>
+  Result<T> GetCount(size_t item_bytes = 1) {
+    BAUPLAN_ASSIGN_OR_RETURN(T n, GetFixed<T>());
+    if (n > Remaining() / item_bytes) {
+      return Status::IOError("count exceeds the remaining payload");
     }
+    return n;
+  }
+
+  Result<std::string> GetString() {
+    BAUPLAN_ASSIGN_OR_RETURN(uint32_t len, GetCount());
     if (len == 0) return std::string();
     std::string out(reinterpret_cast<const char*>(data_ + pos_), len);
     pos_ += len;

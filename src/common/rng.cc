@@ -81,10 +81,6 @@ double Rng::Pareto(double xmin, double alpha) {
   return xmin * std::pow(u, -1.0 / alpha);
 }
 
-double Rng::LogNormal(double mu, double sigma) {
-  return std::exp(Normal(mu, sigma));
-}
-
 ZipfDistribution::ZipfDistribution(uint64_t n, double s) : n_(n), s_(s) {
   assert(n > 0);
   cdf_.resize(n);

@@ -39,9 +39,6 @@ class Rng {
   /// follow (power-law with CCDF (x/xmin)^-alpha for x >= xmin).
   double Pareto(double xmin, double alpha);
 
-  /// Log-normal with parameters of the underlying normal.
-  double LogNormal(double mu, double sigma);
-
  private:
   uint64_t state_[4];
 };

@@ -48,8 +48,6 @@ class AuditLog {
   /// The most recent `limit` entries, newest first (0 = all).
   Result<std::vector<AuditEntry>> Tail(size_t limit = 0) const;
 
-  int64_t entries_recorded() const { return next_sequence_ - 1; }
-
  private:
   std::string EntryKey(int64_t sequence) const;
 

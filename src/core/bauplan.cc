@@ -9,12 +9,17 @@ namespace bauplan::core {
 namespace {
 
 /// InvalidArgument for an option combination the runner would silently
-/// ignore: trimming is fused-only, the wavefront width is naive-only,
-/// and a width below 1 means nothing.
+/// ignore: trimming is fused-only and reads the pre-flight's lineage,
+/// the wavefront width is naive-only, and a width below 1 means nothing.
 Status ValidateRunOptions(const PipelineRunOptions& options) {
   if (options.trim_unused_columns && !options.fused) {
     return Status::InvalidArgument(
         "trim_unused_columns (--trim) needs a fused run");
+  }
+  if (options.trim_unused_columns && !options.verify) {
+    return Status::InvalidArgument(
+        "trim_unused_columns (--trim) trims by the pre-flight check's "
+        "lineage, so it needs verify (drop --no-verify)");
   }
   if (options.fused && options.parallelism > 1) {
     return Status::InvalidArgument(
@@ -330,7 +335,10 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   BAUPLAN_RETURN_NOT_OK(ValidateRunOptions(options));
   // Pre-flight: refuse to schedule a project the analyzer rejects —
   // before a run is registered, a branch is created, or any container is
-  // acquired. `--no-verify` (options.verify = false) skips this.
+  // acquired. `--no-verify` (options.verify = false) skips this. A
+  // trimmed run narrows each node to the columns the check's lineage
+  // says some consumer reads.
+  std::map<std::string, std::vector<std::string>> required_columns;
   if (options.verify) {
     BAUPLAN_ASSIGN_OR_RETURN(analysis::AnalysisResult check,
                              Check(project, catalog::RefSpec(branch)));
@@ -339,6 +347,9 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
           StrCat("project failed static analysis (re-run with --no-verify "
                  "to force):\n",
                  check.diagnostics.ToText()));
+    }
+    if (options.trim_unused_columns) {
+      required_columns = check.lineage.RequiredOutputColumns();
     }
   }
   BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->ResolveRef(branch));
@@ -380,7 +391,8 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   if (wired.exec.spill_store == nullptr) {
     wired.exec.spill_store = spill_store_.get();
   }
-  auto execution = runner_->Execute(*dag, run_branch, wired);
+  auto execution =
+      runner_->Execute(*dag, run_branch, wired, required_columns);
   if (!execution.ok()) return fail(execution.status().ToString());
   // The runner produced the execution half of the report; keep the
   // identity fields the facade already filled in.

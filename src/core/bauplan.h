@@ -152,14 +152,8 @@ class Bauplan {
     return artifact_cache_->stats();
   }
   cache::ArtifactCache* artifact_cache() { return artifact_cache_.get(); }
-  storage::StoreMetrics lake_metrics() const {
-    return lake_store_->metrics();
-  }
   runtime::ContainerManagerMetrics container_metrics() const {
     return containers_->metrics();
-  }
-  runtime::PackageCacheMetrics package_cache_metrics() const {
-    return package_cache_->metrics();
   }
   /// Flat dump of every instrument the platform's components registered
   /// (store.lake.*, store.spill.*, scheduler.*, containers.*,

@@ -45,8 +45,6 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
     overlay_[name] = std::move(table);
   }
 
-  const std::string& ref() const { return ref_; }
-
   /// Pruning stats of the latest catalog scan through this source.
   const table::ScanPlan& last_scan_plan() const { return last_plan_; }
 

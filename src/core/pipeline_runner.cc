@@ -5,7 +5,6 @@
 #include <optional>
 #include <set>
 
-#include "analysis/lineage.h"
 #include "columnar/serialize.h"
 #include "common/hash.h"
 #include "common/strings.h"
@@ -132,7 +131,8 @@ runtime::ContainerSpec PipelineRunner::SpecForNode(
 
 Result<RunReport> PipelineRunner::Execute(
     const Dag& dag, const std::string& ref,
-    const PipelineRunOptions& options) {
+    const PipelineRunOptions& options,
+    const std::map<std::string, std::vector<std::string>>& required_columns) {
   for (const auto& name : options.selected) {
     if (!dag.HasNode(name)) {
       return Status::NotFound(StrCat("no pipeline node named '", name,
@@ -175,8 +175,7 @@ Result<RunReport> PipelineRunner::Execute(
   Result<RunReport> result =
       options.fused
           ? ExecuteFused(dag, ref, SelectOrAll(dag, options.selected),
-                         options.exec, options.trim_unused_columns,
-                         keys_ptr, run_span)
+                         options.exec, required_columns, keys_ptr, run_span)
           : ExecuteWavefront(dag, ref, SelectOrAll(dag, options.selected),
                              options.exec, options.parallelism, keys_ptr,
                              run_span);
@@ -250,33 +249,11 @@ std::optional<cache::CachedArtifact> PipelineRunner::Probe(
 Result<RunReport> PipelineRunner::ExecuteFused(
     const Dag& dag, const std::string& ref,
     const std::vector<std::string>& selected,
-    const sql::ExecOptions& exec, bool trim_unused_columns,
+    const sql::ExecOptions& exec,
+    const std::map<std::string, std::vector<std::string>>& required_columns,
     const cache::NodeFingerprints* keys, uint64_t run_span) {
   RunReport report;
   uint64_t start = clock_->NowMicros();
-
-  // Cross-node projection trimming (run --trim): fold the whole DAG's
-  // lineage once, then hand each node the set of output columns some
-  // downstream node, expectation, or terminal artifact actually reads.
-  // The optimizer wraps the node's plan in a projection, and pushdown
-  // carries the narrowing all the way into the scans.
-  std::map<std::string, std::vector<std::string>> required_columns;
-  if (trim_unused_columns) {
-    pipeline::PipelineProject lineage_project("lineage");
-    for (const auto& name : dag.execution_order()) {
-      const PipelineNode& node = *dag.GetNode(name).node;
-      Status st = node.kind == NodeKind::kSqlModel
-                      ? lineage_project.AddSqlNode(node.name, node.code,
-                                                   node.requirements)
-                      : lineage_project.AddExpectationNode(
-                            node.name, node.code, node.requirements);
-      if (!st.ok()) return st;
-    }
-    LakehouseSource schemas(catalog_, ops_, ref);
-    required_columns =
-        analysis::BuildLineage(lineage_project, schemas)
-            .RequiredOutputColumns();
-  }
 
   // One function for the whole DAG: union of all requirements, memory
   // sized once the inputs are known (use a conservative default).
@@ -333,6 +310,9 @@ Result<RunReport> PipelineRunner::ExecuteFused(
           publish(name, std::move(hit->table));
         }
       } else {
+        // Cross-node projection trimming (run --trim): the optimizer
+        // wraps the node's plan in a projection to the columns some
+        // consumer reads, and pushdown carries it into the scans.
         sql::QueryOptions qopts;
         qopts.exec = exec;
         if (auto it = required_columns.find(name);

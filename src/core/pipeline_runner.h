@@ -1,6 +1,7 @@
 #ifndef BAUPLAN_CORE_PIPELINE_RUNNER_H_
 #define BAUPLAN_CORE_PIPELINE_RUNNER_H_
 
+#include <map>
 #include <optional>
 #include <string>
 #include <vector>
@@ -48,12 +49,13 @@ struct PipelineRunOptions {
   /// to run (FailedPrecondition, no container acquired) when the
   /// analyzer reports errors. `bauplan run --no-verify` turns this off.
   bool verify = true;
-  /// Fused mode only (a naive run refuses it): build the cross-pipeline
-  /// lineage graph and trim each node's materialized output to the
-  /// columns some downstream node, expectation, or terminal artifact
-  /// actually reads (`bauplan run --trim`). Off by default because
-  /// trimmed intermediate artifacts are observably narrower than the
-  /// node's SELECT list.
+  /// Fused and verified runs only (Bauplan::Run refuses a naive or
+  /// `verify = false` run with it): trim each node's materialized output
+  /// to the columns some downstream node, expectation, or terminal
+  /// artifact actually reads, as the pre-flight's lineage graph lists
+  /// them (`bauplan run --trim`). Off by default because trimmed
+  /// intermediate artifacts are observably narrower than the node's
+  /// SELECT list. Trimmed runs bypass the artifact cache.
   bool trim_unused_columns = false;
   /// Execution knobs for every SQL node body (engine, threads, morsel
   /// size, memory budget) — the same struct queries take, embedded by
@@ -104,17 +106,24 @@ class PipelineRunner {
 
   /// Runs `dag` reading source tables at `ref`. Expectation failures are
   /// reported in the result (not as an error Status); infrastructure
-  /// failures are errors.
-  Result<RunReport> Execute(const pipeline::Dag& dag,
-                            const std::string& ref,
-                            const PipelineRunOptions& options);
+  /// failures are errors. A fused run narrows each node listed in
+  /// `required_columns` to those output columns (the lineage graph's
+  /// RequiredOutputColumns, which Bauplan::Run passes for
+  /// trim_unused_columns).
+  Result<RunReport> Execute(
+      const pipeline::Dag& dag, const std::string& ref,
+      const PipelineRunOptions& options,
+      const std::map<std::string, std::vector<std::string>>&
+          required_columns = {});
 
  private:
   Result<RunReport> ExecuteFused(const pipeline::Dag& dag,
                                  const std::string& ref,
                                  const std::vector<std::string>& selected,
                                  const sql::ExecOptions& exec,
-                                 bool trim_unused_columns,
+                                 const std::map<std::string,
+                                                std::vector<std::string>>&
+                                     required_columns,
                                  const cache::NodeFingerprints* keys,
                                  uint64_t run_span);
   /// The naive scheduler. Each round is one ready pass in execution

@@ -14,18 +14,6 @@ using columnar::AsInt64;
 using columnar::AsString;
 using columnar::TypeId;
 
-std::string_view EncodingToString(Encoding encoding) {
-  switch (encoding) {
-    case Encoding::kPlain:
-      return "plain";
-    case Encoding::kDictionary:
-      return "dictionary";
-    case Encoding::kRunLength:
-      return "run-length";
-  }
-  return "?";
-}
-
 namespace {
 
 /// Sanity cap shared with the plain deserializer: corrupt payloads fail
@@ -86,22 +74,18 @@ Status EncodeDictionary(const columnar::StringArray& array,
 }
 
 Result<ArrayPtr> DecodeDictionary(BinaryReader* reader) {
-  BAUPLAN_ASSIGN_OR_RETURN(uint64_t length, reader->GetU64());
+  // One u32 code per value follows the dictionary.
+  BAUPLAN_ASSIGN_OR_RETURN(uint64_t length,
+                           reader->GetCount<uint64_t>(sizeof(uint32_t)));
   if (length > kMaxDecodedValues) {
     return Status::IOError("implausible dictionary length");
   }
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t dict_size, reader->GetU32());
-  if (dict_size > reader->Remaining()) {
-    return Status::IOError("implausible dictionary size");
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t dict_size, reader->GetCount());
   std::vector<std::string> dict;
   dict.reserve(dict_size);
   for (uint32_t i = 0; i < dict_size; ++i) {
     BAUPLAN_ASSIGN_OR_RETURN(std::string v, reader->GetString());
     dict.push_back(std::move(v));
-  }
-  if (length * sizeof(uint32_t) > reader->Remaining()) {
-    return Status::IOError("dictionary codes extend past payload");
   }
   std::vector<uint32_t> codes(length);
   BAUPLAN_RETURN_NOT_OK(reader->GetRaw(codes.data(),

@@ -21,8 +21,6 @@ enum class Encoding : uint8_t {
   kRunLength = 2,
 };
 
-std::string_view EncodingToString(Encoding encoding);
-
 /// Picks the cheapest encoding for `array` by estimating encoded sizes.
 Encoding ChooseEncoding(const columnar::Array& array);
 

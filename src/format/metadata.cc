@@ -32,10 +32,7 @@ void RowGroupMeta::Serialize(BinaryWriter* writer) const {
 Result<RowGroupMeta> RowGroupMeta::Deserialize(BinaryReader* reader) {
   RowGroupMeta meta;
   BAUPLAN_ASSIGN_OR_RETURN(meta.num_rows, reader->GetI64());
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t ncols, reader->GetU32());
-  if (ncols > reader->Remaining()) {
-    return Status::IOError("implausible column count in row group");
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t ncols, reader->GetCount());
   meta.columns.reserve(ncols);
   for (uint32_t i = 0; i < ncols; ++i) {
     BAUPLAN_ASSIGN_OR_RETURN(ColumnChunkMeta col,
@@ -55,10 +52,7 @@ Result<FileMetadata> FileMetadata::Deserialize(BinaryReader* reader) {
   FileMetadata meta;
   BAUPLAN_ASSIGN_OR_RETURN(meta.schema,
                            columnar::Schema::Deserialize(reader));
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t ngroups, reader->GetU32());
-  if (ngroups > reader->Remaining()) {
-    return Status::IOError("implausible row group count");
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t ngroups, reader->GetCount());
   meta.row_groups.reserve(ngroups);
   for (uint32_t i = 0; i < ngroups; ++i) {
     BAUPLAN_ASSIGN_OR_RETURN(RowGroupMeta rg,

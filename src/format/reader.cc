@@ -25,7 +25,8 @@ Result<BpfReader> BpfReader::Open(Bytes file) {
   if (head_magic != kBpfMagic) {
     return Status::IOError("bad leading magic in BPF file");
   }
-  if (footer_size + 12 > file.size()) {
+  // Compared in size_t: a u32 sum would wrap for sizes near 2^32.
+  if (footer_size > file.size() - 12) {
     return Status::IOError("footer size exceeds file size");
   }
   size_t footer_start = file.size() - 8 - footer_size;

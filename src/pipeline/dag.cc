@@ -7,6 +7,42 @@
 
 namespace bauplan::pipeline {
 
+TopologicalOrder SortTopologically(
+    const std::vector<std::string>& nodes,
+    const std::function<const std::vector<std::string>&(
+        const std::string&)>& upstream_of) {
+  // Unmet upstream reads per node, and who reads each node.
+  std::map<std::string, int> waiting;
+  for (const auto& name : nodes) waiting[name] = 0;
+  std::map<std::string, std::vector<std::string>> readers;
+  for (const auto& name : nodes) {
+    for (const auto& up : upstream_of(name)) {
+      if (waiting.count(up) == 0) continue;
+      readers[up].push_back(name);
+      ++waiting[name];
+    }
+  }
+  // A deque keeps the FIFO pop O(1); erasing the front of a vector is
+  // O(n) per node, quadratic over wide DAGs.
+  std::deque<std::string> ready;
+  for (const auto& name : nodes) {
+    if (waiting[name] == 0) ready.push_back(name);
+  }
+  TopologicalOrder sorted;
+  while (!ready.empty()) {
+    std::string current = std::move(ready.front());
+    ready.pop_front();
+    for (const auto& reader : readers[current]) {
+      if (--waiting[reader] == 0) ready.push_back(reader);
+    }
+    sorted.order.push_back(std::move(current));
+  }
+  for (const auto& [name, count] : waiting) {
+    if (count > 0) sorted.blocked.push_back(name);
+  }
+  return sorted;
+}
+
 Result<Dag> Dag::Build(const PipelineProject& project,
                        const std::set<std::string>& known_tables) {
   Dag dag;
@@ -42,41 +78,19 @@ Result<Dag> Dag::Build(const PipelineProject& project,
     dag.nodes_.emplace(node.name, std::move(entry));
   }
 
-  // Kahn's algorithm over project order for deterministic output.
-  std::map<std::string, int> in_degree;
-  std::map<std::string, std::vector<std::string>> downstream;
-  for (const auto& node : project.nodes()) {
-    in_degree[node.name] =
-        static_cast<int>(dag.nodes_.at(node.name).upstream_nodes.size());
-    for (const auto& up : dag.nodes_.at(node.name).upstream_nodes) {
-      downstream[up].push_back(node.name);
-    }
-  }
-  // A deque keeps the FIFO pop O(1); erasing the front of a vector is
-  // O(n) per node, quadratic over wide DAGs.
-  std::deque<std::string> ready;
-  for (const auto& node : project.nodes()) {
-    if (in_degree[node.name] == 0) ready.push_back(node.name);
-  }
-  while (!ready.empty()) {
-    std::string current = std::move(ready.front());
-    ready.pop_front();
-    dag.order_.push_back(current);
-    for (const auto& next : downstream[current]) {
-      if (--in_degree[next] == 0) ready.push_back(next);
-    }
-  }
-  if (dag.order_.size() != dag.nodes_.size()) {
-    std::string cyclic;
-    for (const auto& [name, degree] : in_degree) {
-      if (degree > 0) {
-        if (!cyclic.empty()) cyclic += ", ";
-        cyclic += name;
-      }
-    }
+  // Project order breaks ties, so the order is deterministic.
+  std::vector<std::string> names;
+  for (const auto& node : project.nodes()) names.push_back(node.name);
+  TopologicalOrder sorted = SortTopologically(
+      names, [&](const std::string& name) -> const std::vector<std::string>& {
+        return dag.nodes_.at(name).upstream_nodes;
+      });
+  if (!sorted.blocked.empty()) {
     return Status::InvalidArgument(
-        StrCat("pipeline has a dependency cycle involving: ", cyclic));
+        StrCat("pipeline has a dependency cycle involving: ",
+               StrJoin(sorted.blocked, ", ")));
   }
+  dag.order_ = std::move(sorted.order);
   return dag;
 }
 

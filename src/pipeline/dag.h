@@ -1,6 +1,7 @@
 #ifndef BAUPLAN_PIPELINE_DAG_H_
 #define BAUPLAN_PIPELINE_DAG_H_
 
+#include <functional>
 #include <map>
 #include <set>
 #include <string>
@@ -10,6 +11,25 @@
 #include "pipeline/project.h"
 
 namespace bauplan::pipeline {
+
+/// Kahn's algorithm over named nodes: what SortTopologically returns.
+struct TopologicalOrder {
+  /// Parents first.
+  std::vector<std::string> order;
+  /// Nodes a cycle blocks (on one, or downstream of one), sorted by
+  /// name; empty for an acyclic graph.
+  std::vector<std::string> blocked;
+};
+
+/// Topologically sorts `nodes`, where `upstream_of(n)` lists the names
+/// node `n` reads; names outside `nodes` are not edges, and a name read
+/// twice counts twice. Ready nodes leave first in, first out: those with
+/// no upstream in `nodes` order, then each as its last upstream leaves,
+/// so the caller's listing order makes the result deterministic.
+TopologicalOrder SortTopologically(
+    const std::vector<std::string>& nodes,
+    const std::function<const std::vector<std::string>&(
+        const std::string&)>& upstream_of);
 
 /// One node of the extracted DAG with its resolved dependencies.
 struct DagNode {

@@ -83,7 +83,7 @@ Result<PipelineProject> PipelineProject::FromSnapshot(const Bytes& bytes) {
   BinaryReader r(bytes);
   BAUPLAN_ASSIGN_OR_RETURN(std::string name, r.GetString());
   PipelineProject project(std::move(name));
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t count, r.GetU32());
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t count, r.GetCount());
   for (uint32_t i = 0; i < count; ++i) {
     PipelineNode node;
     BAUPLAN_ASSIGN_OR_RETURN(node.name, r.GetString());

@@ -36,12 +36,12 @@ Result<RunRecord> RunRecord::Deserialize(const Bytes& bytes) {
   BAUPLAN_ASSIGN_OR_RETURN(record.branch, r.GetString());
   BAUPLAN_ASSIGN_OR_RETURN(record.started_micros, r.GetU64());
   BAUPLAN_ASSIGN_OR_RETURN(record.status, r.GetString());
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t snapshot_size, r.GetU32());
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t snapshot_size, r.GetCount());
   record.project_snapshot.resize(snapshot_size);
   BAUPLAN_RETURN_NOT_OK(
       r.GetRaw(record.project_snapshot.data(), snapshot_size));
   if (!r.AtEnd()) {  // cached_nodes tail (absent in pre-cache records)
-    BAUPLAN_ASSIGN_OR_RETURN(uint32_t cached_count, r.GetU32());
+    BAUPLAN_ASSIGN_OR_RETURN(uint32_t cached_count, r.GetCount());
     record.cached_nodes.reserve(cached_count);
     for (uint32_t i = 0; i < cached_count; ++i) {
       BAUPLAN_ASSIGN_OR_RETURN(std::string name, r.GetString());

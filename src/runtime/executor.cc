@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <atomic>
-#include <map>
 #include <thread>
 #include <utility>
 
@@ -63,7 +62,6 @@ Result<InvocationReport> ServerlessExecutor::Invoke(
     const FunctionRequest& request) {
   InvocationReport report;
   report.name = request.name;
-  report.ticket = request.ticket;
   uint64_t start = clock_->NowMicros();
 
   // Place for memory + locality (charges transfer time).
@@ -219,7 +217,6 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
 
     InvocationReport report;
     report.name = member.request.name;
-    report.ticket = member.request.ticket;
     report.start_kind = member.acq.kind;
     report.worker = member.placement.worker;
     report.queue_micros = begin - wave_start;
@@ -258,71 +255,29 @@ Result<WaveReport> ServerlessExecutor::InvokeWave(
   return wave;
 }
 
-int64_t ServerlessExecutor::Submit(FunctionRequest request) {
+void ServerlessExecutor::Submit(FunctionRequest request) {
   std::lock_guard<std::mutex> lock(queue_mu_);
-  Pending pending;
-  pending.ticket = next_ticket_++;
-  pending.submitted_micros = clock_->NowMicros();
-  pending.request = std::move(request);
-  queue_.push_back(std::move(pending));
-  return queue_.back().ticket;
+  queue_.push_back(Pending{clock_->NowMicros(), std::move(request)});
 }
 
-Result<std::vector<InvocationReport>> ServerlessExecutor::Drain(
-    int parallelism) {
+Result<std::vector<InvocationReport>> ServerlessExecutor::Drain() {
   std::vector<Pending> batch;
   {
     std::lock_guard<std::mutex> lock(queue_mu_);
     batch.swap(queue_);
   }
 
+  // Submit order; queue time runs up to each function's own dispatch
+  // (it includes its predecessors' runtime).
   std::vector<InvocationReport> reports;
   reports.reserve(batch.size());
-
-  if (parallelism <= 1) {
-    // Sequential drain: submit order, queue time measured up to each
-    // function's own dispatch (it includes its predecessors' runtime).
-    for (Pending& pending : batch) {
-      uint64_t queued = clock_->NowMicros() - pending.submitted_micros;
-      pending.request.ticket = pending.ticket;
-      BAUPLAN_ASSIGN_OR_RETURN(InvocationReport report,
-                               Invoke(pending.request));
-      report.queue_micros += queued;
-      report.total_micros += queued;
-      reports.push_back(std::move(report));
-    }
-    return reports;
-  }
-
-  // Wavefront drain: the whole batch dispatches together; members that
-  // bounce on resources retry in follow-up waves.
-  std::map<int64_t, uint64_t> submitted_micros;
-  std::vector<FunctionRequest> remaining;
-  remaining.reserve(batch.size());
-  for (Pending& pending : batch) {
-    submitted_micros[pending.ticket] = pending.submitted_micros;
-    pending.request.ticket = pending.ticket;
-    remaining.push_back(std::move(pending.request));
-  }
-
-  while (!remaining.empty()) {
-    uint64_t dispatch_micros = clock_->NowMicros();
-    BAUPLAN_ASSIGN_OR_RETURN(
-        WaveReport wave, InvokeWave(std::move(remaining), parallelism));
-    remaining = std::move(wave.deferred);
-    if (wave.reports.empty() && !remaining.empty()) {
-      return Status::Internal(
-          "executor made no progress draining the queue");
-    }
-    for (InvocationReport& report : wave.reports) {
-      auto it = submitted_micros.find(report.ticket);
-      uint64_t queued = it == submitted_micros.end()
-                            ? 0
-                            : dispatch_micros - it->second;
-      report.queue_micros += queued;
-      report.total_micros += queued;
-      reports.push_back(std::move(report));
-    }
+  for (const Pending& pending : batch) {
+    uint64_t queued = clock_->NowMicros() - pending.submitted_micros;
+    BAUPLAN_ASSIGN_OR_RETURN(InvocationReport report,
+                             Invoke(pending.request));
+    report.queue_micros += queued;
+    report.total_micros += queued;
+    reports.push_back(std::move(report));
   }
   return reports;
 }

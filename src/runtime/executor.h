@@ -35,9 +35,6 @@ struct FunctionRequest {
   /// would make startup time negligible"); plain stateless functions
   /// leave it false.
   bool keep_warm = false;
-  /// Caller-provided correlation id, echoed in the InvocationReport
-  /// (Submit/Drain fill it with the queue ticket).
-  int64_t ticket = 0;
   /// The actual work. Runs in-process; simulated time for data movement
   /// and startup is charged by the executor, while the body may charge
   /// additional compute time itself. May be empty for pure simulations.
@@ -55,8 +52,6 @@ struct InvocationReport {
   uint64_t body_micros = 0;
   uint64_t total_micros = 0;
   bool locality_hit = false;
-  /// Echo of FunctionRequest::ticket.
-  int64_t ticket = 0;
 };
 
 /// Result of dispatching one wavefront of ready functions.
@@ -107,14 +102,12 @@ class ServerlessExecutor {
   Result<WaveReport> InvokeWave(std::vector<FunctionRequest> requests,
                                 int parallelism);
 
-  /// Enqueues a function for later execution; returns a ticket.
-  int64_t Submit(FunctionRequest request);
+  /// Enqueues a function for later execution.
+  void Submit(FunctionRequest request);
 
-  /// Runs all queued functions, returning their reports (each includes
-  /// the time spent waiting in the queue). With `parallelism` <= 1 they
-  /// run sequentially in submit order; otherwise they dispatch as one
-  /// wave (plus follow-up waves for deferred members).
-  Result<std::vector<InvocationReport>> Drain(int parallelism = 1);
+  /// Runs all queued functions sequentially in submit order, returning
+  /// their reports (each includes the time spent waiting in the queue).
+  Result<std::vector<InvocationReport>> Drain();
 
   size_t pending() const {
     std::lock_guard<std::mutex> lock(queue_mu_);
@@ -123,7 +116,6 @@ class ServerlessExecutor {
 
  private:
   struct Pending {
-    int64_t ticket;
     uint64_t submitted_micros;
     FunctionRequest request;
   };
@@ -133,7 +125,6 @@ class ServerlessExecutor {
   Scheduler* scheduler_;
   mutable std::mutex queue_mu_;
   std::vector<Pending> queue_;
-  int64_t next_ticket_ = 1;
 };
 
 }  // namespace bauplan::runtime

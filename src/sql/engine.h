@@ -69,9 +69,6 @@ class MemoryTableProvider : public SchemaResolver, public TableSource {
   void AddTable(const std::string& name, columnar::Table table) {
     tables_[name] = std::move(table);
   }
-  bool HasTable(const std::string& name) const {
-    return tables_.count(name) > 0;
-  }
 
   Result<columnar::Schema> GetTableSchema(
       const std::string& table_name) const override;

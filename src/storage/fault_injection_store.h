@@ -39,11 +39,6 @@ class FaultInjectionStore : public ObjectStore {
     fail_prefix_.clear();
   }
 
-  int64_t operations_seen() const {
-    std::lock_guard<std::mutex> lock(mu_);
-    return operations_seen_;
-  }
-
   Status Put(const std::string& key, Bytes data) override {
     BAUPLAN_RETURN_NOT_OK(MaybeFail(key, "PUT"));
     return base_->Put(key, std::move(data));
@@ -68,11 +63,10 @@ class FaultInjectionStore : public ObjectStore {
 
  private:
   // Parallel runs drive this wrapper from concurrent node bodies, so
-  // the countdown and counters need the lock the real store's own
-  // request path would have anyway.
+  // the countdown needs the lock the real store's own request path would
+  // have anyway.
   Status MaybeFail(const std::string& key, const char* op) const {
     std::lock_guard<std::mutex> lock(mu_);
-    ++operations_seen_;
     if (fail_after_ < 0) return Status::OK();
     if (!fail_prefix_.empty() &&
         key.compare(0, fail_prefix_.size(), fail_prefix_) != 0) {
@@ -90,7 +84,6 @@ class FaultInjectionStore : public ObjectStore {
   mutable std::mutex mu_;
   mutable int64_t fail_after_ = -1;
   std::string fail_prefix_;
-  mutable int64_t operations_seen_ = 0;
 };
 
 }  // namespace bauplan::storage

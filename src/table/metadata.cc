@@ -44,20 +44,14 @@ Result<DataFile> DataFile::Deserialize(BinaryReader* reader,
   BAUPLAN_ASSIGN_OR_RETURN(file.path, reader->GetString());
   BAUPLAN_ASSIGN_OR_RETURN(file.record_count, reader->GetI64());
   BAUPLAN_ASSIGN_OR_RETURN(file.file_size_bytes, reader->GetU64());
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t nparts, reader->GetU32());
-  if (nparts > reader->Remaining()) {
-    return Status::IOError("implausible partition arity");
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t nparts, reader->GetCount());
   file.partition.reserve(nparts);
   for (uint32_t i = 0; i < nparts; ++i) {
     BAUPLAN_ASSIGN_OR_RETURN(columnar::Value v,
                              columnar::Value::Deserialize(reader));
     file.partition.push_back(std::move(v));
   }
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t nstats, reader->GetU32());
-  if (nstats > reader->Remaining()) {
-    return Status::IOError("implausible stats count");
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t nstats, reader->GetCount());
   file.column_stats.reserve(nstats);
   for (uint32_t i = 0; i < nstats; ++i) {
     BAUPLAN_ASSIGN_OR_RETURN(columnar::ColumnStats s,
@@ -65,7 +59,7 @@ Result<DataFile> DataFile::Deserialize(BinaryReader* reader,
     file.column_stats.push_back(std::move(s));
   }
   if (!named_stats) return file;
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t nnames, reader->GetU32());
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t nnames, reader->GetCount());
   if (nnames != nstats) {
     return Status::IOError("stats names do not match stats count");
   }
@@ -91,10 +85,7 @@ Result<Manifest> Manifest::Deserialize(const Bytes& bytes) {
   if (magic != kManifestMagic && magic != kPositionalManifestMagic) {
     return Status::IOError("bad magic in manifest");
   }
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
-  if (n > r.Remaining()) {
-    return Status::IOError("implausible file count in manifest");
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, r.GetCount());
   Manifest m;
   m.files.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
@@ -121,10 +112,7 @@ Result<Snapshot> Snapshot::Deserialize(BinaryReader* reader) {
   BAUPLAN_ASSIGN_OR_RETURN(s.parent_snapshot_id, reader->GetI64());
   BAUPLAN_ASSIGN_OR_RETURN(s.timestamp_micros, reader->GetU64());
   BAUPLAN_ASSIGN_OR_RETURN(s.operation, reader->GetString());
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, reader->GetU32());
-  if (n > reader->Remaining()) {
-    return Status::IOError("implausible manifest count in snapshot");
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, reader->GetCount());
   s.manifest_keys.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     BAUPLAN_ASSIGN_OR_RETURN(std::string k, reader->GetString());
@@ -193,10 +181,7 @@ Result<TableMetadata> TableMetadata::Deserialize(const Bytes& bytes) {
   BAUPLAN_ASSIGN_OR_RETURN(m.schema, columnar::Schema::Deserialize(&r));
   BAUPLAN_ASSIGN_OR_RETURN(m.schema_version, r.GetI32());
   BAUPLAN_ASSIGN_OR_RETURN(m.spec, PartitionSpec::Deserialize(&r));
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, r.GetU32());
-  if (n > r.Remaining()) {
-    return Status::IOError("implausible snapshot count");
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, r.GetCount());
   m.snapshots.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {
     BAUPLAN_ASSIGN_OR_RETURN(Snapshot s, Snapshot::Deserialize(&r));

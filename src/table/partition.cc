@@ -150,7 +150,7 @@ void PartitionSpec::Serialize(BinaryWriter* writer) const {
 }
 
 Result<PartitionSpec> PartitionSpec::Deserialize(BinaryReader* reader) {
-  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, reader->GetU32());
+  BAUPLAN_ASSIGN_OR_RETURN(uint32_t n, reader->GetCount());
   std::vector<PartitionField> fields;
   fields.reserve(n);
   for (uint32_t i = 0; i < n; ++i) {

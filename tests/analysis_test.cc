@@ -647,9 +647,7 @@ TEST(LineageTest, TracksReadsConsumersAndTerminals) {
   ASSERT_TRUE(
       project.AddExpectationNode("a_expectation", "unique(zone)").ok());
   ASSERT_TRUE(project.AddSqlNode("b", "SELECT fare FROM a").ok());
-  MapResolver resolver({{"taxi_table", TaxiSchema()}});
-  analysis::LineageGraph graph =
-      analysis::BuildLineage(project, resolver);
+  const analysis::LineageGraph graph = AnalyzeWithTaxi(project).lineage;
   ASSERT_EQ(graph.nodes().size(), 2u);
 
   const analysis::LineageNode& a = graph.nodes().at("a");
@@ -681,9 +679,7 @@ TEST(LineageTest, DeadAndRequiredColumns) {
   ASSERT_TRUE(
       project.AddSqlNode("a", "SELECT fare, zone FROM taxi_table").ok());
   ASSERT_TRUE(project.AddSqlNode("b", "SELECT fare FROM a").ok());
-  MapResolver resolver({{"taxi_table", TaxiSchema()}});
-  analysis::LineageGraph graph =
-      analysis::BuildLineage(project, resolver);
+  const analysis::LineageGraph graph = AnalyzeWithTaxi(project).lineage;
   EXPECT_EQ(graph.DeadColumns("a"),
             (std::vector<std::string>{"zone"}));
   auto required = graph.RequiredOutputColumns();
@@ -696,9 +692,7 @@ TEST(LineageTest, RendersTextAndJson) {
   ASSERT_TRUE(
       project.AddSqlNode("a", "SELECT fare, zone FROM taxi_table").ok());
   ASSERT_TRUE(project.AddSqlNode("b", "SELECT fare FROM a").ok());
-  MapResolver resolver({{"taxi_table", TaxiSchema()}});
-  analysis::LineageGraph graph =
-      analysis::BuildLineage(project, resolver);
+  const analysis::LineageGraph graph = AnalyzeWithTaxi(project).lineage;
   std::string text = graph.ToText();
   EXPECT_NE(text.find("lineage: 2 node(s)"), std::string::npos);
   EXPECT_NE(text.find("reads taxi_table: fare, zone"),

@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <string>
 #include <vector>
@@ -401,6 +402,19 @@ TEST(ArtifactCacheTest, ExpectationArtifactRoundTrips) {
   EXPECT_EQ(decoded->kind, pipeline::NodeKind::kExpectation);
   EXPECT_FALSE(decoded->expectation_passed);
   EXPECT_EQ(decoded->details, "mean(count) > 0 failed");
+}
+
+// A payload size one byte past the remaining bytes is an IOError before
+// the payload buffer is allocated.
+TEST(ArtifactCacheTest, PayloadSizePastTheEntryIsIOError) {
+  Bytes entry = MakeArtifact(10).Serialize();
+  // The u32 payload size follows the version, kind, audit flag, empty
+  // details string and row count.
+  const size_t size_at = 1 + 1 + 1 + 4 + 8;
+  const uint32_t past = static_cast<uint32_t>(entry.size() - size_at - 4 + 1);
+  std::memcpy(entry.data() + size_at, &past, sizeof(past));
+  auto decoded = cache::CachedArtifact::Deserialize(entry);
+  EXPECT_TRUE(decoded.status().IsIOError()) << decoded.status().ToString();
 }
 
 // ---------------------------------------------------------------------

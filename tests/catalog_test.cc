@@ -8,7 +8,6 @@
 #include <gtest/gtest.h>
 
 #include "catalog/catalog.h"
-#include "catalog/transaction.h"
 #include "common/clock.h"
 #include "common/rng.h"
 #include "common/strings.h"
@@ -215,50 +214,6 @@ TEST_F(CatalogTest, EphemeralBranchNamesAreUnique) {
   ASSERT_TRUE(b2.ok());
   EXPECT_NE(*b1, *b2);
   EXPECT_TRUE(catalog_->HasBranch(*b1));
-}
-
-// ------------------------------------------------- transform-audit-write
-
-TEST_F(CatalogTest, TransformAuditWriteCommitsOnSuccess) {
-  auto result = RunTransformAuditWrite(
-      catalog_.get(), "main", "tester",
-      [](Catalog* cat, const std::string& branch) -> Status {
-        TableChanges changes;
-        changes.puts["pickups"] = "pickups/v1";
-        return cat->CommitChanges(branch, "build pickups", "tester",
-                                  changes).status();
-      });
-  ASSERT_TRUE(result.ok());
-  EXPECT_EQ(*catalog_->GetTable("main", "pickups"), "pickups/v1");
-  // Ephemeral branch is gone.
-  EXPECT_FALSE(catalog_->HasBranch(result->ephemeral_branch));
-}
-
-TEST_F(CatalogTest, TransformAuditWriteRollsBackOnFailure) {
-  std::string eph_name;
-  auto result = RunTransformAuditWrite(
-      catalog_.get(), "main", "tester",
-      [&eph_name](Catalog* cat, const std::string& branch) -> Status {
-        eph_name = branch;
-        TableChanges changes;
-        changes.puts["dirty"] = "dirty/v1";
-        BAUPLAN_RETURN_NOT_OK(cat->CommitChanges(branch, "dirty write",
-                                                 "tester", changes)
-                                  .status());
-        return Status::FailedPrecondition("expectation failed: mean <= 10");
-      });
-  ASSERT_FALSE(result.ok());
-  EXPECT_TRUE(result.status().IsFailedPrecondition());
-  // Main never saw the dirty table; ephemeral branch is deleted.
-  EXPECT_TRUE(catalog_->GetTable("main", "dirty").status().IsNotFound());
-  EXPECT_FALSE(catalog_->HasBranch(eph_name));
-}
-
-TEST_F(CatalogTest, TransformAuditWriteOnMissingBranchFails) {
-  auto result = RunTransformAuditWrite(
-      catalog_.get(), "nope", "tester",
-      [](Catalog*, const std::string&) { return Status::OK(); });
-  EXPECT_TRUE(result.status().IsNotFound());
 }
 
 TEST_F(CatalogTest, CommitTimestampsComeFromClock) {

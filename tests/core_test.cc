@@ -326,8 +326,12 @@ TEST_F(BauplanTest, RunRejectsIgnoredOptionCombinations) {
   naive_zero.parallelism = 0;
   PipelineRunOptions fused_negative;
   fused_negative.parallelism = -1;
+  PipelineRunOptions unverified_trim;
+  unverified_trim.verify = false;
+  unverified_trim.trim_unused_columns = true;
   for (const PipelineRunOptions& options :
-       {naive_trim, fused_wide, naive_zero, fused_negative}) {
+       {naive_trim, fused_wide, naive_zero, fused_negative,
+        unverified_trim}) {
     auto report = platform_->Run(project, "main", options);
     EXPECT_TRUE(report.status().IsInvalidArgument())
         << report.status().ToString();
@@ -889,8 +893,8 @@ TEST_F(RunnerPinTest, FusedRunsArePinned) {
        "json=6ded7052d57bee27 artifacts=73702ea648b0fbfa "
        "spill_us=0 clock=1700000026451989"},
       {"trimmed",
-       "json=cc1aad51cb78a7de artifacts=4d6ea1a425ca7b82 "
-       "spill_us=0 clock=1700000027206681"}});
+       "json=9901e1f712d93b28 artifacts=4d6ea1a425ca7b82 "
+       "spill_us=0 clock=1700000027176677"}});
 }
 
 TEST_F(RunnerPinTest, NaiveWidthOneRunsArePinned) {

@@ -1,3 +1,4 @@
+#include <cstring>
 #include <string>
 #include <vector>
 
@@ -325,6 +326,19 @@ TEST(BpfFileTest, CorruptFileRejected) {
   Bytes head_corrupt = *file;
   head_corrupt[0] ^= 0xFF;
   EXPECT_FALSE(BpfReader::Open(head_corrupt).ok());
+}
+
+// A trailing footer size within 12 of 2^32 must not wrap the bounds check
+// and send the footer reader before the start of the file.
+TEST(BpfFileTest, FooterSizeNearFourGigabytesIsIOError) {
+  auto file = WriteBpfFile(MakeTaxiTable(100));
+  ASSERT_TRUE(file.ok());
+  Bytes corrupt = *file;
+  const uint32_t footer_size = 0xFFFFFFF8;
+  std::memcpy(corrupt.data() + corrupt.size() - 8, &footer_size,
+              sizeof(footer_size));
+  auto reader = BpfReader::Open(corrupt);
+  EXPECT_TRUE(reader.status().IsIOError()) << reader.status().ToString();
 }
 
 TEST(BpfFileTest, EncodingsShrinkFileVsPlain) {

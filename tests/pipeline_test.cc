@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "common/bytes.h"
 #include "common/clock.h"
 #include "pipeline/dag.h"
 #include "pipeline/project.h"
@@ -220,6 +221,34 @@ TEST_F(RunRegistryTest, MissingRunIsNotFound) {
 }
 
 // ---------------------------------------------------------------- selector
+
+// A corrupt count or size in a run record is an IOError before any
+// allocation: a cached-node count no payload can hold, and a snapshot
+// size one byte past the remaining bytes.
+TEST(RunRecordTest, CorruptCountsAreIOError) {
+  auto record_with = [](uint32_t snapshot_size, uint32_t cached_count) {
+    BinaryWriter w;
+    w.PutI64(7);
+    w.PutString("project");
+    w.PutString("fp");
+    w.PutString("data-commit");
+    w.PutString("result-commit");
+    w.PutString("main");
+    w.PutU64(123456);
+    w.PutString("succeeded");
+    w.PutU32(snapshot_size);
+    w.PutRaw("snap", 4);
+    w.PutU32(cached_count);
+    return RunRecord::Deserialize(w.TakeBuffer());
+  };
+  ASSERT_TRUE(record_with(4, 0).ok());
+  auto cached = record_with(4, 0xFFFFFFFF);
+  EXPECT_TRUE(cached.status().IsIOError()) << cached.status().ToString();
+  // The snapshot, then the 4-byte cached-node count, remain.
+  auto snapshot = record_with(4 + 4 + 1, 0);
+  EXPECT_TRUE(snapshot.status().IsIOError())
+      << snapshot.status().ToString();
+}
 
 TEST(ReplaySelectorTest, Parse) {
   auto plain = ReplaySelector::Parse("pickups");

@@ -583,24 +583,5 @@ TEST_F(WaveExecutorTest, PoolExhaustionDefersInsteadOfFailing) {
   EXPECT_EQ(next->deferred.size(), 1u);
 }
 
-TEST_F(WaveExecutorTest, DrainWithParallelismRunsAllPending) {
-  for (int i = 0; i < 4; ++i) {
-    executor_.Submit(MakeRequest("queued" + std::to_string(i), 50000));
-  }
-  EXPECT_EQ(executor_.pending(), 4u);
-  uint64_t start = base_clock_.NowMicros();
-  auto reports = executor_.Drain(/*parallelism=*/4);
-  ASSERT_TRUE(reports.ok());
-  ASSERT_EQ(reports->size(), 4u);
-  EXPECT_EQ(executor_.pending(), 0u);
-  uint64_t elapsed = base_clock_.NowMicros() - start;
-  uint64_t sum_work = 0;
-  for (const auto& r : *reports) {
-    sum_work += r.startup_micros + r.transfer_micros + r.body_micros;
-  }
-  // Members overlapped: the caller waited less than the summed work.
-  EXPECT_LT(elapsed, sum_work);
-}
-
 }  // namespace
 }  // namespace bauplan::runtime

@@ -120,6 +120,19 @@ TEST(PartitionTest, SpecSerializationRoundTrip) {
   EXPECT_TRUE(*back == spec);
 }
 
+// Every table-metadata load decodes its partition spec: a corrupt field
+// count is an IOError before anything is reserved.
+TEST(PartitionTest, CorruptFieldCountIsIOError) {
+  BinaryWriter w;
+  w.PutU32(0xFFFFFFFF);  // more fields than any payload can hold
+  w.PutString("pickup_at");
+  w.PutU8(static_cast<uint8_t>(Transform::kMonth));
+  w.PutU32(0);
+  BinaryReader r(w.buffer());
+  auto spec = PartitionSpec::Deserialize(&r);
+  EXPECT_TRUE(spec.status().IsIOError()) << spec.status().ToString();
+}
+
 TEST(PartitionTest, PruningIdentity) {
   PartitionSpec spec({{"zone", Transform::kIdentity, 0}});
   std::vector<Value> jfk = {Value::String("JFK")};
