@@ -220,8 +220,6 @@ TEST_F(RunRegistryTest, MissingRunIsNotFound) {
   EXPECT_TRUE(registry_.FinishRun(99, "x").IsNotFound());
 }
 
-// ---------------------------------------------------------------- selector
-
 // A corrupt count or size in a run record is an IOError before any
 // allocation: a cached-node count no payload can hold, and a snapshot
 // size one byte past the remaining bytes.
@@ -249,6 +247,8 @@ TEST(RunRecordTest, CorruptCountsAreIOError) {
   EXPECT_TRUE(snapshot.status().IsIOError())
       << snapshot.status().ToString();
 }
+
+// ---------------------------------------------------------------- selector
 
 TEST(ReplaySelectorTest, Parse) {
   auto plain = ReplaySelector::Parse("pickups");
