@@ -16,6 +16,7 @@
 #include "core/bauplan.h"
 #include "pipeline/project.h"
 #include "storage/object_store.h"
+#include "table/table_ops.h"
 #include "workload/taxi_gen.h"
 
 namespace bauplan::core {
@@ -697,9 +698,9 @@ TEST_F(MetadataGetsTest, CheckLoadsTableMetadataOnce) {
 // Runner output pins. Per run mode and scenario: a fingerprint of the
 // whole RunReport JSON (per-node timing fields, spill counts, the span
 // tree with its intervals, the metrics dump), a fingerprint of every
-// artifact's serialized bytes, the spill store's simulated time and the
-// final simulated clock. Refactoring the pipeline runner must leave all
-// of them unchanged.
+// artifact's serialized bytes, the spill store's simulated time, the
+// final simulated clock and a fingerprint of every table on main.
+// Refactoring the pipeline runner must leave all of them unchanged.
 // ---------------------------------------------------------------------
 
 /// `base` with node `name`'s code replaced by `code`.
@@ -734,11 +735,33 @@ class RunnerPinTest : public ::testing::Test {
     ASSERT_TRUE(platform_->WriteTable("main", "taxi_table", *taxi).ok());
   }
 
-  /// Fingerprints `report` and the clock; keeps the JSON for diagnosis.
+  /// Fingerprint of every table on main: its name and its scanned bytes,
+  /// in name order. Reads through a catalog and table ops of its own over
+  /// the unmetered store, so it moves no platform counter and no clock.
+  std::string LakeFingerprint() {
+    std::string lake;
+    auto catalog = catalog::Catalog::Open(&store_, &clock_);
+    if (!catalog.ok()) return StrCat("error ", catalog.status().ToString());
+    auto tables = catalog->GetTables("main");
+    if (!tables.ok()) return StrCat("error ", tables.status().ToString());
+    table::TableOps ops(&store_, &clock_);
+    for (const auto& [name, metadata_key] : *tables) {
+      auto table = ops.ScanTable(metadata_key);
+      if (!table.ok()) return StrCat("error ", table.status().ToString());
+      Bytes bytes = columnar::SerializeTable(*table);
+      lake += name;
+      lake.append(bytes.begin(), bytes.end());
+    }
+    return FingerprintHex(lake);
+  }
+
+  /// Fingerprints `report`, the clock and the lake; keeps the JSON for
+  /// diagnosis.
   void Pin(const std::string& scenario, const Result<RunReport>& report) {
     if (!report.ok()) {
       pins_.emplace_back(scenario,
-                         StrCat("error ", report.status().ToString()));
+                         StrCat("error ", report.status().ToString(),
+                                " lake=", LakeFingerprint()));
       json_[scenario] = "";
       return;
     }
@@ -754,7 +777,7 @@ class RunnerPinTest : public ::testing::Test {
         StrCat("json=", FingerprintHex(json),
                " artifacts=", FingerprintHex(artifacts),
                " spill_us=", report->spill_metrics.simulated_micros,
-               " clock=", clock_.NowMicros()));
+               " clock=", clock_.NowMicros(), " lake=", LakeFingerprint()));
     json_[scenario] = std::move(json);
   }
 
@@ -852,49 +875,64 @@ TEST_F(RunnerPinTest, FusedRunsArePinned) {
   ExpectPins({
       {"cold",
        "json=b06c54f5015dbad9 artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000006168853"},
+       "spill_us=0 clock=1700000006168853 "
+       "lake=581e55ee9da7814f"},
       {"warm",
        "json=84e497c33569adea artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000008715313"},
+       "spill_us=0 clock=1700000008715313 "
+       "lake=581e55ee9da7814f"},
       {"edit",
        "json=e5ba809601095834 artifacts=6bde167e187c0abb "
-       "spill_us=0 clock=1700000011291811"},
+       "spill_us=0 clock=1700000011291811 "
+       "lake=52c68cdec1c9256d"},
       {"rerun",
        "json=c68fa29ff7b473df artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000013838327"},
+       "spill_us=0 clock=1700000013838327 "
+       "lake=581e55ee9da7814f"},
       {"append",
        "json=09aa27087858fd67 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000017026970"},
+       "spill_us=0 clock=1700000017026970 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
        "json=708c8f4b570476c0 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000019688605"},
+       "spill_us=0 clock=1700000019688605 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"replay",
        "json=79d9eb57941f7e5c artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000020003423"},
+       "spill_us=0 clock=1700000020003423 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
        "json=2527304fc8942f1b artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000021495154"},
+       "spill_us=0 clock=1700000021495154 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
        "json=952c768578b6108f artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000021764764"},
+       "spill_us=0 clock=1700000021764764 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
        "json=c2663a4632742e20 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000022824640"},
+       "spill_us=0 clock=1700000022824640 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
        "json=181cf2671509b32e artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000023644425"},
+       "spill_us=0 clock=1700000023644425 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
        "json=d8ac3006f202e747 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000024209975"},
+       "spill_us=0 clock=1700000024209975 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
        "json=ef872c7f50033923 artifacts=73702ea648b0fbfa "
-       "spill_us=0 clock=1700000025527142"},
+       "spill_us=0 clock=1700000025527142 "
+       "lake=a3463be649f0635d"},
       {"paper_warm",
        "json=6ded7052d57bee27 artifacts=73702ea648b0fbfa "
-       "spill_us=0 clock=1700000026451989"},
+       "spill_us=0 clock=1700000026451989 "
+       "lake=a3463be649f0635d"},
       {"trimmed",
        "json=9901e1f712d93b28 artifacts=4d6ea1a425ca7b82 "
-       "spill_us=0 clock=1700000027176677"}});
+       "spill_us=0 clock=1700000027176677 "
+       "lake=a3463be649f0635d"}});
 }
 
 TEST_F(RunnerPinTest, NaiveWidthOneRunsArePinned) {
@@ -902,46 +940,60 @@ TEST_F(RunnerPinTest, NaiveWidthOneRunsArePinned) {
   ExpectPins({
       {"cold",
        "json=943431885ccde693 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000010159715"},
+       "spill_us=320850 clock=1700000010159715 "
+       "lake=581e55ee9da7814f"},
       {"warm",
        "json=40fc0263637261c3 artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000012794656"},
+       "spill_us=91481 clock=1700000012794656 "
+       "lake=581e55ee9da7814f"},
       {"edit",
        "json=e9c8e9e80e35aed1 artifacts=6bde167e187c0abb "
-       "spill_us=168018 clock=1700000016216172"},
+       "spill_us=168018 clock=1700000016216172 "
+       "lake=52c68cdec1c9256d"},
       {"rerun",
        "json=1189c11d02c75bab artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000018851169"},
+       "spill_us=91481 clock=1700000018851169 "
+       "lake=581e55ee9da7814f"},
       {"append",
        "json=e50a6543a9601a30 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000025478246"},
+       "spill_us=321418 clock=1700000025478246 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
        "json=0d04925a79085934 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000031578315"},
+       "spill_us=321418 clock=1700000031578315 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"replay",
        "json=daa81008fe60f30f artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000032190133"},
+       "spill_us=0 clock=1700000032190133 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
        "json=b9b0f116f4a939c5 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000032831864"},
+       "spill_us=0 clock=1700000032831864 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
        "json=0d57805951f9149d artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000033101474"},
+       "spill_us=0 clock=1700000033101474 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
        "json=5ae81f1d4fcd86c8 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000034647669"},
+       "spill_us=75172 clock=1700000034647669 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
        "json=c9c2648e9926146e artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000035850146"},
+       "spill_us=30058 clock=1700000035850146 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
        "json=13f7906f1b4a20c6 artifacts=ce2940f6a3884772 "
-       "spill_us=201308 clock=1700000038017004"},
+       "spill_us=201308 clock=1700000038017004 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
        "json=2e52e1e2758bf30b artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000040443306"},
+       "spill_us=92135 clock=1700000040443306 "
+       "lake=a3463be649f0635d"},
       {"paper_warm",
        "json=c33e5b4e4c5b5637 artifacts=73702ea648b0fbfa "
-       "spill_us=30591 clock=1700000041395744"}});
+       "spill_us=30591 clock=1700000041395744 "
+       "lake=a3463be649f0635d"}});
 }
 
 TEST_F(RunnerPinTest, NaiveWidthFourRunsArePinned) {
@@ -949,46 +1001,60 @@ TEST_F(RunnerPinTest, NaiveWidthFourRunsArePinned) {
   ExpectPins({
       {"cold",
        "json=647f36983d11c82a artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000009718372"},
+       "spill_us=320850 clock=1700000009718372 "
+       "lake=581e55ee9da7814f"},
       {"warm",
        "json=02358cfc0f571a50 artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000012353313"},
+       "spill_us=91481 clock=1700000012353313 "
+       "lake=581e55ee9da7814f"},
       {"edit",
        "json=b2671b1aebfb6bcf artifacts=6bde167e187c0abb "
-       "spill_us=168018 clock=1700000015774829"},
+       "spill_us=168018 clock=1700000015774829 "
+       "lake=52c68cdec1c9256d"},
       {"rerun",
        "json=c671859ea7e85e3f artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000018409826"},
+       "spill_us=91481 clock=1700000018409826 "
+       "lake=581e55ee9da7814f"},
       {"append",
        "json=2d9d72a47e95694b artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000023699863"},
+       "spill_us=321418 clock=1700000023699863 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
        "json=3aed41d0710487ba artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000028462892"},
+       "spill_us=321418 clock=1700000028462892 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"replay",
        "json=365c46354e90589d artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000029074710"},
+       "spill_us=0 clock=1700000029074710 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
        "json=80628063d09b129e artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000029716441"},
+       "spill_us=0 clock=1700000029716441 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
        "json=8af5bc44348402bd artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000029986051"},
+       "spill_us=0 clock=1700000029986051 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
        "json=d2855ee6e690efbc artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000031532246"},
+       "spill_us=75172 clock=1700000031532246 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
        "json=6de7de43c1f301fa artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000032734723"},
+       "spill_us=30058 clock=1700000032734723 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
        "json=30554020f4afb7d7 artifacts=ce2940f6a3884772 "
-       "spill_us=201308 clock=1700000034861581"},
+       "spill_us=201308 clock=1700000034861581 "
+       "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
        "json=5071dd57c386e51e artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000037247883"},
+       "spill_us=92135 clock=1700000037247883 "
+       "lake=a3463be649f0635d"},
       {"paper_warm",
        "json=21517fbce8350ce8 artifacts=73702ea648b0fbfa "
-       "spill_us=30591 clock=1700000038200321"}});
+       "spill_us=30591 clock=1700000038200321 "
+       "lake=a3463be649f0635d"}});
 }
 
 // A scheduler with room for two functions at a time: width-4 waves
@@ -1015,7 +1081,8 @@ TEST_F(RunnerPinTest, BouncedWaveMembersArePinned) {
   ExpectPins({
       {"bounced",
        "json=bc9a61f61db89881 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000010969715"}});
+       "spill_us=320850 clock=1700000010969715 "
+       "lake=581e55ee9da7814f"}});
 }
 
 }  // namespace
