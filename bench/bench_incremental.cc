@@ -11,15 +11,20 @@
 //   cold        first run fills the cache: zero hits, one insert per node
 //   warm        identical re-run: every node a hit, zero functions
 //               dispatched (cache.skipped_invocations == node count),
-//               artifacts bit-identical to cold, simulated makespan
-//               strictly smaller
+//               main's tables bit-identical to what the cold run
+//               computed, simulated makespan strictly smaller
 //   incremental one fan-out node's SQL mutated: exactly that node
 //               re-executes (its cone is itself — it has no consumers),
-//               and every artifact is bit-identical to a cold --no-cache
-//               run of the mutated project on a pristine platform
+//               and every table on main is bit-identical to a cold
+//               --no-cache run of the mutated project on a pristine
+//               platform
 //   fault       every "cache/" store op fails: the run must still
 //               succeed (degradation contract — zero hits, zero
 //               failures), and the next healed run re-inserts
+//
+// A run reports only the artifacts it computed; a hit's rows are the
+// table version its entry names, committed to main by reference, so the
+// hit phases compare main's tables.
 //
 // `--smoke` shrinks the dataset and skips the wall-clock gate (wired
 // into ctest); the full run writes BENCH_incremental.json either way.
@@ -78,6 +83,23 @@ std::map<std::string, bauplan::Bytes> ArtifactBytes(
   std::map<std::string, bauplan::Bytes> bytes;
   for (const auto& [name, table] : report.artifacts) {
     bytes[name] = bauplan::columnar::SerializeTable(table);
+  }
+  return bytes;
+}
+
+/// Serialized bytes of every SQL node's table on main.
+std::map<std::string, bauplan::Bytes> MainBytes(
+    bauplan::core::Bauplan& bp,
+    const bauplan::pipeline::PipelineProject& project) {
+  std::map<std::string, bauplan::Bytes> bytes;
+  for (const auto& node : project.nodes()) {
+    if (node.kind != bauplan::pipeline::NodeKind::kSqlModel) continue;
+    auto table = bp.ReadTable("main", node.name);
+    if (!table.ok()) {
+      Gate(StrCat("reading '", node.name, "' on main: ",
+                  table.status().ToString()));
+    }
+    bytes[node.name] = bauplan::columnar::SerializeTable(*table);
   }
   return bytes;
 }
@@ -199,7 +221,7 @@ int main(int argc, char** argv) {
         StrCat("warm run must skip every invocation, skipped ",
                rows_out.back().skipped));
   Check(rows_out.back().executed == 0, "warm run executed a node");
-  CheckBitIdentical(cold_bytes, ArtifactBytes(warm), "warm-vs-cold");
+  CheckBitIdentical(cold_bytes, MainBytes(bp, project), "warm-vs-cold");
   Check(warm.total_micros < cold.total_micros,
         "warm run must beat the cold run on the simulated clock");
 
@@ -248,8 +270,7 @@ int main(int argc, char** argv) {
       Gate(StrCat("reference run failed: ",
                   reference.status().ToString()));
     }
-    CheckBitIdentical(ArtifactBytes(*reference),
-                      ArtifactBytes(incremental),
+    CheckBitIdentical(ArtifactBytes(*reference), MainBytes(bp, mutated),
                       "incremental-vs-cold-reference");
     Check(incremental.total_micros < reference->total_micros,
           "incremental run must beat a cold run of the mutated project");
@@ -271,6 +292,7 @@ int main(int argc, char** argv) {
   }
 
   // ---- fault: cache store errors must never fail a run ---------------
+  const auto incremental_bytes = MainBytes(bp, mutated);
   store.FailOnlyPrefix("cache/");
   store.FailAfter(0);
   auto faulted = run_phase("fault", mutated, options);
@@ -278,7 +300,7 @@ int main(int argc, char** argv) {
         "faulted probes must degrade to misses");
   Check(rows_out.back().executed == node_count,
         "faulted run must execute every node");
-  CheckBitIdentical(ArtifactBytes(incremental), ArtifactBytes(faulted),
+  CheckBitIdentical(incremental_bytes, ArtifactBytes(faulted),
                     "fault-vs-incremental");
   store.Heal();
 

@@ -335,31 +335,38 @@ AnalysisResult Analyzer::Analyze(const PipelineProject& project,
     plans[name] = plan.ValueOrDie();
     Schema inferred = plan.ValueOrDie()->schema;
 
-    // Overwriting a catalog table with fewer columns or changed types is
-    // the SELECT-*-into-narrower-table trap: flag column by column.
+    // A run replaces the catalog table with the node's output schema, so
+    // readers outside the project see columns appear, vanish or change
+    // type: flag column by column.
     if (known_tables_.count(name) > 0 && catalog_schemas_ != nullptr) {
       auto existing = catalog_schemas_->GetTableSchema(name);
       if (existing.ok()) {
         std::string conflicts;
+        auto note = [&conflicts](std::string change) {
+          if (!conflicts.empty()) conflicts += "; ";
+          conflicts += change;
+        };
         for (const columnar::Field& field :
              existing.ValueOrDie().fields()) {
           int idx = inferred.GetFieldIndex(field.name);
           if (idx < 0) {
-            if (!conflicts.empty()) conflicts += "; ";
-            conflicts += StrCat("drops column '", field.name, "'");
+            note(StrCat("drops column '", field.name, "'"));
           } else if (inferred.field(idx).type != field.type) {
-            if (!conflicts.empty()) conflicts += "; ";
-            conflicts += StrCat(
-                "changes '", field.name, "' from ",
-                columnar::TypeIdToString(field.type), " to ",
-                columnar::TypeIdToString(inferred.field(idx).type));
+            note(StrCat("changes '", field.name, "' from ",
+                        columnar::TypeIdToString(field.type), " to ",
+                        columnar::TypeIdToString(inferred.field(idx).type)));
+          }
+        }
+        for (const columnar::Field& field : inferred.fields()) {
+          if (!existing.ValueOrDie().HasField(field.name)) {
+            note(StrCat("adds column '", field.name, "'"));
           }
         }
         if (!conflicts.empty()) {
           Diagnostic& d = diag.Warning(
               codes::kSchemaNarrowing, name,
-              StrCat("overwrites catalog table '", name,
-                     "' with an incompatible schema: ", conflicts));
+              StrCat("replaces catalog table '", name,
+                     "' with a different schema: ", conflicts));
           d.location = NodeLocation(*f.node);
           d.hint = StrCat("existing schema: ",
                           existing.ValueOrDie().ToString());

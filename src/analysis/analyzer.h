@@ -43,9 +43,10 @@ inline constexpr const char* kUnknownColumn = "BP2001";
 /// references, UNION shape mismatches, misplaced aggregates, unknown
 /// functions).
 inline constexpr const char* kTypeMismatch = "BP2002";
-/// The node's inferred output schema conflicts with the same-named
-/// catalog table it will overwrite (dropped columns or changed types —
-/// the SELECT-*-into-narrower-table trap).
+/// The node's inferred output schema differs from the same-named catalog
+/// table its run replaces (added or dropped columns, changed types). The
+/// run writes the new schema; readers outside the project are the other
+/// side of that contract, so this warns rather than refuses.
 inline constexpr const char* kSchemaNarrowing = "BP2003";
 /// The expectation DSL does not parse.
 inline constexpr const char* kBadExpectation = "BP3001";

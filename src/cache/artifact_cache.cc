@@ -1,13 +1,15 @@
 #include "cache/artifact_cache.h"
 
-#include "columnar/serialize.h"
+#include <iterator>
+
 #include "common/strings.h"
 
 namespace bauplan::cache {
 
 namespace {
-/// Payload format version; unknown versions decode as corrupt (miss).
-constexpr uint8_t kFormatVersion = 1;
+/// Entry format version; other versions (older builds' entries, which
+/// held a serialized table) decode as corrupt, so they read as misses.
+constexpr uint8_t kFormatVersion = 2;
 }  // namespace
 
 Bytes CachedArtifact::Serialize() const {
@@ -18,9 +20,8 @@ Bytes CachedArtifact::Serialize() const {
   w.PutString(details);
   w.PutI64(output_rows);
   if (kind == pipeline::NodeKind::kSqlModel) {
-    Bytes payload = columnar::SerializeTable(table);
-    w.PutU32(static_cast<uint32_t>(payload.size()));
-    w.PutRaw(payload.data(), payload.size());
+    w.PutString(metadata_key);
+    w.PutI64(output_bytes);
   }
   return w.TakeBuffer();
 }
@@ -41,11 +42,11 @@ Result<CachedArtifact> CachedArtifact::Deserialize(const Bytes& bytes) {
   BAUPLAN_ASSIGN_OR_RETURN(artifact.details, r.GetString());
   BAUPLAN_ASSIGN_OR_RETURN(artifact.output_rows, r.GetI64());
   if (artifact.kind == pipeline::NodeKind::kSqlModel) {
-    BAUPLAN_ASSIGN_OR_RETURN(uint32_t size, r.GetCount());
-    Bytes payload(size);
-    BAUPLAN_RETURN_NOT_OK(r.GetRaw(payload.data(), size));
-    BAUPLAN_ASSIGN_OR_RETURN(artifact.table,
-                             columnar::DeserializeTable(payload));
+    BAUPLAN_ASSIGN_OR_RETURN(artifact.metadata_key, r.GetString());
+    if (artifact.metadata_key.empty()) {
+      return Status::IOError("cached artifact names no table version");
+    }
+    BAUPLAN_ASSIGN_OR_RETURN(artifact.output_bytes, r.GetI64());
   }
   return artifact;
 }
@@ -92,26 +93,26 @@ void ArtifactCache::LoadIndex() {
 }
 
 std::optional<CachedArtifact> ArtifactCache::Lookup(
-    const std::string& key) {
+    const std::string& node, const std::string& key) {
   if (!enabled()) return std::nullopt;
+  const std::string entry_key = StrCat(node, "/", key);
   std::lock_guard<std::mutex> lock(mu_);
-  auto it = entries_.find(key);
+  auto it = entries_.find(entry_key);
   if (it == entries_.end()) {
     misses_->Increment();
     return std::nullopt;
   }
-  auto data = store_->Get(ObjectKey(key));
+  auto data = store_->Get(ObjectKey(entry_key));
   if (!data.ok()) {
     // The index promised an object the store no longer serves (fault,
     // out-of-band deletion): drop it so later probes skip the store.
-    DropEntry(key, /*count_eviction=*/false);
+    DropEntry(entry_key, /*count_eviction=*/false);
     misses_->Increment();
     return std::nullopt;
   }
   auto artifact = CachedArtifact::Deserialize(*data);
   if (!artifact.ok()) {
-    DropEntry(key, /*count_eviction=*/false);
-    (void)store_->Delete(ObjectKey(key));
+    DropEntry(entry_key, /*count_eviction=*/false);
     misses_->Increment();
     return std::nullopt;
   }
@@ -120,20 +121,21 @@ std::optional<CachedArtifact> ArtifactCache::Lookup(
   return std::move(*artifact);
 }
 
-void ArtifactCache::Insert(const std::string& key,
+void ArtifactCache::Insert(const std::string& node, const std::string& key,
                            const CachedArtifact& artifact) {
   if (!enabled() || key.empty()) return;
+  const std::string entry_key = StrCat(node, "/", key);
   Bytes payload = artifact.Serialize();
   uint64_t incoming = payload.size();
   std::lock_guard<std::mutex> lock(mu_);
-  if (entries_.count(key) > 0) return;  // content-addressed: immutable
+  if (entries_.count(entry_key) > 0) return;  // content-addressed
   if (incoming > budget_bytes_) return;
   EvictUntilFits(incoming);
-  if (!store_->Put(ObjectKey(key), std::move(payload)).ok()) {
+  if (!store_->Put(ObjectKey(entry_key), std::move(payload)).ok()) {
     return;  // degrade: just not cached
   }
-  lru_.push_front(Entry{key, incoming});
-  entries_[key] = lru_.begin();
+  lru_.push_front(Entry{entry_key, incoming});
+  entries_[entry_key] = lru_.begin();
   used_bytes_ += incoming;
   inserts_->Increment();
   bytes_->Set(static_cast<int64_t>(used_bytes_));
@@ -149,14 +151,34 @@ void ArtifactCache::DropEntry(const std::string& key,
                               bool count_eviction) {
   auto it = entries_.find(key);
   if (it == entries_.end()) return;
-  used_bytes_ -= it->second->bytes;
   // Delete failures leave an orphan object behind; the index forgets it
   // either way, and LoadIndex would re-adopt it in a later process.
   (void)store_->Delete(ObjectKey(key));
-  lru_.erase(it->second);
-  entries_.erase(it);
+  ForgetEntry(it->second);
   if (count_eviction) evictions_->Increment();
+}
+
+void ArtifactCache::ForgetEntry(std::list<Entry>::iterator it) {
+  used_bytes_ -= it->bytes;
+  entries_.erase(it->key);
+  lru_.erase(it);
   bytes_->Set(static_cast<int64_t>(used_bytes_));
+}
+
+Result<size_t> ArtifactCache::DropNode(const std::string& node) {
+  const std::string node_prefix = StrCat(node, "/");
+  std::lock_guard<std::mutex> lock(mu_);
+  BAUPLAN_ASSIGN_OR_RETURN(auto objects,
+                           store_->List(ObjectKey(node_prefix)));
+  for (const auto& object : objects) {
+    BAUPLAN_RETURN_NOT_OK(store_->Delete(object.key));
+  }
+  for (auto it = lru_.begin(); it != lru_.end();) {
+    auto next = std::next(it);
+    if (StartsWith(it->key, node_prefix)) ForgetEntry(it);
+    it = next;
+  }
+  return objects.size();
 }
 
 Result<size_t> ArtifactCache::Clear() {

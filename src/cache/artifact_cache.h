@@ -9,7 +9,6 @@
 #include <string>
 #include <unordered_map>
 
-#include "columnar/table.h"
 #include "common/bytes.h"
 #include "common/thread_annotations.h"
 #include "observability/metrics.h"
@@ -18,12 +17,17 @@
 
 namespace bauplan::cache {
 
-/// What one cached pipeline node produced: a post-audit table artifact
-/// (SQL models) or a recorded audit outcome (expectations).
+/// What one cached pipeline node produced: a reference to the post-audit
+/// table version a run committed (SQL models) or a recorded audit outcome
+/// (expectations). An entry holds no table data, so a hit moves no data
+/// byte: the run commits `metadata_key` as it is.
 struct CachedArtifact {
   pipeline::NodeKind kind = pipeline::NodeKind::kSqlModel;
-  /// SQL models only.
-  columnar::Table table;
+  /// SQL models only: the metadata key of the table version the run that
+  /// computed the node committed, and a serialized-size estimate of it
+  /// (for sizing the functions that read it).
+  std::string metadata_key;
+  int64_t output_bytes = 0;
   /// Expectations only.
   bool expectation_passed = true;
   std::string details;
@@ -34,11 +38,11 @@ struct CachedArtifact {
 };
 
 /// Content-addressed differential artifact cache: memoizes per-node
-/// pipeline outputs under their fingerprint keys (cache/fingerprint.h)
+/// pipeline outcomes under their fingerprint keys (cache/fingerprint.h)
 /// so a re-run can skip every unchanged node. Entries live in an
-/// ObjectStore under "<prefix>/<key>" — hand it the platform's metered
-/// lake store and the cache persists across processes, pays the modeled
-/// object-storage latency, and composes with MeteredObjectStore,
+/// ObjectStore under "<prefix>/<node>/<key>" — hand it the platform's
+/// metered lake store and the cache persists across processes, pays the
+/// modeled object-storage latency, and composes with MeteredObjectStore,
 /// FaultInjectionStore and the cost model like any other I/O.
 ///
 /// Degradation contract: the cache can make a run faster, never fail it.
@@ -47,7 +51,8 @@ struct CachedArtifact {
 /// as if the cache were cold. A corrupt entry is dropped from the index
 /// on first touch.
 ///
-/// Capacity: `budget_bytes` bounds the total serialized payload; 0
+/// Capacity: `budget_bytes` bounds the bytes the entries occupy under
+/// the prefix (a SQL entry is a table reference, under 200 bytes); 0
 /// disables the cache entirely. Inserts evict least-recently-used
 /// entries (deleting their objects) until the newcomer fits; an entry
 /// larger than the whole budget is not stored.
@@ -55,9 +60,7 @@ struct CachedArtifact {
 /// Counters register as cache.{hits,misses,inserts,evictions} plus the
 /// cache.bytes gauge; `skipped_invocations` is counted by the runner.
 ///
-/// Thread safety: all operations take an internal mutex (probes happen
-/// on the run driver thread, but fused bodies probe from inside a
-/// function invocation).
+/// Thread safety: all operations take an internal mutex.
 class ArtifactCache {
  public:
   struct Stats {
@@ -83,16 +86,26 @@ class ArtifactCache {
   /// budget may have shrunk since they were written).
   void LoadIndex();
 
-  /// Returns the artifact cached under `key`, or nullopt on a miss. Any
-  /// store or decode error is a miss.
-  std::optional<CachedArtifact> Lookup(const std::string& key);
+  /// Returns what node `node` cached under `key`, or nullopt on a miss.
+  /// Any store or decode error is a miss.
+  std::optional<CachedArtifact> Lookup(const std::string& node,
+                                       const std::string& key);
 
-  /// Stores an artifact under `key`. Never fails: store errors, an
-  /// over-budget payload, or a disabled cache all just skip the insert.
-  void Insert(const std::string& key, const CachedArtifact& artifact);
+  /// Stores node `node`'s artifact under `key`. Never fails: store
+  /// errors, an over-budget entry, or a disabled cache all just skip the
+  /// insert.
+  void Insert(const std::string& node, const std::string& key,
+              const CachedArtifact& artifact);
+
+  /// Deletes every entry of node `node` that the store lists (one LIST
+  /// and its DELETEs), whether or not this process indexed it; returns
+  /// how many were dropped. Expiring a table drops its node's entries so
+  /// none names a version whose files the expiry deleted.
+  Result<size_t> DropNode(const std::string& node);
 
   /// Deletes every cached entry (objects and index); returns how many
-  /// were dropped. The only surface where a store error is reported.
+  /// were dropped. Clear and DropNode are the only surfaces that report
+  /// a store error.
   Result<size_t> Clear();
 
   Stats stats() const;
@@ -100,12 +113,15 @@ class ArtifactCache {
   size_t entry_count() const;
 
  private:
+  /// `key` is the object key below the prefix: "<node>/<fingerprint>".
   struct Entry {
     std::string key;
     uint64_t bytes = 0;
   };
 
   std::string ObjectKey(const std::string& key) const;
+  /// Forgets the index entry at `it` without touching the store.
+  void ForgetEntry(std::list<Entry>::iterator it) BAUPLAN_REQUIRES(mu_);
   void EvictUntilFits(uint64_t incoming) BAUPLAN_REQUIRES(mu_);
   void DropEntry(const std::string& key, bool count_eviction)
       BAUPLAN_REQUIRES(mu_);

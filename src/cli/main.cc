@@ -82,11 +82,13 @@ commands:
         --naive, and not with --no-verify);
         --trace-out writes the run's hierarchical span trace as JSON;
         unchanged nodes are served from the differential artifact cache
-        (content-addressed, shared across branches) — --no-cache skips
-        it for this run, --cache-budget BYTES (or BAUPLAN_CACHE_BUDGET)
-        resizes it (0 disables), and --explain-metrics dumps the
-        platform metric instruments (cache.*, query_cache.*, exec.*)
-        after the report
+        (content-addressed, shared across branches; a hit commits the
+        table version an earlier run wrote) — --no-cache skips it for
+        this run, --cache-budget BYTES (or BAUPLAN_CACHE_BUDGET) bounds
+        the bytes its entries take under <lake>/cache (0 disables), and
+        --explain-metrics dumps the platform metric instruments (cache.*,
+        query_cache.*, exec.*) after the report; a run that executes but
+        does not merge exits 3
   run --run-id N [-m NODE[+]] [--trace-out FILE]
         replay a recorded run, sandboxed and fused; any other run flag
         is a usage error
@@ -111,14 +113,15 @@ commands:
   compact -t TABLE [-b BRANCH]
         rewrite fragmented partitions into one file each
   expire -t TABLE [-b BRANCH]
-        drop historical snapshots and reclaim unreferenced files
+        drop historical snapshots and reclaim unreferenced files (and
+        the artifact cache entries of the node that writes TABLE)
 
 Every REF-taking verb accepts -b or --branch interchangeably; a REF is a
 branch, tag, commit id, or "name@timestamp" (epoch micros or ISO8601)
 for as-of reads. BAUPLAN_LOG_LEVEL=debug|info|warn|error adjusts log
 verbosity. BAUPLAN_THREADS and BAUPLAN_MEMORY_BUDGET set execution
 defaults for query and run; --threads / --memory-budget override them.
-Exit codes: 0 ok, 1 error, 2 usage error (or run not merged).
+Exit codes: 0 ok, 1 error, 2 usage error, 3 run executed but not merged.
 )";
 
 /// One flag a verb accepts: canonical spelling, optional alias (stored
@@ -605,7 +608,7 @@ int Main(int argc, char** argv) {
       std::printf("  trace written to %s\n",
                   args.Get("--trace-out").c_str());
     }
-    return report->merged ? 0 : 2;
+    return report->merged ? 0 : 3;
   }
 
   if (command == "cache") {
@@ -791,6 +794,10 @@ int Main(int argc, char** argv) {
       if (!result->compacted) return 0;
       new_key = result->metadata_key;
     } else {
+      // Cache entries of the node that writes this table name versions
+      // of it; drop them before expiry may delete those versions' files.
+      auto dropped = bp.artifact_cache()->DropNode(name);
+      if (!dropped.ok()) return Fail(dropped.status());
       auto result = maintenance.ExpireSnapshots(*metadata_key);
       if (!result.ok()) return Fail(result.status());
       std::printf("expired %lld snapshots of %s: freed %s in %lld files\n",

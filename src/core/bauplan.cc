@@ -315,20 +315,6 @@ Result<analysis::AnalysisResult> Bauplan::Check(
 
 // ------------------------------------------------------------------ run
 
-Status Bauplan::MaterializeArtifacts(const RunReport& execution,
-                                     const std::string& target_branch) {
-  for (const auto& [name, data] : execution.artifacts) {
-    bool exists = catalog_->GetTable(target_branch, name).ok();
-    if (!exists) {
-      BAUPLAN_RETURN_NOT_OK(
-          CreateTable(target_branch, name, data.schema()));
-    }
-    BAUPLAN_RETURN_NOT_OK(
-        WriteTable(target_branch, name, data, /*overwrite=*/true));
-  }
-  return Status::OK();
-}
-
 Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
                                const std::string& branch,
                                const PipelineRunOptions& options) {
@@ -411,13 +397,40 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
     return fail(StrCat("expectations failed (", details, ")"));
   }
 
-  // Audit passed: write artifacts into the ephemeral branch, then merge.
-  Status materialized = MaterializeArtifacts(report, run_branch);
-  if (!materialized.ok()) return fail(materialized.ToString());
+  // Audit passed. Each computed artifact becomes a fresh table version,
+  // and a cache hit commits the version its entry names. Tables whose
+  // key the branch already holds stay out; the rest land in one commit
+  // on the ephemeral branch, so a run that changes nothing commits
+  // nothing.
+  std::map<std::string, std::string> computed;
+  for (const auto& [name, data] : report.artifacts) {
+    auto key = table_ops_->WriteVersion(name, data);
+    if (!key.ok()) return fail(key.status().ToString());
+    computed[name] = std::move(*key);
+  }
+  catalog::TableChanges changes;
+  for (const auto* outputs : {&computed, &report.cached_artifacts}) {
+    for (const auto& [name, key] : *outputs) {
+      auto it = tables.find(name);
+      if (it == tables.end() || it->second != key) changes.puts[name] = key;
+    }
+  }
+  std::vector<std::string> changed;
+  for (const auto& [name, key] : changes.puts) changed.push_back(name);
+  if (!changed.empty()) {
+    auto commit = catalog_->CommitChanges(
+        run_branch,
+        StrCat("run ", report.run_id, ": ", StrJoin(changed, ", ")),
+        options_.author, changes);
+    if (!commit.ok()) return fail(commit.status().ToString());
+  }
 
   auto merged = catalog_->Merge(run_branch, branch, options_.author);
   if (!merged.ok()) return fail(merged.status().ToString());
   BAUPLAN_RETURN_NOT_OK(catalog_->DeleteBranch(run_branch));
+  // The outputs are durable now, so entries naming them may serve later
+  // runs.
+  runner_->Memoize(report, computed);
   // Record which nodes the artifact cache served, so a later
   // `bauplan run --run-id N` can say what this run skipped.
   std::vector<std::string> cached_nodes;
@@ -434,7 +447,9 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   LogInfo(StrCat("run ", report.run_id, " merged into '", branch,
                  "' at commit ", merged->commit_id));
   Audit("run", branch,
-        StrCat("run ", report.run_id, " fingerprint ", record.fingerprint),
+        StrCat("run ", report.run_id, " fingerprint ", record.fingerprint,
+               changed.empty() ? " changed no table"
+                               : StrCat(" changed ", StrJoin(changed, ", "))),
         Status::OK());
   return report;
 }
@@ -469,7 +484,10 @@ Result<RunReport> Bauplan::ReplayRun(int64_t run_id,
     return dag.status();
   }
 
+  // A replay re-executes the recorded code on the recorded commit, so it
+  // bypasses the cache, and its report keeps every selected output.
   PipelineRunOptions options;
+  options.use_cache = false;
   options.exec.metrics = metrics_.get();
   options.exec.spill_store = spill_store_.get();
   if (!selector.empty()) {

@@ -39,9 +39,11 @@ struct BauplanOptions {
   uint64_t query_cache_bytes = 256ull << 20;
   /// Byte budget of the differential artifact cache memoizing pipeline
   /// node outputs across runs (and branches — keys are content ids, not
-  /// refs); 0 disables it. Entries live in the lake store under
-  /// "cache/", so they persist wherever the catalog does. `bauplan run
-  /// --cache-budget BYTES` / BAUPLAN_CACHE_BUDGET override this.
+  /// refs); 0 disables it. It bounds the bytes the entries occupy under
+  /// "cache/" in the lake store, where they persist wherever the catalog
+  /// does; an entry references a committed table version instead of
+  /// holding its rows. `bauplan run --cache-budget BYTES` /
+  /// BAUPLAN_CACHE_BUDGET override this.
   uint64_t artifact_cache_bytes = 1ull << 30;
   /// Record every platform verb in the durable audit trail.
   bool enable_audit_log = true;
@@ -122,18 +124,25 @@ class Bauplan {
   // --------------------------------------------------------------- run
 
   /// `bauplan run`: snapshots + fingerprints the project, executes its
-  /// DAG inside an ephemeral branch (transform-audit-write), materializes
-  /// every SQL artifact as a table, and merges into `branch` only when
-  /// all expectations pass. Option combinations the run would silently
-  /// ignore (trimming a naive run, a fused run wider than 1, a width
-  /// below 1) are InvalidArgument, before the pre-flight check, the run
-  /// record or any branch.
+  /// DAG inside an ephemeral branch (transform-audit-write) and, only
+  /// when all expectations pass, writes one commit there and merges it
+  /// into `branch`. The commit holds a fresh table version for every SQL
+  /// artifact the run computed (with the node's output schema, whatever
+  /// the previous version's) and, by reference, the version each cache
+  /// hit names; tables whose key does not change stay out. Cache entries
+  /// for what the run executed are written after the merge. The run
+  /// records one `run` audit entry naming the tables it changed. Option
+  /// combinations the run would silently ignore (trimming a naive run, a
+  /// fused run wider than 1, a width below 1) are InvalidArgument,
+  /// before the pre-flight check, the run record or any branch.
   Result<RunReport> Run(const pipeline::PipelineProject& project,
                         const std::string& branch,
                         const PipelineRunOptions& options = {});
 
   /// `bauplan run --run-id N [-m node+]`: re-executes the recorded
-  /// snapshot against the recorded data commit, sandboxed (never merged).
+  /// snapshot against the recorded data commit, sandboxed (never merged)
+  /// and with the artifact cache off, so the report holds every selected
+  /// node's output.
   Result<RunReport> ReplayRun(int64_t run_id,
                               const std::string& selector = "");
 
@@ -175,10 +184,6 @@ class Bauplan {
 
   /// The commit `ref` resolves to (for an as-of ref, the snapshot commit).
   Result<catalog::Commit> ResolveCommit(const catalog::RefSpec& ref) const;
-
-  /// Materializes run artifacts as catalog tables on `target_branch`.
-  Status MaterializeArtifacts(const RunReport& execution,
-                              const std::string& target_branch);
 
   /// Records one audit entry; failures are logged, never fatal.
   void Audit(const std::string& operation, const std::string& ref,

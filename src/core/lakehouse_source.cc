@@ -4,11 +4,15 @@ namespace bauplan::core {
 
 Result<const table::TableMetadata*> LakehouseSource::Metadata(
     const std::string& name) const {
-  if (!tables_.has_value()) {
-    BAUPLAN_ASSIGN_OR_RETURN(tables_, catalog_->GetTables(ref_));
+  std::string key;
+  if (auto it = committed_.find(name); it != committed_.end()) {
+    key = it->second;
+  } else {
+    if (!tables_.has_value()) {
+      BAUPLAN_ASSIGN_OR_RETURN(tables_, catalog_->GetTables(ref_));
+    }
+    BAUPLAN_ASSIGN_OR_RETURN(key, catalog::FindTableKey(*tables_, name, ref_));
   }
-  BAUPLAN_ASSIGN_OR_RETURN(std::string key,
-                           catalog::FindTableKey(*tables_, name, ref_));
   auto it = metadata_.find(key);
   if (it == metadata_.end()) {
     BAUPLAN_ASSIGN_OR_RETURN(table::TableMetadata metadata,

@@ -18,7 +18,10 @@ namespace bauplan::core {
 /// Iceberg-style planner, so the engine's pushed-down predicates become
 /// partition pruning and zone-map skipping. A layered map of in-memory
 /// tables (pipeline intermediates) shadows the catalog, which is how the
-/// fused executor keeps artifacts off object storage.
+/// fused executor keeps artifacts off object storage; a name can also be
+/// pinned to a committed table version (a fused run's cache hit), which
+/// then scans from the lake with pushdown like any catalog table, without
+/// resolving the ref.
 ///
 /// The ref resolves to its table map once, on first use, so every schema
 /// lookup and scan through one source reads the same snapshot. Each
@@ -45,6 +48,12 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
     overlay_[name] = std::move(table);
   }
 
+  /// Resolves `name` to the table version at `metadata_key` instead of
+  /// the ref's table map.
+  void AddCommittedTable(const std::string& name, std::string metadata_key) {
+    committed_[name] = std::move(metadata_key);
+  }
+
   /// Pruning stats of the latest catalog scan through this source.
   const table::ScanPlan& last_scan_plan() const { return last_plan_; }
 
@@ -67,6 +76,8 @@ class LakehouseSource : public sql::SchemaResolver, public sql::TableSource {
   /// Decoded metadata by metadata key; a failed load is retried.
   mutable std::map<std::string, table::TableMetadata> metadata_;
   std::map<std::string, columnar::Table> overlay_;
+  /// Table name -> metadata key, consulted before the ref's table map.
+  std::map<std::string, std::string> committed_;
   table::ScanPlan last_plan_;
 };
 

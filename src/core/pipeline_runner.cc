@@ -24,7 +24,10 @@ namespace internal {
 
 /// State one naive run's node functions share: the selection, the sizes
 /// of artifacts produced so far, and the report the bodies write into.
-/// `mu` serializes body writes when nodes run on a wavefront.
+/// `mu` serializes body writes when nodes run on a wavefront. Cache hits
+/// enter `report->cached_artifacts` and `artifact_bytes` in the
+/// scheduler's ready pass, while no body runs, so bodies read
+/// `cached_artifacts` without the lock.
 struct NaiveRunContext {
   const Dag* dag = nullptr;
   std::string ref;
@@ -32,8 +35,8 @@ struct NaiveRunContext {
   sql::ExecOptions exec;  // execution knobs for every SQL node body
   RunReport* report = nullptr;
   std::mutex mu;
-  /// Artifact name -> serialized bytes (produced this run, or estimated
-  /// from catalog metadata for replayed upstreams).
+  /// Artifact name -> serialized bytes (spilled this run, or estimated
+  /// from a cache entry or the catalog metadata of a replayed upstream).
   std::map<std::string, int64_t> artifact_bytes;
   /// `ref`'s table map, resolved once on the run's clock while the first
   /// request that reads the catalog is built. Bodies read only this, so
@@ -77,6 +80,13 @@ std::string SpillKey(const std::string& node) {
   return StrCat("spill/", node, ".tbl");
 }
 
+/// Whether a selected upstream's output is in the spill store: it
+/// executed this run. A cache hit's output is a committed table version.
+bool Spilled(const internal::NaiveRunContext& ctx, const std::string& up) {
+  return ctx.selected_set.count(up) > 0 &&
+         ctx.report->cached_artifacts.count(up) == 0;
+}
+
 /// Metadata key of catalog table `name` in the run's resolved table map.
 Result<std::string> CatalogKey(const internal::NaiveRunContext& ctx,
                                const std::string& name) {
@@ -84,10 +94,24 @@ Result<std::string> CatalogKey(const internal::NaiveRunContext& ctx,
   return catalog::FindTableKey(**ctx.tables, name, ctx.ref);
 }
 
-/// Serialized-footprint estimate of a materialized catalog table:
-/// records times an ~8-bytes-per-value row width. Used to size functions
-/// reading replayed upstreams, where the exact spill size is unknown but
-/// the row count is right in the table metadata.
+/// Metadata key of an upstream read from the lake rather than the spill
+/// store: the version a cache hit named, or (a replayed upstream) the
+/// run's table map entry.
+Result<std::string> LakeKey(const internal::NaiveRunContext& ctx,
+                            const std::string& name) {
+  auto it = ctx.report->cached_artifacts.find(name);
+  if (it != ctx.report->cached_artifacts.end()) return it->second;
+  return CatalogKey(ctx, name);
+}
+
+/// Serialized-footprint estimate of a table: records times an
+/// ~8-bytes-per-value row width. Sizes functions that read an upstream
+/// from the lake, where no spill size exists.
+int64_t EstimateArtifactBytes(int64_t rows, int fields) {
+  return rows * (8 * fields + 8);
+}
+
+/// EstimateArtifactBytes of a replayed upstream, from its table metadata.
 int64_t EstimateCatalogArtifactBytes(const internal::NaiveRunContext& ctx,
                                      const table::TableOps* ops,
                                      const std::string& table_name) {
@@ -97,17 +121,21 @@ int64_t EstimateCatalogArtifactBytes(const internal::NaiveRunContext& ctx,
   if (!metadata.ok()) return 0;
   auto snapshot = metadata->CurrentSnapshot();
   if (!snapshot.ok()) return 0;
-  int64_t row_width = 8 * metadata->schema.num_fields() + 8;
-  return snapshot->total_records * row_width;
+  return EstimateArtifactBytes(snapshot->total_records,
+                               metadata->schema.num_fields());
 }
 
-/// Completes `node_report` from a cache hit: the node never ran.
-void ApplyHit(const cache::CachedArtifact& hit, NodeExecution* node_report) {
+/// Completes `node_report` from a cache hit: the node never ran. A SQL
+/// hit's output is the committed table version its entry names.
+void ApplyHit(const cache::CachedArtifact& hit, NodeExecution* node_report,
+              RunReport* report) {
   node_report->cache_hit = true;
   node_report->output_rows = hit.output_rows;
   if (node_report->kind == NodeKind::kExpectation) {
     node_report->expectation_passed = hit.expectation_passed;
     node_report->details = hit.details;
+  } else {
+    report->cached_artifacts[node_report->name] = hit.metadata_key;
   }
 }
 
@@ -186,12 +214,9 @@ Result<RunReport> PipelineRunner::Execute(
     result->all_expectations_passed = std::all_of(
         result->nodes.begin(), result->nodes.end(),
         [](const NodeExecution& node) { return node.expectation_passed; });
-  }
-
-  // Memoize what this run actually computed — post-audit only: a run
-  // with a failing expectation vouches for nothing.
-  if (result.ok() && cache_on && result->all_expectations_passed) {
-    InsertFreshArtifacts(*result, keys);
+    for (NodeExecution& node : result->nodes) {
+      node.cache_key = keys.Find(node.name);
+    }
   }
 
   if (tracer_ != nullptr) {
@@ -241,7 +266,7 @@ std::optional<cache::CachedArtifact> PipelineRunner::Probe(
   if (keys == nullptr || keys->Find(name).empty()) return std::nullopt;
   ScopedSpan probe(tracer_, name, observability::span_kind::kCacheProbe,
                    parent_span);
-  return cache_->Lookup(keys->Find(name));
+  return cache_->Lookup(name, keys->Find(name));
 }
 
 // --------------------------------------------------------------- fused
@@ -254,6 +279,27 @@ Result<RunReport> PipelineRunner::ExecuteFused(
     const cache::NodeFingerprints* keys, uint64_t run_span) {
   RunReport report;
   uint64_t start = clock_->NowMicros();
+  std::set<std::string> selected_set(selected.begin(), selected.end());
+
+  // Every node probes before dispatch, so a DAG the cache serves whole
+  // invokes no function. Node reports keep execution order. Fused hits
+  // dispatch nothing per node, so skipped_invocations stays untouched.
+  size_t hits = 0;
+  for (const auto& name : dag.execution_order()) {
+    if (selected_set.count(name) == 0) continue;
+    NodeExecution& node_report = report.nodes.emplace_back();
+    node_report.name = name;
+    node_report.kind = dag.GetNode(name).node->kind;
+    if (auto hit = Probe(keys, name, run_span)) {
+      ApplyHit(*hit, &node_report, &report);
+      ++hits;
+    }
+  }
+  if (hits == report.nodes.size()) {
+    report.total_micros = clock_->NowMicros() - start;
+    report.spill_metrics = spill_store_->metrics();
+    return report;
+  }
 
   // One function for the whole DAG: union of all requirements, memory
   // sized once the inputs are known (use a conservative default).
@@ -276,7 +322,6 @@ Result<RunReport> PipelineRunner::ExecuteFused(
   // Keep the DAG's container warm between iterations: repeated `bauplan
   // run` invocations in a dev loop pay only the warm dispatch.
   request.keep_warm = true;
-  std::set<std::string> selected_set(selected.begin(), selected.end());
 
   uint64_t fused_span = 0;
   if (tracer_ != nullptr) {
@@ -285,55 +330,39 @@ Result<RunReport> PipelineRunner::ExecuteFused(
   }
 
   request.body = [&]() -> Status {
-    // All intermediates live in the source overlay; the engine pushes
-    // WHERE filters and projections into the lakehouse scans.
+    // Computed intermediates live in the source overlay; cache hits scan
+    // their committed versions from the lake. The engine pushes WHERE
+    // filters and projections into the lakehouse scans.
     LakehouseSource source(catalog_, ops_, ref);
-    auto publish = [&](const std::string& name, Table table) {
-      report.artifacts[name] = table;
-      source.AddOverlayTable(name, std::move(table));
-    };
-    for (const auto& name : dag.execution_order()) {
-      if (selected_set.count(name) == 0) continue;
+    for (const auto& [name, metadata_key] : report.cached_artifacts) {
+      source.AddCommittedTable(name, metadata_key);
+    }
+    for (NodeExecution& node_report : report.nodes) {
+      if (node_report.cache_hit) continue;
+      const std::string& name = node_report.name;
       const PipelineNode& node = *dag.GetNode(name).node;
-      NodeExecution node_report;
-      node_report.name = name;
-      node_report.kind = node.kind;
-      // Fused hits skip the node's work inside the shared function (the
-      // single invocation itself still runs — nothing is dispatched per
-      // node in this mode, so skipped_invocations stays untouched).
-      if (auto hit = Probe(keys, name, fused_span)) {
-        ApplyHit(*hit, &node_report);
-        if (node.kind == NodeKind::kSqlModel) {
-          ScopedSpan mat(tracer_, name,
-                         observability::span_kind::kCacheMaterialize,
-                         fused_span);
-          publish(name, std::move(hit->table));
-        }
-      } else {
-        // Cross-node projection trimming (run --trim): the optimizer
-        // wraps the node's plan in a projection to the columns some
-        // consumer reads, and pushdown carries it into the scans.
-        sql::QueryOptions qopts;
-        qopts.exec = exec;
-        if (auto it = required_columns.find(name);
-            it != required_columns.end()) {
-          qopts.optimizer.required_output_columns = it->second;
-        }
-        Result<Table> output =
-            RunNode(node, source, source, qopts, &node_report, fused_span);
-        if (!output.ok()) {
-          // One function runs every node, so a failing query names its
-          // node.
-          return node.kind == NodeKind::kSqlModel
-                     ? output.status().WithContext(
-                           StrCat("node '", name, "'"))
-                     : output.status();
-        }
-        if (node.kind == NodeKind::kSqlModel) {
-          publish(name, std::move(*output));
-        }
+      // Cross-node projection trimming (run --trim): the optimizer
+      // wraps the node's plan in a projection to the columns some
+      // consumer reads, and pushdown carries it into the scans.
+      sql::QueryOptions qopts;
+      qopts.exec = exec;
+      if (auto it = required_columns.find(name);
+          it != required_columns.end()) {
+        qopts.optimizer.required_output_columns = it->second;
       }
-      report.nodes.push_back(std::move(node_report));
+      Result<Table> output =
+          RunNode(node, source, source, qopts, &node_report, fused_span);
+      if (!output.ok()) {
+        // One function runs every node, so a failing query names its
+        // node.
+        return node.kind == NodeKind::kSqlModel
+                   ? output.status().WithContext(StrCat("node '", name, "'"))
+                   : output.status();
+      }
+      if (node.kind == NodeKind::kSqlModel) {
+        report.artifacts[name] = *output;
+        source.AddOverlayTable(name, std::move(*output));
+      }
     }
     return Status::OK();
   };
@@ -384,19 +413,19 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
   {
     std::lock_guard<std::mutex> lock(ctx.mu);
     for (const auto& up : dag_node.upstream_nodes) {
-      bool up_selected = ctx.selected_set.count(up) > 0;
       auto it = ctx.artifact_bytes.find(up);
       int64_t bytes = it != ctx.artifact_bytes.end() ? it->second : 0;
-      if (it == ctx.artifact_bytes.end() && !up_selected) {
+      if (it == ctx.artifact_bytes.end() &&
+          ctx.selected_set.count(up) == 0) {
         bytes = EstimateCatalogArtifactBytes(ctx, ops_, up);
         ctx.artifact_bytes[up] = bytes;
       }
       input_bytes += bytes;
-      // A replayed upstream lives in the catalog, not at any worker, so
-      // its key never matches a recorded artifact — reading it always
-      // pays the object-storage transfer.
+      // A cache hit or a replayed upstream lives in the lake, not at any
+      // worker, so its key never matches a recorded artifact — reading
+      // it always pays the object-storage transfer.
       request.inputs.push_back(runtime::ArtifactRef{
-          up_selected ? SpillKey(up) : StrCat("catalog/", up),
+          Spilled(ctx, up) ? SpillKey(up) : StrCat("catalog/", up),
           static_cast<uint64_t>(bytes)});
     }
   }
@@ -418,7 +447,7 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
       inputs.AddTable(table_name, std::move(table));
     }
     for (const auto& up : dag_node.upstream_nodes) {
-      if (ctx.selected_set.count(up) > 0) {
+      if (Spilled(ctx, up)) {
         ScopedSpan spill_span(tracer_, StrCat("get ", SpillKey(up)),
                               observability::span_kind::kSpill,
                               node_span);
@@ -428,12 +457,12 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
                                  columnar::DeserializeTable(bytes));
         inputs.AddTable(up, std::move(table));
       } else {
-        // Replay subset: the upstream artifact was materialized by the
-        // original run; read it from the catalog.
+        // A cache hit, or a replayed upstream the original run
+        // materialized: read its committed version from the lake.
         ScopedSpan scan_span(tracer_, up,
                              observability::span_kind::kScan, node_span);
         BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                                 CatalogKey(ctx, up));
+                                 LakeKey(ctx, up));
         BAUPLAN_ASSIGN_OR_RETURN(Table table,
                                  ops_->ScanTable(metadata_key));
         inputs.AddTable(up, std::move(table));
@@ -450,50 +479,45 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
         RunNode(node, inputs, inputs, qopts, node_report, node_span));
     if (node.kind != NodeKind::kSqlModel) return Status::OK();
     // Spill the artifact for downstream functions.
-    BAUPLAN_RETURN_NOT_OK(Spill(ctx, name, output,
-                                observability::span_kind::kSpill,
-                                node_span));
+    Bytes payload = columnar::SerializeTable(output);
+    const int64_t payload_bytes = static_cast<int64_t>(payload.size());
+    {
+      ScopedSpan put_span(tracer_, StrCat("put ", SpillKey(name)),
+                          observability::span_kind::kSpill, node_span);
+      BAUPLAN_RETURN_NOT_OK(
+          spill_store_->Put(SpillKey(name), std::move(payload)));
+    }
     std::lock_guard<std::mutex> lock(ctx.mu);
+    ctx.artifact_bytes[name] = payload_bytes;
     ctx.report->artifacts[name] = std::move(output);
     return Status::OK();
   };
   return request;
 }
 
-Status PipelineRunner::Spill(internal::NaiveRunContext& ctx,
-                             const std::string& name, const Table& table,
-                             const char* span_kind, uint64_t node_span) {
-  Bytes payload = columnar::SerializeTable(table);
-  int64_t payload_bytes = static_cast<int64_t>(payload.size());
-  {
-    ScopedSpan put_span(tracer_, StrCat("put ", SpillKey(name)), span_kind,
-                        node_span);
-    BAUPLAN_RETURN_NOT_OK(
-        spill_store_->Put(SpillKey(name), std::move(payload)));
-  }
-  std::lock_guard<std::mutex> lock(ctx.mu);
-  ctx.artifact_bytes[name] = payload_bytes;
-  return Status::OK();
-}
-
-void PipelineRunner::InsertFreshArtifacts(
-    const RunReport& report, const cache::NodeFingerprints& keys) {
+void PipelineRunner::Memoize(
+    const RunReport& report,
+    const std::map<std::string, std::string>& committed) {
+  if (cache_ == nullptr) return;
   for (const NodeExecution& node : report.nodes) {
-    if (node.cache_hit) continue;
-    const std::string& key = keys.Find(node.name);
-    if (key.empty()) continue;
+    if (node.cache_hit || node.cache_key.empty()) continue;
     cache::CachedArtifact artifact;
     artifact.kind = node.kind;
     artifact.output_rows = node.output_rows;
     if (node.kind == NodeKind::kSqlModel) {
-      auto it = report.artifacts.find(node.name);
-      if (it == report.artifacts.end()) continue;
-      artifact.table = it->second;
+      auto key = committed.find(node.name);
+      auto table = report.artifacts.find(node.name);
+      if (key == committed.end() || table == report.artifacts.end()) {
+        continue;
+      }
+      artifact.metadata_key = key->second;
+      artifact.output_bytes = EstimateArtifactBytes(
+          table->second.num_rows(), table->second.num_columns());
     } else {
       artifact.expectation_passed = node.expectation_passed;
       artifact.details = node.details;
     }
-    cache_->Insert(key, artifact);
+    cache_->Insert(node.name, node.cache_key, artifact);
   }
 }
 
@@ -554,22 +578,11 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
       }
       if (!state.probed) {
         state.probed = true;
-        std::optional<cache::CachedArtifact> hit =
-            Probe(keys, name, state.span);
-        const bool sql = state.report.kind == NodeKind::kSqlModel;
-        // Selected consumers fetch their inputs from the spill store, so
-        // a SQL hit is re-materialized under the node's spill key first.
-        // If that put fails the node executes instead — cache trouble
-        // never fails a run.
-        if (hit.has_value() && sql && !state.consumers.empty() &&
-            !Spill(ctx, name, hit->table,
-                   observability::span_kind::kCacheMaterialize, state.span)
-                 .ok()) {
-          hit.reset();
-        }
-        if (hit.has_value()) {
-          ApplyHit(*hit, &state.report);
-          if (sql) report.artifacts[name] = std::move(hit->table);
+        if (auto hit = Probe(keys, name, state.span)) {
+          // Consumers read the committed version from the lake; they are
+          // sized from the entry.
+          ApplyHit(*hit, &state.report, &report);
+          ctx.artifact_bytes[name] = hit->output_bytes;
           if (skipped_invocations_ != nullptr) {
             skipped_invocations_->Increment();
           }

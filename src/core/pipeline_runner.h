@@ -64,16 +64,18 @@ struct PipelineRunOptions {
   /// wiring inside is overridden per node by the runner.
   sql::ExecOptions exec;
   /// Probe the differential artifact cache before dispatching each node
-  /// and memoize fresh post-audit outputs after the run (`bauplan run
-  /// --no-cache` turns this off). No effect when the runner has no cache
+  /// (`bauplan run --no-cache` turns this off); a hit serves the table
+  /// version its entry names instead of executing. Bauplan::Run
+  /// memoizes what a run executed only once its merge succeeds, and
+  /// replays run with this off. No effect when the runner has no cache
   /// or the cache's budget is 0.
   bool use_cache = true;
 };
 
 /// Executes an extracted DAG on the serverless substrate in fused or
 /// naive mode, producing the execution half of a RunReport (run_id and
-/// merge outcome stay defaulted — materialization back to the catalog is
-/// the caller's job; the Bauplan facade wraps this in
+/// merge outcome stay defaulted — committing the outputs to the catalog
+/// is the caller's job; the Bauplan facade wraps this in
 /// transform-audit-write).
 class PipelineRunner {
  public:
@@ -82,9 +84,9 @@ class PipelineRunner {
   /// every run produces a span tree (run -> wave -> node -> {scan, sql,
   /// expectation, spill}) extracted into RunReport::trace. With a
   /// non-null `cache` every run probes it per node (hits skip memory
-  /// reservation and container acquisition entirely) and memoizes fresh
-  /// post-audit artifacts; `metrics` hosts the runner's own
-  /// cache.skipped_invocations counter.
+  /// reservation and container acquisition entirely), and Memoize
+  /// records what a committed run executed; `metrics` hosts the
+  /// runner's own cache.skipped_invocations counter.
   PipelineRunner(Clock* clock, const catalog::Catalog* catalog,
                  const table::TableOps* ops,
                  runtime::ServerlessExecutor* executor,
@@ -116,7 +118,19 @@ class PipelineRunner {
       const std::map<std::string, std::vector<std::string>>&
           required_columns = {});
 
+  /// Memoizes what `report`'s run executed, once its outputs are durable
+  /// (Bauplan::Run calls this after the merge): each executed SQL node as
+  /// the metadata key `committed` maps it to, each executed expectation
+  /// with its outcome, under the node's cache key. Nodes the cache
+  /// served and nodes without a key are skipped.
+  void Memoize(const RunReport& report,
+               const std::map<std::string, std::string>& committed);
+
  private:
+  /// The fused mode. Every selected node probes the cache first; when
+  /// all of them hit, no function is invoked and RunReport::fused stays
+  /// empty. Otherwise one function runs the misses in execution order,
+  /// reading hits from the lake through its LakehouseSource.
   Result<RunReport> ExecuteFused(const pipeline::Dag& dag,
                                  const std::string& ref,
                                  const std::vector<std::string>& selected,
@@ -160,26 +174,11 @@ class PipelineRunner {
       const cache::NodeFingerprints* keys, const std::string& name,
       uint64_t parent_span);
 
-  /// Puts `table` under `name`'s spill key, in a `span_kind` span under
-  /// `node_span`, and records its size for sizing downstream functions:
-  /// a naive node's output spill, or a cache hit's re-materialization
-  /// for its consumers.
-  Status Spill(internal::NaiveRunContext& ctx, const std::string& name,
-               const columnar::Table& table, const char* span_kind,
-               uint64_t node_span);
-
-  /// Memoizes every freshly-executed node of a finished run whose
-  /// expectations all passed (cached artifacts are post-audit by
-  /// contract). Hits are skipped (already cached), as are nodes with
-  /// empty keys.
-  void InsertFreshArtifacts(const RunReport& report,
-                            const cache::NodeFingerprints& keys);
-
   /// The per-node FunctionRequest the naive scheduler dispatches: inputs
   /// list every upstream artifact, memory is sized from their bytes, and
-  /// the body (scan sources, fetch spills, run the node, spill the
-  /// output) writes its results into `node_report` and the shared
-  /// context.
+  /// the body (scan sources, fetch spills, scan cache hits and replayed
+  /// upstreams from the lake, run the node, spill the output) writes its
+  /// results into `node_report` and the shared context.
   /// `node_span` parents the body's scan/sql/expectation/spill spans.
   runtime::FunctionRequest BuildNaiveRequest(
       internal::NaiveRunContext& ctx, const std::string& name,

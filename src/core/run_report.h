@@ -30,8 +30,12 @@ struct NodeExecution {
   /// Served from the differential artifact cache: the node never
   /// executed (no container, no scheduling) — its output was memoized by
   /// an earlier run with the same fingerprint. All timing fields below
-  /// stay zero except any cache-materialize transfer.
+  /// stay zero.
   bool cache_hit = false;
+  /// The node's cache key this run ("" when caching was off or an input
+  /// had no content id). Bauplan::Run memoizes an executed node under it
+  /// once the run has merged.
+  std::string cache_key;
 
   // -- timing on the simulated clock -----------------------------------
   runtime::StartKind start_kind = runtime::StartKind::kCold;
@@ -76,8 +80,14 @@ struct RunReport {
   std::optional<NodeExecution> fused;
   /// Object-store traffic caused by intermediate spill (naive mode).
   storage::StoreMetrics spill_metrics;
-  /// Artifact name -> produced table (SQL nodes only).
+  /// Artifact name -> table the run computed (SQL nodes only). A node
+  /// the artifact cache served is not here: its rows are the committed
+  /// table version in `cached_artifacts`, on the branch after the merge.
   std::map<std::string, columnar::Table> artifacts;
+  /// Artifact name -> metadata key of the committed table version the
+  /// cache served for it (SQL nodes only). Bauplan::Run commits these
+  /// keys as they are, so a hit writes no data.
+  std::map<std::string, std::string> cached_artifacts;
 
   // -- observability ---------------------------------------------------
   /// Hierarchical span tree of the execution: run -> wave -> node ->

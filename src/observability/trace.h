@@ -39,11 +39,9 @@ inline constexpr const char* kPipeline = "pipeline";
 /// span per analyzer pass (structural, schema, expectation).
 inline constexpr const char* kAnalysis = "analysis";
 inline constexpr const char* kPass = "pass";
-/// Differential artifact cache, children of node (or fused sql) spans:
-/// probe = key lookup + fetch, materialize = handing the cached artifact
-/// to downstream consumers (overlay add, or spill-store put).
+/// Differential artifact cache: one probe (key lookup + entry fetch) per
+/// node, under its node span (naive) or the run span (fused).
 inline constexpr const char* kCacheProbe = "cache.probe";
-inline constexpr const char* kCacheMaterialize = "cache.materialize";
 }  // namespace span_kind
 
 /// One timed interval on the simulated clock. Parent links form the

@@ -266,6 +266,18 @@ Result<std::string> TableOps::Overwrite(const std::string& metadata_key,
   return WriteSnapshot(std::move(metadata), data, "overwrite");
 }
 
+Result<std::string> TableOps::WriteVersion(const std::string& name,
+                                           const columnar::Table& data) {
+  if (name.empty()) return Status::InvalidArgument("empty table name");
+  if (data.num_columns() == 0) {
+    return Status::InvalidArgument("table schema must have columns");
+  }
+  TableMetadata metadata;
+  metadata.table_name = name;
+  metadata.schema = data.schema();
+  return WriteSnapshot(std::move(metadata), data, "overwrite");
+}
+
 Result<std::string> TableOps::AddColumn(const std::string& metadata_key,
                                         const columnar::Field& field) {
   BAUPLAN_ASSIGN_OR_RETURN(TableMetadata metadata,

@@ -76,6 +76,15 @@ class TableOps {
   Result<std::string> Overwrite(const std::string& metadata_key,
                                 const columnar::Table& data);
 
+  /// Writes `data` as a table version of its own: its data file, a
+  /// manifest, and metadata holding one snapshot and `data`'s schema
+  /// (unpartitioned). Reads no earlier metadata, so the schema may differ
+  /// from the version it replaces; earlier versions stay readable through
+  /// the catalog commits that name their keys. A pipeline run writes each
+  /// artifact it computes this way. Returns the new metadata key.
+  Result<std::string> WriteVersion(const std::string& name,
+                                   const columnar::Table& data);
+
   /// Schema evolution: appends a nullable column. Existing files stay
   /// untouched; scans fill the column with nulls for old files.
   Result<std::string> AddColumn(const std::string& metadata_key,

@@ -262,6 +262,25 @@ TEST(AnalyzerTest, SchemaNarrowingOverwriteIsBP2003) {
   EXPECT_NE(message.find("drops column 'zone'"), std::string::npos);
 }
 
+TEST(AnalyzerTest, SchemaWideningOverwriteIsBP2003) {
+  PipelineProject project("p");
+  // The node adds `zone` to the catalog's `trips` and changes nothing
+  // else; the warning names the added column.
+  ASSERT_TRUE(
+      project.AddSqlNode("trips", "SELECT fare, zone FROM taxi_table").ok());
+  MapResolver resolver(
+      {{"taxi_table", TaxiSchema()},
+       {"trips", Schema({{"fare", TypeId::kDouble, false}})}});
+  Analyzer analyzer({"taxi_table", "trips"}, &resolver);
+  AnalysisResult result = analyzer.Analyze(project);
+  EXPECT_TRUE(result.ok());  // warning severity
+  std::string message;
+  ASSERT_TRUE(
+      HasCode(result, analysis::codes::kSchemaNarrowing, &message));
+  EXPECT_NE(message.find("adds column 'zone'"), std::string::npos);
+  EXPECT_EQ(message.find("drops column"), std::string::npos);
+}
+
 // ------------------------------------------------------- expectations
 
 TEST(AnalyzerTest, BadExpectationDslIsBP3001) {

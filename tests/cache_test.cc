@@ -18,6 +18,7 @@
 #include "columnar/serialize.h"
 #include "common/bytes.h"
 #include "common/clock.h"
+#include "common/strings.h"
 #include "core/bauplan.h"
 #include "core/query_cache.h"
 #include "pipeline/project.h"
@@ -68,6 +69,21 @@ std::map<std::string, Bytes> ArtifactBytes(const core::RunReport& report) {
   return out;
 }
 
+/// Serialized bytes of every SQL node's table on `branch`. A warm run
+/// reports only what it computed; what the cache served is on the branch.
+std::map<std::string, Bytes> BranchBytes(
+    core::Bauplan& bp, const std::string& branch,
+    const pipeline::PipelineProject& project) {
+  std::map<std::string, Bytes> out;
+  for (const auto& node : project.nodes()) {
+    if (node.kind != pipeline::NodeKind::kSqlModel) continue;
+    auto table = bp.ReadTable(branch, node.name);
+    EXPECT_TRUE(table.ok()) << node.name << ": " << table.status().ToString();
+    if (table.ok()) out[node.name] = columnar::SerializeTable(*table);
+  }
+  return out;
+}
+
 /// A platform over its own in-memory store, pre-seeded with taxi data.
 struct Platform {
   storage::MemoryObjectStore base;
@@ -86,9 +102,9 @@ struct Platform {
 };
 
 // ---------------------------------------------------------------------
-// Bit-identity battery: warm runs must produce the same bytes as cold
-// ones in every mode × budget combination, whether or not anything was
-// actually served from cache.
+// Bit-identity battery: after a warm run the branch must hold the same
+// bytes the cold run computed, in every mode × budget combination,
+// whether or not anything was actually served from cache.
 // ---------------------------------------------------------------------
 
 struct BatteryCase {
@@ -124,7 +140,7 @@ TEST_P(CacheBitIdentityTest, WarmRunMatchesCold) {
   ASSERT_TRUE(warm.ok()) << warm.status().ToString();
   ASSERT_TRUE(warm->merged);
 
-  EXPECT_EQ(ArtifactBytes(*cold), ArtifactBytes(*warm));
+  EXPECT_EQ(ArtifactBytes(*cold), BranchBytes(*p.bp, "main", project));
   auto stats = p.bp->artifact_cache_stats();
   if (c.expect_hits) {
     EXPECT_GT(stats.hits, 0);
@@ -138,7 +154,8 @@ TEST_P(CacheBitIdentityTest, WarmRunMatchesCold) {
     }
   } else {
     // A tiny-but-nonzero budget holds byte-sized expectation outcomes
-    // but no table payloads: SQL models must all have re-executed.
+    // but no SQL entry (a table reference is longer): SQL models must
+    // all have re-executed.
     for (const auto& node : warm->nodes) {
       if (node.kind == pipeline::NodeKind::kSqlModel) {
         EXPECT_FALSE(node.cache_hit) << node.name;
@@ -174,7 +191,7 @@ TEST(ArtifactCachePlatformTest, CacheCrossesParallelism) {
   for (const auto& node : warm->nodes) {
     EXPECT_TRUE(node.cache_hit) << node.name;
   }
-  EXPECT_EQ(ArtifactBytes(*cold), ArtifactBytes(*warm));
+  EXPECT_EQ(ArtifactBytes(*cold), BranchBytes(*p.bp, "main", project));
 }
 
 // Fused and naive runs share entries the same way.
@@ -192,7 +209,10 @@ TEST(ArtifactCachePlatformTest, CacheCrossesFusionMode) {
   for (const auto& node : warm->nodes) {
     EXPECT_TRUE(node.cache_hit) << node.name;
   }
-  EXPECT_EQ(ArtifactBytes(*cold), ArtifactBytes(*warm));
+  // A fused run the cache serves whole invokes no function.
+  EXPECT_FALSE(warm->fused.has_value());
+  EXPECT_TRUE(warm->artifacts.empty());
+  EXPECT_EQ(ArtifactBytes(*cold), BranchBytes(*p.bp, "main", project));
 }
 
 // A trimmed run bypasses the cache entirely: trimmed artifact bytes
@@ -241,7 +261,7 @@ TEST(ArtifactCachePlatformTest, ForkReusesMainArtifacts) {
   }
   EXPECT_EQ(p.bp->artifact_cache_stats().hits - hits_before,
             static_cast<int64_t>(on_fork->nodes.size()));
-  EXPECT_EQ(ArtifactBytes(*on_main), ArtifactBytes(*on_fork));
+  EXPECT_EQ(ArtifactBytes(*on_main), BranchBytes(*p.bp, "feature", project));
 }
 
 // ...and writing new data to the fork re-keys everything downstream of
@@ -306,14 +326,12 @@ TEST(ArtifactCachePlatformTest, CacheFaultsNeverFailARun) {
 // ArtifactCache unit level: LRU, eviction, stats, persistence.
 // ---------------------------------------------------------------------
 
+/// A SQL entry naming a table version of node "n".
 cache::CachedArtifact MakeArtifact(int64_t rows) {
   cache::CachedArtifact artifact;
-  columnar::Int64Builder b;
-  for (int64_t i = 0; i < rows; ++i) b.Append(i);
-  artifact.table = *columnar::Table::Make(
-      columnar::Schema({{"v", columnar::TypeId::kInt64, false}}),
-      {b.Finish()});
+  artifact.metadata_key = StrCat("lake/n/metadata/", rows, ".meta");
   artifact.output_rows = rows;
+  artifact.output_bytes = rows * 16;
   return artifact;
 }
 
@@ -323,36 +341,36 @@ TEST(ArtifactCacheTest, LruEvictionUnderBudget) {
   // Room for two entries, not three.
   cache::ArtifactCache cache(&store, 2 * one_entry + one_entry / 2);
 
-  cache.Insert("k1", MakeArtifact(100));
-  cache.Insert("k2", MakeArtifact(100));
+  cache.Insert("n", "k1", MakeArtifact(100));
+  cache.Insert("n", "k2", MakeArtifact(100));
   EXPECT_EQ(cache.entry_count(), 2u);
   // Touch k1 so k2 becomes the LRU victim.
-  EXPECT_TRUE(cache.Lookup("k1").has_value());
-  cache.Insert("k3", MakeArtifact(100));
+  EXPECT_TRUE(cache.Lookup("n", "k1").has_value());
+  cache.Insert("n", "k3", MakeArtifact(100));
 
   auto stats = cache.stats();
   EXPECT_EQ(stats.entries, 2u);
   EXPECT_EQ(stats.evictions, 1);
-  EXPECT_TRUE(cache.Lookup("k1").has_value());
-  EXPECT_FALSE(cache.Lookup("k2").has_value());
-  EXPECT_TRUE(cache.Lookup("k3").has_value());
+  EXPECT_TRUE(cache.Lookup("n", "k1").has_value());
+  EXPECT_FALSE(cache.Lookup("n", "k2").has_value());
+  EXPECT_TRUE(cache.Lookup("n", "k3").has_value());
   EXPECT_LE(cache.used_bytes(), cache.budget_bytes());
 }
 
 TEST(ArtifactCacheTest, OverBudgetPayloadIsSkippedNotFatal) {
   storage::MemoryObjectStore store;
   cache::ArtifactCache cache(&store, 16);
-  cache.Insert("huge", MakeArtifact(1000));
+  cache.Insert("n", "huge", MakeArtifact(1000));
   EXPECT_EQ(cache.entry_count(), 0u);
-  EXPECT_FALSE(cache.Lookup("huge").has_value());
+  EXPECT_FALSE(cache.Lookup("n", "huge").has_value());
 }
 
 TEST(ArtifactCacheTest, ZeroBudgetDisables) {
   storage::MemoryObjectStore store;
   cache::ArtifactCache cache(&store, 0);
   EXPECT_FALSE(cache.enabled());
-  cache.Insert("k", MakeArtifact(10));
-  EXPECT_FALSE(cache.Lookup("k").has_value());
+  cache.Insert("n", "k", MakeArtifact(10));
+  EXPECT_FALSE(cache.Lookup("n", "k").has_value());
   EXPECT_EQ(cache.stats().inserts, 0);
 }
 
@@ -360,36 +378,75 @@ TEST(ArtifactCacheTest, LoadIndexSeesEarlierProcessEntries) {
   storage::MemoryObjectStore store;
   {
     cache::ArtifactCache writer(&store, 1 << 20);
-    writer.Insert("persisted", MakeArtifact(50));
+    writer.Insert("n", "persisted", MakeArtifact(50));
   }
   cache::ArtifactCache reader(&store, 1 << 20);
-  EXPECT_FALSE(reader.Lookup("persisted").has_value());  // index empty
+  EXPECT_FALSE(reader.Lookup("n", "persisted").has_value());  // index empty
   reader.LoadIndex();
-  auto hit = reader.Lookup("persisted");
+  auto hit = reader.Lookup("n", "persisted");
   ASSERT_TRUE(hit.has_value());
   EXPECT_EQ(hit->output_rows, 50);
+  EXPECT_EQ(hit->metadata_key, "lake/n/metadata/50.meta");
+  EXPECT_EQ(hit->output_bytes, 800);
 }
 
 TEST(ArtifactCacheTest, CorruptEntryDroppedOnFirstTouch) {
   storage::MemoryObjectStore store;
   cache::ArtifactCache cache(&store, 1 << 20);
-  cache.Insert("k", MakeArtifact(10));
-  ASSERT_TRUE(store.Put("cache/k", Bytes{0xde, 0xad}).ok());
-  EXPECT_FALSE(cache.Lookup("k").has_value());
+  cache.Insert("n", "k", MakeArtifact(10));
+  ASSERT_TRUE(store.Put("cache/n/k", Bytes{0xde, 0xad}).ok());
+  EXPECT_FALSE(cache.Lookup("n", "k").has_value());
   EXPECT_EQ(cache.entry_count(), 0u);  // dropped, not retried forever
+}
+
+// An entry of the previous format (version 1, a serialized table) is a
+// miss, not a table reference.
+TEST(ArtifactCacheTest, OlderFormatEntryIsAMiss) {
+  storage::MemoryObjectStore store;
+  cache::ArtifactCache cache(&store, 1 << 20);
+  cache.Insert("n", "k", MakeArtifact(10));
+  Bytes entry = MakeArtifact(10).Serialize();
+  entry[0] = 1;
+  ASSERT_TRUE(store.Put("cache/n/k", entry).ok());
+  EXPECT_FALSE(cache.Lookup("n", "k").has_value());
+  EXPECT_EQ(cache.stats().misses, 1);
 }
 
 TEST(ArtifactCacheTest, ClearDropsEverything) {
   storage::MemoryObjectStore store;
   cache::ArtifactCache cache(&store, 1 << 20);
-  cache.Insert("a", MakeArtifact(10));
-  cache.Insert("b", MakeArtifact(10));
+  cache.Insert("n", "a", MakeArtifact(10));
+  cache.Insert("n", "b", MakeArtifact(10));
   auto dropped = cache.Clear();
   ASSERT_TRUE(dropped.ok());
   EXPECT_EQ(*dropped, 2u);
   EXPECT_EQ(cache.entry_count(), 0u);
   EXPECT_EQ(cache.used_bytes(), 0u);
-  EXPECT_FALSE(cache.Lookup("a").has_value());
+  EXPECT_FALSE(cache.Lookup("n", "a").has_value());
+}
+
+// DropNode deletes one node's entries, including ones only another
+// process indexed, and leaves other nodes' entries (even a node whose
+// name extends it) alone.
+TEST(ArtifactCacheTest, DropNodeDropsOnlyThatNode) {
+  storage::MemoryObjectStore store;
+  cache::ArtifactCache other(&store, 1 << 20);
+  other.Insert("trips", "elsewhere", MakeArtifact(5));
+  cache::ArtifactCache cache(&store, 1 << 20);
+  cache.Insert("trips", "a", MakeArtifact(10));
+  cache.Insert("trips_2", "b", MakeArtifact(10));
+  cache.Insert("pickups", "c", MakeArtifact(10));
+  const uint64_t kept = MakeArtifact(10).Serialize().size() * 2;
+
+  auto dropped = cache.DropNode("trips");
+  ASSERT_TRUE(dropped.ok()) << dropped.status().ToString();
+  EXPECT_EQ(*dropped, 2u);
+  EXPECT_FALSE(cache.Lookup("trips", "a").has_value());
+  EXPECT_TRUE(cache.Lookup("trips_2", "b").has_value());
+  EXPECT_TRUE(cache.Lookup("pickups", "c").has_value());
+  EXPECT_EQ(cache.entry_count(), 2u);
+  EXPECT_EQ(cache.used_bytes(), kept);
+  EXPECT_FALSE(store.Exists("cache/trips/elsewhere"));
 }
 
 TEST(ArtifactCacheTest, ExpectationArtifactRoundTrips) {
@@ -404,11 +461,11 @@ TEST(ArtifactCacheTest, ExpectationArtifactRoundTrips) {
   EXPECT_EQ(decoded->details, "mean(count) > 0 failed");
 }
 
-// A payload size one byte past the remaining bytes is an IOError before
-// the payload buffer is allocated.
+// A payload size (the metadata key's length) one byte past the remaining
+// bytes is an IOError before the key is allocated.
 TEST(ArtifactCacheTest, PayloadSizePastTheEntryIsIOError) {
   Bytes entry = MakeArtifact(10).Serialize();
-  // The u32 payload size follows the version, kind, audit flag, empty
+  // The u32 key length follows the version, kind, audit flag, empty
   // details string and row count.
   const size_t size_at = 1 + 1 + 1 + 4 + 8;
   const uint32_t past = static_cast<uint32_t>(entry.size() - size_at - 4 + 1);

@@ -183,11 +183,16 @@ TEST_F(BauplanTest, RunReportEmbedsTraceAndMetrics) {
   ASSERT_NE(root, nullptr);
   EXPECT_EQ(root->kind, observability::span_kind::kRun);
   EXPECT_EQ(root->DurationMicros(), report->total_micros);
-  // Fused mode: one invocation span under the run, SQL bodies below it.
+  // Fused mode: every node probes the cache under the run span before
+  // dispatch, then one invocation span follows with the SQL bodies
+  // below it.
   ASSERT_TRUE(report->fused.has_value());
   auto children = report->trace.ChildrenOf(root->id);
-  ASSERT_EQ(children.size(), 1u);
-  EXPECT_EQ(children[0]->kind, observability::span_kind::kInvocation);
+  ASSERT_EQ(children.size(), report->nodes.size() + 1);
+  for (size_t i = 0; i + 1 < children.size(); ++i) {
+    EXPECT_EQ(children[i]->kind, observability::span_kind::kCacheProbe);
+  }
+  EXPECT_EQ(children.back()->kind, observability::span_kind::kInvocation);
   // One SQL span per model, one per expectation, under the invocation
   // (zero-width here: the test platform's storage model is instant).
   size_t sql_spans = 0;
@@ -230,6 +235,8 @@ TEST_F(BauplanTest, FusedAndNaiveProduceIdenticalArtifacts) {
   ASSERT_TRUE(fused.ok());
   PipelineRunOptions naive_options;
   naive_options.fused = false;
+  // The naive run must execute, not serve the fused run's outputs.
+  naive_options.use_cache = false;
   auto naive = platform_->Run(pipeline::MakePaperTaxiPipeline(1.0), "main",
                               naive_options);
   ASSERT_TRUE(naive.ok());
@@ -565,8 +572,12 @@ TEST_F(BauplanTest, ConcurrentPromotionsConflictCleanly) {
   ASSERT_TRUE(run_a.ok());
   ASSERT_TRUE(run_a->merged);
   clock_.AdvanceMicros(1000000);
+  // Team B computes its own versions; served from the cache, its run
+  // would commit team A's, and the promotions would not conflict.
+  PipelineRunOptions uncached;
+  uncached.use_cache = false;
   auto run_b = platform_->Run(pipeline::MakePaperTaxiPipeline(1.0),
-                              "team_b");
+                              "team_b", uncached);
   ASSERT_TRUE(run_b.ok());
   ASSERT_TRUE(run_b->merged);
 
@@ -874,125 +885,125 @@ TEST_F(RunnerPinTest, FusedRunsArePinned) {
   RunScenarios(/*fused=*/true, /*parallelism=*/1);
   ExpectPins({
       {"cold",
-       "json=b06c54f5015dbad9 artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000006168853 "
+       "json=fe6de39135110a2b artifacts=e806a55aedbaec9b "
+       "spill_us=0 clock=1700000003842156 "
        "lake=581e55ee9da7814f"},
       {"warm",
-       "json=84e497c33569adea artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000008715313 "
+       "json=943c0f1d589f639b artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000004432229 "
        "lake=581e55ee9da7814f"},
       {"edit",
-       "json=e5ba809601095834 artifacts=6bde167e187c0abb "
-       "spill_us=0 clock=1700000011291811 "
+       "json=94b95678a4420dc0 artifacts=0d4e8fc9c7c30b2a "
+       "spill_us=0 clock=1700000005431867 "
        "lake=52c68cdec1c9256d"},
       {"rerun",
-       "json=c68fa29ff7b473df artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000013838327 "
+       "json=98410d1a930f452b artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000006126946 "
        "lake=581e55ee9da7814f"},
       {"append",
-       "json=09aa27087858fd67 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000017026970 "
+       "json=5bfe2170a9f2b862 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000008188657 "
        "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
-       "json=708c8f4b570476c0 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000019688605 "
+       "json=aefc5d61c5ee0be8 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000009725115 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay",
-       "json=79d9eb57941f7e5c artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000020003423 "
+       "json=aa45ea09e2fe9b15 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000010154698 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
-       "json=2527304fc8942f1b artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000021495154 "
+       "json=eb59965046d0a1ec artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000011571308 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
-       "json=952c768578b6108f artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000021764764 "
+       "json=e64e75915b575445 artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000011795855 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
-       "json=c2663a4632742e20 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000022824640 "
+       "json=42cc62e7bda9f345 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000012630632 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
-       "json=181cf2671509b32e artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000023644425 "
+       "json=91653b7bbf8420e2 artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000013375287 "
        "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
-       "json=d8ac3006f202e747 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000024209975 "
+       "json=9ca5adf808494eb9 artifacts=9c126063619cbad8 "
+       "spill_us=0 clock=1700000013940674 "
        "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
-       "json=ef872c7f50033923 artifacts=73702ea648b0fbfa "
-       "spill_us=0 clock=1700000025527142 "
+       "json=2753453cecce1b8b artifacts=73702ea648b0fbfa "
+       "spill_us=0 clock=1700000014731862 "
        "lake=a3463be649f0635d"},
       {"paper_warm",
-       "json=6ded7052d57bee27 artifacts=73702ea648b0fbfa "
-       "spill_us=0 clock=1700000026451989 "
+       "json=ec1589f014d841c8 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000015141886 "
        "lake=a3463be649f0635d"},
       {"trimmed",
-       "json=9901e1f712d93b28 artifacts=4d6ea1a425ca7b82 "
-       "spill_us=0 clock=1700000027176677 "
-       "lake=a3463be649f0635d"}});
+       "json=710b0e6e9c9aea99 artifacts=4d6ea1a425ca7b82 "
+       "spill_us=0 clock=1700000016678011 "
+       "lake=3d6c62b4a6123059"}});
 }
 
 TEST_F(RunnerPinTest, NaiveWidthOneRunsArePinned) {
   RunScenarios(/*fused=*/false, /*parallelism=*/1);
   ExpectPins({
       {"cold",
-       "json=943431885ccde693 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000010159715 "
+       "json=b8027d9b329f8689 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000007833018 "
        "lake=581e55ee9da7814f"},
       {"warm",
-       "json=40fc0263637261c3 artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000012794656 "
+       "json=2ef196e3ee505900 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000008423091 "
        "lake=581e55ee9da7814f"},
       {"edit",
-       "json=e9c8e9e80e35aed1 artifacts=6bde167e187c0abb "
-       "spill_us=168018 clock=1700000016216172 "
+       "json=f33b6bbb786b21c6 artifacts=0d4e8fc9c7c30b2a "
+       "spill_us=75172 clock=1700000010176021 "
        "lake=52c68cdec1c9256d"},
       {"rerun",
-       "json=1189c11d02c75bab artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000018851169 "
+       "json=5cd24472c9161908 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000010871100 "
        "lake=581e55ee9da7814f"},
       {"append",
-       "json=e50a6543a9601a30 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000025478246 "
+       "json=ea529e0f082699a0 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000016371245 "
        "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
-       "json=0d04925a79085934 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000031578315 "
+       "json=41586a434c4d3545 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000021346137 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay",
-       "json=daa81008fe60f30f artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000032190133 "
+       "json=f0a93f558fd1087c artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000022072720 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
-       "json=b9b0f116f4a939c5 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000032831864 "
+       "json=6e090fbf4e8449dd artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000022639330 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
-       "json=0d57805951f9149d artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000033101474 "
+       "json=457eb0c71a269d58 artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000022863877 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
-       "json=5ae81f1d4fcd86c8 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000034647669 "
+       "json=e2a5db74afdd1ed1 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000024184961 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
-       "json=c9c2648e9926146e artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000035850146 "
+       "json=f72a500072b4da3e artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000025312302 "
        "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
-       "json=13f7906f1b4a20c6 artifacts=ce2940f6a3884772 "
-       "spill_us=201308 clock=1700000038017004 "
+       "json=3a26a85af0de3254 artifacts=9c126063619cbad8 "
+       "spill_us=201308 clock=1700000027478997 "
        "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
-       "json=2e52e1e2758bf30b artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000040443306 "
+       "json=652d8cc041c19d77 artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000029379320 "
        "lake=a3463be649f0635d"},
       {"paper_warm",
-       "json=c33e5b4e4c5b5637 artifacts=73702ea648b0fbfa "
-       "spill_us=30591 clock=1700000041395744 "
+       "json=bbd887d1bd50dc49 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000029789344 "
        "lake=a3463be649f0635d"}});
 }
 
@@ -1000,60 +1011,60 @@ TEST_F(RunnerPinTest, NaiveWidthFourRunsArePinned) {
   RunScenarios(/*fused=*/false, /*parallelism=*/4);
   ExpectPins({
       {"cold",
-       "json=647f36983d11c82a artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000009718372 "
+       "json=aee0201fba77ebe6 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000007391675 "
        "lake=581e55ee9da7814f"},
       {"warm",
-       "json=02358cfc0f571a50 artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000012353313 "
+       "json=cc2c806a62acc881 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000007981748 "
        "lake=581e55ee9da7814f"},
       {"edit",
-       "json=b2671b1aebfb6bcf artifacts=6bde167e187c0abb "
-       "spill_us=168018 clock=1700000015774829 "
+       "json=212930afbfb9a03a artifacts=0d4e8fc9c7c30b2a "
+       "spill_us=75172 clock=1700000009734678 "
        "lake=52c68cdec1c9256d"},
       {"rerun",
-       "json=c671859ea7e85e3f artifacts=e806a55aedbaec9b "
-       "spill_us=91481 clock=1700000018409826 "
+       "json=c4ac5fd7f276b5ef artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000010429757 "
        "lake=581e55ee9da7814f"},
       {"append",
-       "json=2d9d72a47e95694b artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000023699863 "
+       "json=92d5a23cf06111fc artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000014592862 "
        "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
-       "json=3aed41d0710487ba artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000028462892 "
+       "json=5a94b884ed82bd9b artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000018230714 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay",
-       "json=365c46354e90589d artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000029074710 "
+       "json=af489f3c94c820e6 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000018957297 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
-       "json=80628063d09b129e artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000029716441 "
+       "json=b45de35b2fc730dc artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000019523907 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
-       "json=8af5bc44348402bd artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000029986051 "
+       "json=d04066936209a00f artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000019748454 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
-       "json=d2855ee6e690efbc artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000031532246 "
+       "json=f0c301b86a813b82 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000021069538 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
-       "json=6de7de43c1f301fa artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000032734723 "
+       "json=3a62617b49e08fe0 artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000022196879 "
        "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
-       "json=30554020f4afb7d7 artifacts=ce2940f6a3884772 "
-       "spill_us=201308 clock=1700000034861581 "
+       "json=c15e6c5c53e9a8dc artifacts=9c126063619cbad8 "
+       "spill_us=201308 clock=1700000024323574 "
        "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
-       "json=5071dd57c386e51e artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000037247883 "
+       "json=85d01d5a393b22e8 artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000026183897 "
        "lake=a3463be649f0635d"},
       {"paper_warm",
-       "json=21517fbce8350ce8 artifacts=73702ea648b0fbfa "
-       "spill_us=30591 clock=1700000038200321 "
+       "json=d00b2d89da1108b5 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000026593921 "
        "lake=a3463be649f0635d"}});
 }
 
@@ -1080,8 +1091,8 @@ TEST_F(RunnerPinTest, BouncedWaveMembersArePinned) {
   Pin("bounced", report);
   ExpectPins({
       {"bounced",
-       "json=bc9a61f61db89881 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000010969715 "
+       "json=18898ad04151d406 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000008643018 "
        "lake=581e55ee9da7814f"}});
 }
 

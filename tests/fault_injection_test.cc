@@ -167,6 +167,45 @@ TEST(FaultInjectionPlatformTest, RunFailureRollsBack) {
   EXPECT_EQ(branches->size(), 1u);
 }
 
+// Cache entries are written only once a run has merged: a run that
+// executes but cannot commit its outputs leaves none behind to serve the
+// next run.
+TEST(FaultInjectionPlatformTest, RunThatFailsToCommitLeavesNoCacheEntry) {
+  storage::MemoryObjectStore base;
+  storage::FaultInjectionStore store(&base);
+  SimClock clock(1700000000000000ull);
+  auto platform = core::Bauplan::Open(&store, &clock);
+  ASSERT_TRUE(platform.ok());
+  core::Bauplan& bp = **platform;
+
+  workload::TaxiGenOptions gen;
+  gen.rows = 500;
+  gen.start_date = "2019-04-01";
+  auto taxi = workload::GenerateTaxiTable(gen);
+  ASSERT_TRUE(bp.CreateTable("main", "taxi_table", taxi->schema()).ok());
+  ASSERT_TRUE(bp.WriteTable("main", "taxi_table", *taxi).ok());
+  const int64_t inserts_before = bp.artifact_cache_stats().inserts;
+
+  // `trips` is a new table: the fused run never reads lake/trips/, so
+  // execution succeeds and writing the output fails.
+  store.FailOnlyPrefix("lake/trips/");
+  store.FailAfter(0);
+  auto failed = bp.Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+  ASSERT_TRUE(failed.ok()) << failed.status().ToString();
+  EXPECT_FALSE(failed->merged);
+  EXPECT_TRUE(failed->all_expectations_passed);
+  EXPECT_EQ(bp.artifact_cache_stats().inserts, inserts_before);
+
+  store.Heal();
+  auto healed = bp.Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+  ASSERT_TRUE(healed.ok()) << healed.status().ToString();
+  EXPECT_TRUE(healed->merged);
+  for (const auto& node : healed->nodes) {
+    EXPECT_FALSE(node.cache_hit) << node.name;
+  }
+  EXPECT_GT(bp.artifact_cache_stats().inserts, inserts_before);
+}
+
 TEST(FaultInjectionPlatformTest, QueryFailureIsCleanError) {
   storage::MemoryObjectStore base;
   storage::FaultInjectionStore store(&base);
