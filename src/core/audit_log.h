@@ -16,8 +16,10 @@ struct AuditEntry {
   int64_t sequence = 0;
   uint64_t timestamp_micros = 0;
   std::string actor;
-  /// "query", "run", "replay", "create_table", "write_table",
-  /// "create_branch", "delete_branch", "merge".
+  /// "query", "check", "run", "replay", "create_table", "write_table",
+  /// "create_branch", "delete_branch", "merge". A run writes its
+  /// pre-flight "check" entry and one "run" entry naming the tables it
+  /// changed, however many it wrote.
   std::string operation;
   /// Branch/tag/commit the action targeted.
   std::string ref;

@@ -107,6 +107,39 @@ TEST(AuditLogTest, PlatformVerbsAreRecorded) {
   EXPECT_TRUE(saw_failure);
 }
 
+// A run writes its pre-flight `check` entry and one `run` entry naming
+// the tables it changed, however many artifacts it wrote; a run the
+// cache serves whole changes no table.
+TEST(AuditLogTest, RunWritesCheckAndOneRunEntry) {
+  storage::MemoryObjectStore store;
+  SimClock clock(1700000000000000ull);
+  auto platform = core::Bauplan::Open(&store, &clock);
+  ASSERT_TRUE(platform.ok());
+  core::Bauplan& bp = **platform;
+
+  workload::TaxiGenOptions gen;
+  gen.rows = 200;
+  gen.start_date = "2019-04-01";
+  auto taxi = workload::GenerateTaxiTable(gen);
+  ASSERT_TRUE(bp.CreateTable("main", "taxi_table", taxi->schema()).ok());
+  ASSERT_TRUE(bp.WriteTable("main", "taxi_table", *taxi).ok());
+
+  for (const char* changed : {"changed pickups, trips", "changed no table"}) {
+    SCOPED_TRACE(changed);
+    const size_t before = bp.audit_log().Tail()->size();
+    auto report = bp.Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+    ASSERT_TRUE(report.ok()) << report.status().ToString();
+    ASSERT_TRUE(report->merged);
+    auto entries = bp.audit_log().Tail(2);  // newest first
+    ASSERT_TRUE(entries.ok());
+    EXPECT_EQ(bp.audit_log().Tail()->size(), before + 2);
+    EXPECT_EQ((*entries)[1].operation, "check");
+    EXPECT_EQ((*entries)[0].operation, "run");
+    EXPECT_NE((*entries)[0].detail.find(changed), std::string::npos)
+        << (*entries)[0].detail;
+  }
+}
+
 // ---------------------------------------------------------- query cache
 
 // These cases cache plan-less payloads: inserted without plans, looked up
