@@ -103,7 +103,7 @@ int main() {
   (void)bp.MergeBranch("feat_1", "main");
   std::printf("merged feat_1 into main; dashboards now read pickups\n");
 
-  // Reproducibility: replay run 1 on its recorded data, sandboxed.
+  // Reproducibility: replay run 1 on its recorded data, read-only.
   auto replay = bp.ReplayRun(fused->run_id, "pickups+");
   std::printf("replay of run %lld (-m pickups+): %s, %lld node(s)\n",
               static_cast<long long>(fused->run_id),

@@ -1,6 +1,5 @@
 #include "cache/fingerprint.h"
 
-#include <optional>
 #include <vector>
 
 #include "common/hash.h"
@@ -30,7 +29,7 @@ const std::string& NodeFingerprints::Find(const std::string& name) const {
 
 NodeFingerprints ComputeNodeFingerprints(
     const pipeline::Dag& dag, const std::set<std::string>& selected,
-    const catalog::Catalog* catalog, const std::string& ref) {
+    const std::map<std::string, std::string>& tables) {
   NodeFingerprints fps;
 
   // Expectation specs per audited node, ordered by expectation name (the
@@ -42,16 +41,6 @@ NodeFingerprints ComputeNodeFingerprints(
     auto target = node.ExpectationTarget();
     if (target.ok()) audits[*target][name] = node.code;
   }
-
-  // The ref resolves once, on the first catalog input, so every node is
-  // keyed against the same snapshot.
-  std::optional<Result<std::map<std::string, std::string>>> tables;
-  auto metadata_key_of =
-      [&](const std::string& table) -> Result<std::string> {
-    if (!tables.has_value()) tables = catalog->GetTables(ref);
-    BAUPLAN_RETURN_NOT_OK(tables->status());
-    return catalog::FindTableKey(**tables, table, ref);
-  };
 
   for (const auto& name : dag.execution_order()) {
     if (selected.count(name) == 0) continue;
@@ -82,22 +71,22 @@ NodeFingerprints ComputeNodeFingerprints(
       } else {
         // Replayed upstream: materialized in the catalog; its content id
         // is the immutable table-metadata key at the pinned commit.
-        auto metadata_key = metadata_key_of(up);
-        if (!metadata_key.ok()) {
+        auto it = tables.find(up);
+        if (it == tables.end()) {
           cacheable = false;
           break;
         }
-        AppendComponent(acc, StrCat("table:", *metadata_key));
+        AppendComponent(acc, StrCat("table:", it->second));
       }
     }
     if (cacheable) {
       for (const auto& table : dag_node.source_tables) {
-        auto metadata_key = metadata_key_of(table);
-        if (!metadata_key.ok()) {
+        auto it = tables.find(table);
+        if (it == tables.end()) {
           cacheable = false;
           break;
         }
-        AppendComponent(acc, StrCat("table:", *metadata_key));
+        AppendComponent(acc, StrCat("table:", it->second));
       }
     }
     if (!cacheable) {
@@ -117,6 +106,14 @@ NodeFingerprints ComputeNodeFingerprints(
     fps.key_of[name] = FingerprintHex(acc);
   }
   return fps;
+}
+
+NodeFingerprints ComputeNodeFingerprints(
+    const pipeline::Dag& dag, const std::set<std::string>& selected,
+    const catalog::Catalog* catalog, const std::string& ref) {
+  const std::map<std::string, std::string> none;
+  auto tables = catalog->GetTables(ref);
+  return ComputeNodeFingerprints(dag, selected, tables.ok() ? *tables : none);
 }
 
 }  // namespace bauplan::cache

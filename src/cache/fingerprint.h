@@ -37,8 +37,8 @@ struct NodeFingerprints {
 ///     upstream re-keys the whole downstream cone) and the immutable
 ///     table-metadata key of each catalog input (source tables, plus
 ///     replayed upstreams outside `selected`). Content ids never mention
-///     branch names, so a fork of `main` resolves to the same metadata
-///     keys as `main` and reuses its artifacts for free;
+///     branch names, so a fork of `main` holds the same metadata keys as
+///     `main` and reuses its artifacts for free;
 ///   - for SQL nodes, the specs of every expectation auditing the node
 ///     (cached artifacts are post-audit: changing an audit must
 ///     invalidate what it vouched for).
@@ -48,8 +48,15 @@ struct NodeFingerprints {
 /// bytes identical across all of them, so a cache filled at --parallel 4
 /// serves --parallel 1 and vice versa.
 ///
-/// Resolution failures are not errors: the affected node (and its cone)
-/// just gets an empty key.
+/// Catalog inputs are keyed against `tables` (table name -> metadata key),
+/// the table map of the commit the run reads. A missing input is not an
+/// error: the affected node (and its cone) just gets an empty key.
+NodeFingerprints ComputeNodeFingerprints(
+    const pipeline::Dag& dag, const std::set<std::string>& selected,
+    const std::map<std::string, std::string>& tables);
+
+/// The same keys against the table map `ref` resolves to now; when it
+/// does not resolve, every node with a catalog input is uncacheable.
 NodeFingerprints ComputeNodeFingerprints(
     const pipeline::Dag& dag, const std::set<std::string>& selected,
     const catalog::Catalog* catalog, const std::string& ref);

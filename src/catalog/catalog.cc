@@ -199,9 +199,12 @@ Result<std::vector<std::string>> Catalog::ListBranches() const {
   return names;
 }
 
-bool Catalog::HasBranch(const std::string& name) const {
-  auto ref = ReadRef("branch", name);
-  return ref.ok() && ref->has_value();
+Result<std::string> Catalog::ResolveBranch(const std::string& name) const {
+  BAUPLAN_ASSIGN_OR_RETURN(auto head, ReadRef("branch", name));
+  if (!head.has_value()) {
+    return Status::NotFound(StrCat("no branch named '", name, "'"));
+  }
+  return *head;
 }
 
 Result<std::string> Catalog::ResolveRef(const std::string& ref) const {
@@ -272,16 +275,13 @@ Result<std::string> Catalog::CommitChanges(const std::string& branch,
                                            const std::string& author,
                                            const TableChanges& changes,
                                            const std::string& expected_head) {
-  BAUPLAN_ASSIGN_OR_RETURN(auto head, ReadRef("branch", branch));
-  if (!head.has_value()) {
-    return Status::NotFound(StrCat("no branch named '", branch, "'"));
-  }
-  if (!expected_head.empty() && *head != expected_head) {
+  BAUPLAN_ASSIGN_OR_RETURN(std::string head, ResolveBranch(branch));
+  if (!expected_head.empty() && head != expected_head) {
     return Status::Conflict(
         StrCat("branch '", branch, "' moved from ", expected_head, " to ",
-               *head, "; rebase and retry"));
+               head, "; rebase and retry"));
   }
-  BAUPLAN_ASSIGN_OR_RETURN(auto parent, LoadCommit(*head));
+  BAUPLAN_ASSIGN_OR_RETURN(auto parent, LoadCommit(head));
 
   Commit next;
   next.parent_id = parent->id;
@@ -337,25 +337,21 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
                                    const std::string& to_branch,
                                    const std::string& author) {
   BAUPLAN_ASSIGN_OR_RETURN(std::string from_id, ResolveRef(from_ref));
-  BAUPLAN_ASSIGN_OR_RETURN(auto to_head, ReadRef("branch", to_branch));
-  if (!to_head.has_value()) {
-    return Status::NotFound(StrCat("no branch named '", to_branch, "'"));
-  }
+  BAUPLAN_ASSIGN_OR_RETURN(std::string to_head, ResolveBranch(to_branch));
 
-  BAUPLAN_ASSIGN_OR_RETURN(std::string base_id,
-                           MergeBase(from_id, *to_head));
+  BAUPLAN_ASSIGN_OR_RETURN(std::string base_id, MergeBase(from_id, to_head));
   // Already merged: the source is on the target's first-parent chain.
-  if (base_id == from_id) return MergeResult{*to_head, true};
+  if (base_id == from_id) return MergeResult{to_head, true};
 
   // Fast-forward: the target head is on the source's chain.
-  if (base_id == *to_head) {
+  if (base_id == to_head) {
     BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, from_id));
     return MergeResult{from_id, true};
   }
 
   // Three-way merge against the merge base.
   BAUPLAN_ASSIGN_OR_RETURN(auto base_commit, LoadCommit(base_id));
-  BAUPLAN_ASSIGN_OR_RETURN(auto ours_commit, LoadCommit(*to_head));
+  BAUPLAN_ASSIGN_OR_RETURN(auto ours_commit, LoadCommit(to_head));
   BAUPLAN_ASSIGN_OR_RETURN(auto theirs_commit, LoadCommit(from_id));
   const Commit& base = *base_commit;
   const Commit& ours = *ours_commit;

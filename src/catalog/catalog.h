@@ -79,7 +79,9 @@ class Catalog {
   /// All branch names, sorted.
   Result<std::vector<std::string>> ListBranches() const;
 
-  bool HasBranch(const std::string& name) const;
+  /// The head commit id of branch `name`; NotFound when no branch has
+  /// that name (a tag or a commit id is not a branch).
+  Result<std::string> ResolveBranch(const std::string& name) const;
 
   /// Resolves a branch name, tag name, or literal commit id to a commit id.
   Result<std::string> ResolveRef(const std::string& ref) const;

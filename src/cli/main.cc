@@ -87,11 +87,12 @@ commands:
         this run, --cache-budget BYTES (or BAUPLAN_CACHE_BUDGET) bounds
         the bytes its entries take under <lake>/cache (0 disables), and
         --explain-metrics dumps the platform metric instruments (cache.*,
-        query_cache.*, exec.*) after the report; a run that executes but
-        does not merge exits 3
+        query_cache.*, exec.*) after the report; BRANCH names a branch
+        (no @timestamp): the run reads its head once and merges back
+        into it; a run that executes but does not merge exits 3
   run --run-id N [-m NODE[+]] [--trace-out FILE]
-        replay a recorded run, sandboxed and fused; any other run flag
-        is a usage error
+        replay a recorded run at its recorded commit, read-only and
+        fused; any other run flag is a usage error
   runs  list recorded runs
   cache stats | cache clear
         show differential artifact cache contents and counters, or drop
@@ -562,6 +563,9 @@ int Main(int argc, char** argv) {
     }
     if (!args.Has("--project")) {
       return UsageError("run needs --project DIR (or --run-id N)");
+    }
+    if (ref->has_timestamp()) {
+      return UsageError("run writes to a branch; -b takes no @timestamp");
     }
     if (args.Has("--parallel") && !args.Has("--naive")) {
       return UsageError("--parallel needs --naive");

@@ -101,10 +101,9 @@ Result<std::unique_ptr<Bauplan>> Bauplan::Open(
   // the cache is durable state, not a per-process accelerator.
   platform->artifact_cache_->LoadIndex();
   platform->runner_ = std::make_unique<PipelineRunner>(
-      run_clock, platform->catalog_.get(), platform->table_ops_.get(),
-      platform->executor_.get(), platform->spill_store_.get(),
-      platform->tracer_.get(), platform->artifact_cache_.get(),
-      platform->metrics_.get());
+      run_clock, platform->table_ops_.get(), platform->executor_.get(),
+      platform->spill_store_.get(), platform->tracer_.get(),
+      platform->artifact_cache_.get(), platform->metrics_.get());
   return platform;
 }
 
@@ -194,10 +193,6 @@ Result<sql::QueryResult> Bauplan::Query(std::string_view sql_text,
                                         const catalog::RefSpec& ref,
                                         const sql::QueryOptions& options) {
   std::string sql(sql_text);
-  // Resolution failures fall back to scanning the raw name below, so a
-  // ref that swallowed a malformed @timestamp must be rejected here —
-  // the fallback would turn the typo into an unknown-table error.
-  BAUPLAN_RETURN_NOT_OK(ref.status());
   const std::string ref_text = ref.ToString();
   uint64_t query_span = tracer_->StartSpan(
       "query", observability::span_kind::kQuery);
@@ -226,29 +221,28 @@ Result<sql::QueryResult> Bauplan::Query(std::string_view sql_text,
       return cached;
     }
   }
-  // Scans read the pinned commit's table map, so an as-of ref sees
-  // history; fall back to the raw name when resolution failed (the scan
-  // will surface the unknown-ref error).
-  Result<catalog::Commit> pinned =
-      commit.ok() ? catalog_->GetCommit(*commit) : commit.status();
-  LakehouseSource source =
-      pinned.ok() ? LakehouseSource(catalog_.get(), table_ops_.get(),
-                                    pinned->id, std::move(pinned->tables))
-                  : LakehouseSource(catalog_.get(), table_ops_.get(),
-                                    commit.ok() ? *commit : ref.name());
-  sql::QueryOptions traced = options;
-  traced.tracer = tracer_.get();
-  traced.parent_span = query_span;
-  traced.exec.metrics = metrics_.get();
-  if (traced.exec.spill_store == nullptr) {
-    // Budgeted operators spill through the metered store so spill
-    // traffic shows up in the platform metrics like any other I/O.
-    traced.exec.spill_store = spill_store_.get();
-  }
-  auto result = sql::RunQuery(sql, source, &source, traced);
+  auto result = [&]() -> Result<sql::QueryResult> {
+    // Scans read the pinned commit's table map, so an as-of ref sees
+    // history. A ref that does not resolve fails the query.
+    BAUPLAN_RETURN_NOT_OK(commit.status());
+    BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit pinned,
+                             catalog_->GetCommit(*commit));
+    LakehouseSource source(table_ops_.get(), pinned.id,
+                           std::move(pinned.tables));
+    sql::QueryOptions traced = options;
+    traced.tracer = tracer_.get();
+    traced.parent_span = query_span;
+    traced.exec.metrics = metrics_.get();
+    if (traced.exec.spill_store == nullptr) {
+      // Budgeted operators spill through the metered store so spill
+      // traffic shows up in the platform metrics like any other I/O.
+      traced.exec.spill_store = spill_store_.get();
+    }
+    return sql::RunQuery(sql, source, &source, traced);
+  }();
   finish_trace(result.ok() ? &*result : nullptr);
   Audit("query", ref_text, sql, result.status());
-  if (result.ok() && commit.ok()) {
+  if (result.ok()) {
     query_cache_->Insert(sql, *commit, *result, options.capture_plans);
   }
   return result;
@@ -290,11 +284,16 @@ Result<std::vector<catalog::Commit>> Bauplan::Log(const std::string& ref,
 Result<analysis::AnalysisResult> Bauplan::Check(
     const pipeline::PipelineProject& project, const catalog::RefSpec& ref) {
   BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit commit, ResolveCommit(ref));
+  return CheckAt(project, commit, ref.ToString());
+}
+
+analysis::AnalysisResult Bauplan::CheckAt(
+    const pipeline::PipelineProject& project, const catalog::Commit& commit,
+    const std::string& ref_text) {
   std::set<std::string> known;
   for (const auto& [name, key] : commit.tables) known.insert(name);
   // Schemas resolve at the pinned commit, exactly as a run's scans would.
-  LakehouseSource source(catalog_.get(), table_ops_.get(), commit.id,
-                         std::move(commit.tables));
+  LakehouseSource source(table_ops_.get(), commit.id, commit.tables);
   analysis::Analyzer analyzer(std::move(known), &source);
   analysis::AnalyzerOptions opts;
   opts.tracer = tracer_.get();
@@ -303,7 +302,7 @@ Result<analysis::AnalysisResult> Bauplan::Check(
   if (result.root_span != 0) {
     result.trace = tracer_->ExtractTrace(result.root_span);
   }
-  Audit("check", ref.ToString(),
+  Audit("check", ref_text,
         StrCat(project.name(), ": ",
                result.diagnostics.error_count(), " error(s), ",
                result.diagnostics.warning_count(), " warning(s)"),
@@ -319,15 +318,20 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
                                const std::string& branch,
                                const PipelineRunOptions& options) {
   BAUPLAN_RETURN_NOT_OK(ValidateRunOptions(options));
+  // The run reads one commit, the branch's head now: the pre-flight, the
+  // run record, the DAG, the cache keys and every node body see it, so a
+  // commit landing on the branch meanwhile reaches the run only through
+  // the merge. A run writes to a branch, so a tag or a commit is refused.
+  BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->ResolveBranch(branch));
+  BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit pinned, catalog_->GetCommit(head));
   // Pre-flight: refuse to schedule a project the analyzer rejects —
-  // before a run is registered, a branch is created, or any container is
-  // acquired. `--no-verify` (options.verify = false) skips this. A
-  // trimmed run narrows each node to the columns the check's lineage
-  // says some consumer reads.
+  // before a run is registered or any container is acquired.
+  // `--no-verify` (options.verify = false) skips this. A trimmed run
+  // narrows each node to the columns the check's lineage says some
+  // consumer reads.
   std::map<std::string, std::vector<std::string>> required_columns;
   if (options.verify) {
-    BAUPLAN_ASSIGN_OR_RETURN(analysis::AnalysisResult check,
-                             Check(project, catalog::RefSpec(branch)));
+    analysis::AnalysisResult check = CheckAt(project, pinned, branch);
     if (!check.ok()) {
       return Status::FailedPrecondition(
           StrCat("project failed static analysis (re-run with --no-verify "
@@ -338,20 +342,20 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
       required_columns = check.lineage.RequiredOutputColumns();
     }
   }
-  BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->ResolveRef(branch));
   BAUPLAN_ASSIGN_OR_RETURN(pipeline::RunRecord record,
-                           registry_->RegisterRun(project, branch, head));
+                           registry_->RegisterRun(project, branch, pinned.id));
   RunReport report;
   report.run_id = record.run_id;
   LogInfo(StrCat("run ", record.run_id, " started on '", branch, "' (",
                  project.nodes().size(), " nodes, ",
                  options.fused ? "fused" : "naive", ")"));
 
-  // Fig. 4: execute in an ephemeral branch; merge only on full success.
-  BAUPLAN_ASSIGN_OR_RETURN(std::string run_branch,
-                           catalog_->CreateEphemeralBranch(branch, "run"));
+  // Fig. 4: the outputs reach `branch` through an ephemeral branch at
+  // the pinned commit, created only once the audit passed and the run
+  // has something to commit.
+  std::string run_branch;
   auto fail = [&](const std::string& why) -> Result<RunReport> {
-    (void)catalog_->DeleteBranch(run_branch);
+    if (!run_branch.empty()) (void)catalog_->DeleteBranch(run_branch);
     BAUPLAN_RETURN_NOT_OK(
         registry_->FinishRun(record.run_id, StrCat("failed: ", why)));
     report.status = StrCat("failed: ", why);
@@ -363,9 +367,8 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
     return report;
   };
 
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables, catalog_->GetTables(run_branch));
   std::set<std::string> known;
-  for (const auto& [name, key] : tables) known.insert(name);
+  for (const auto& [name, key] : pinned.tables) known.insert(name);
   auto dag = pipeline::Dag::Build(project, known);
   if (!dag.ok()) return fail(dag.status().ToString());
 
@@ -377,8 +380,7 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   if (wired.exec.spill_store == nullptr) {
     wired.exec.spill_store = spill_store_.get();
   }
-  auto execution =
-      runner_->Execute(*dag, run_branch, wired, required_columns);
+  auto execution = runner_->Execute(*dag, pinned, wired, required_columns);
   if (!execution.ok()) return fail(execution.status().ToString());
   // The runner produced the execution half of the report; keep the
   // identity fields the facade already filled in.
@@ -399,9 +401,9 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
 
   // Audit passed. Each computed artifact becomes a fresh table version,
   // and a cache hit commits the version its entry names. Tables whose
-  // key the branch already holds stay out; the rest land in one commit
-  // on the ephemeral branch, so a run that changes nothing commits
-  // nothing.
+  // key the pinned commit already holds stay out; the rest land in one
+  // commit on the ephemeral branch, which merges into `branch`. A run
+  // that changes nothing touches no branch and ends at the pinned commit.
   std::map<std::string, std::string> computed;
   for (const auto& [name, data] : report.artifacts) {
     auto key = table_ops_->WriteVersion(name, data);
@@ -411,23 +413,29 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   catalog::TableChanges changes;
   for (const auto* outputs : {&computed, &report.cached_artifacts}) {
     for (const auto& [name, key] : *outputs) {
-      auto it = tables.find(name);
-      if (it == tables.end() || it->second != key) changes.puts[name] = key;
+      auto it = pinned.tables.find(name);
+      if (it == pinned.tables.end() || it->second != key) {
+        changes.puts[name] = key;
+      }
     }
   }
   std::vector<std::string> changed;
   for (const auto& [name, key] : changes.puts) changed.push_back(name);
+  std::string result_commit = pinned.id;
   if (!changed.empty()) {
+    auto created = catalog_->CreateEphemeralBranch(pinned.id, "run");
+    if (!created.ok()) return fail(created.status().ToString());
+    run_branch = std::move(*created);
     auto commit = catalog_->CommitChanges(
         run_branch,
         StrCat("run ", report.run_id, ": ", StrJoin(changed, ", ")),
         options_.author, changes);
     if (!commit.ok()) return fail(commit.status().ToString());
+    auto merged = catalog_->Merge(run_branch, branch, options_.author);
+    if (!merged.ok()) return fail(merged.status().ToString());
+    BAUPLAN_RETURN_NOT_OK(catalog_->DeleteBranch(run_branch));
+    result_commit = merged->commit_id;
   }
-
-  auto merged = catalog_->Merge(run_branch, branch, options_.author);
-  if (!merged.ok()) return fail(merged.status().ToString());
-  BAUPLAN_RETURN_NOT_OK(catalog_->DeleteBranch(run_branch));
   // The outputs are durable now, so entries naming them may serve later
   // runs.
   runner_->Memoize(report, computed);
@@ -438,14 +446,13 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
     if (node.cache_hit) cached_nodes.push_back(node.name);
   }
   BAUPLAN_RETURN_NOT_OK(registry_->FinishRun(record.run_id, "succeeded",
-                                             merged->commit_id,
-                                             cached_nodes));
+                                             result_commit, cached_nodes));
   report.merged = true;
-  report.merged_commit_id = merged->commit_id;
+  report.merged_commit_id = result_commit;
   report.status = "succeeded";
   report.metrics = metrics_->Snapshot();
   LogInfo(StrCat("run ", report.run_id, " merged into '", branch,
-                 "' at commit ", merged->commit_id));
+                 "' at commit ", result_commit));
   Audit("run", branch,
         StrCat("run ", report.run_id, " fingerprint ", record.fingerprint,
                changed.empty() ? " changed no table"
@@ -461,28 +468,17 @@ Result<RunReport> Bauplan::ReplayRun(int64_t run_id,
   BAUPLAN_ASSIGN_OR_RETURN(pipeline::PipelineProject project,
                            registry_->GetRunProject(run_id));
 
-  // Sandboxed: a throwaway branch pinned at the run's result commit
-  // (which holds the materialized artifacts a partial replay reads), or
-  // at the input commit for runs that never merged.
+  // Read-only: the run's result commit (which holds the artifacts a
+  // partial replay reads), or its input commit for runs that never
+  // merged. Nothing is written to the catalog.
   const std::string& pin = record.result_commit_id.empty()
                                ? record.data_commit_id
                                : record.result_commit_id;
-  BAUPLAN_ASSIGN_OR_RETURN(
-      std::string replay_branch,
-      catalog_->CreateEphemeralBranch(pin, "replay"));
-
-  BAUPLAN_ASSIGN_OR_RETURN(auto tables,
-                           catalog_->GetTables(replay_branch));
+  BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit pinned, catalog_->GetCommit(pin));
   std::set<std::string> known;
-  for (const auto& [name, key] : tables) known.insert(name);
-
-  auto cleanup = [&]() { (void)catalog_->DeleteBranch(replay_branch); };
-
-  auto dag = pipeline::Dag::Build(project, known);
-  if (!dag.ok()) {
-    cleanup();
-    return dag.status();
-  }
+  for (const auto& [name, key] : pinned.tables) known.insert(name);
+  BAUPLAN_ASSIGN_OR_RETURN(pipeline::Dag dag,
+                           pipeline::Dag::Build(project, known));
 
   // A replay re-executes the recorded code on the recorded commit, so it
   // bypasses the cache, and its report keeps every selected output.
@@ -491,33 +487,21 @@ Result<RunReport> Bauplan::ReplayRun(int64_t run_id,
   options.exec.metrics = metrics_.get();
   options.exec.spill_store = spill_store_.get();
   if (!selector.empty()) {
-    auto parsed = pipeline::ReplaySelector::Parse(selector);
-    if (!parsed.ok()) {
-      cleanup();
-      return parsed.status();
-    }
-    if (parsed->include_descendants) {
-      auto selected = dag->DescendantsOf(parsed->node);
-      if (!selected.ok()) {
-        cleanup();
-        return selected.status();
-      }
-      options.selected = std::move(*selected);
+    BAUPLAN_ASSIGN_OR_RETURN(pipeline::ReplaySelector parsed,
+                             pipeline::ReplaySelector::Parse(selector));
+    if (parsed.include_descendants) {
+      BAUPLAN_ASSIGN_OR_RETURN(options.selected,
+                               dag.DescendantsOf(parsed.node));
+    } else if (dag.HasNode(parsed.node)) {
+      options.selected = {parsed.node};
     } else {
-      if (!dag->HasNode(parsed->node)) {
-        cleanup();
-        return Status::NotFound(
-            StrCat("no node named '", parsed->node, "' in run ", run_id));
-      }
-      options.selected = {parsed->node};
+      return Status::NotFound(
+          StrCat("no node named '", parsed.node, "' in run ", run_id));
     }
   }
 
-  auto execution = runner_->Execute(*dag, replay_branch, options);
-  cleanup();
-  BAUPLAN_RETURN_NOT_OK(execution.status());
-
-  RunReport report = std::move(*execution);
+  BAUPLAN_ASSIGN_OR_RETURN(RunReport report,
+                           runner_->Execute(dag, pinned, options));
   report.run_id = run_id;
   report.merged = false;  // replays never touch user branches
   report.status = report.all_expectations_passed

@@ -123,26 +123,33 @@ class Bauplan {
 
   // --------------------------------------------------------------- run
 
-  /// `bauplan run`: snapshots + fingerprints the project, executes its
-  /// DAG inside an ephemeral branch (transform-audit-write) and, only
-  /// when all expectations pass, writes one commit there and merges it
-  /// into `branch`. The commit holds a fresh table version for every SQL
-  /// artifact the run computed (with the node's output schema, whatever
-  /// the previous version's) and, by reference, the version each cache
-  /// hit names; tables whose key does not change stay out. Cache entries
-  /// for what the run executed are written after the merge. The run
-  /// records one `run` audit entry naming the tables it changed. Option
-  /// combinations the run would silently ignore (trimming a naive run, a
-  /// fused run wider than 1, a width below 1) are InvalidArgument,
-  /// before the pre-flight check, the run record or any branch.
+  /// `bauplan run`: resolves `branch` once to its head commit H and
+  /// runs against H alone — the pre-flight check, the run record's data
+  /// commit, the DAG, the cache keys and every node body
+  /// (transform-audit-write). Only when all expectations pass, and only
+  /// when the outputs change a table of H, does it create an ephemeral
+  /// branch at H, write one commit there and merge it into `branch`
+  /// (three-way if `branch` moved meanwhile). The commit holds a fresh
+  /// table version for every SQL artifact the run computed (with the
+  /// node's output schema, whatever the previous version's) and, by
+  /// reference, the version each cache hit names; tables whose key H
+  /// already holds stay out. A run that changes nothing touches no
+  /// branch and reports H. Cache entries for what the run executed are
+  /// written after the merge. The run records one `run` audit entry
+  /// naming the tables it changed. `branch` must name a branch: a tag, a
+  /// commit id or "name@timestamp" is NotFound. Option combinations the
+  /// run would silently ignore (trimming a naive run, a fused run wider
+  /// than 1, a width below 1) are InvalidArgument. Both come before the
+  /// pre-flight check and the run record.
   Result<RunReport> Run(const pipeline::PipelineProject& project,
                         const std::string& branch,
                         const PipelineRunOptions& options = {});
 
   /// `bauplan run --run-id N [-m node+]`: re-executes the recorded
-  /// snapshot against the recorded data commit, sandboxed (never merged)
-  /// and with the artifact cache off, so the report holds every selected
-  /// node's output.
+  /// snapshot against the run's result commit (its data commit when it
+  /// never merged), read-only — no branch, nothing written to the
+  /// catalog — and with the artifact cache off, so the report holds every
+  /// selected node's output.
   Result<RunReport> ReplayRun(int64_t run_id,
                               const std::string& selector = "");
 
@@ -184,6 +191,12 @@ class Bauplan {
 
   /// The commit `ref` resolves to (for an as-of ref, the snapshot commit).
   Result<catalog::Commit> ResolveCommit(const catalog::RefSpec& ref) const;
+
+  /// Check's analysis at a resolved commit; `ref_text` names it in the
+  /// audit entry.
+  analysis::AnalysisResult CheckAt(const pipeline::PipelineProject& project,
+                                   const catalog::Commit& commit,
+                                   const std::string& ref_text);
 
   /// Records one audit entry; failures are logged, never fatal.
   void Audit(const std::string& operation, const std::string& ref,

@@ -8,9 +8,7 @@ Result<const table::TableMetadata*> LakehouseSource::Metadata(
   if (auto it = committed_.find(name); it != committed_.end()) {
     key = it->second;
   } else {
-    if (!tables_.has_value()) {
-      BAUPLAN_ASSIGN_OR_RETURN(tables_, catalog_->GetTables(ref_));
-    }
+    BAUPLAN_RETURN_NOT_OK(tables_.status());
     BAUPLAN_ASSIGN_OR_RETURN(key, catalog::FindTableKey(*tables_, name, ref_));
   }
   auto it = metadata_.find(key);

@@ -22,15 +22,15 @@ using pipeline::PipelineNode;
 
 namespace internal {
 
-/// State one naive run's node functions share: the selection, the sizes
-/// of artifacts produced so far, and the report the bodies write into.
-/// `mu` serializes body writes when nodes run on a wavefront. Cache hits
-/// enter `report->cached_artifacts` and `artifact_bytes` in the
-/// scheduler's ready pass, while no body runs, so bodies read
-/// `cached_artifacts` without the lock.
+/// State one naive run's node functions share: the commit they read, the
+/// selection, the sizes of artifacts produced so far, and the report the
+/// bodies write into. `mu` serializes body writes when nodes run on a
+/// wavefront. Cache hits enter `report->cached_artifacts` and
+/// `artifact_bytes` in the scheduler's ready pass, while no body runs, so
+/// bodies read `cached_artifacts` without the lock.
 struct NaiveRunContext {
   const Dag* dag = nullptr;
-  std::string ref;
+  const catalog::Commit* commit = nullptr;
   std::set<std::string> selected_set;
   sql::ExecOptions exec;  // execution knobs for every SQL node body
   RunReport* report = nullptr;
@@ -38,11 +38,6 @@ struct NaiveRunContext {
   /// Artifact name -> serialized bytes (spilled this run, or estimated
   /// from a cache entry or the catalog metadata of a replayed upstream).
   std::map<std::string, int64_t> artifact_bytes;
-  /// `ref`'s table map, resolved once on the run's clock while the first
-  /// request that reads the catalog is built. Bodies read only this, so
-  /// concurrent bodies on forked clocks never race on a catalog cache
-  /// miss and every body sees the same snapshot.
-  std::optional<Result<std::map<std::string, std::string>>> tables;
 };
 
 }  // namespace internal
@@ -87,11 +82,10 @@ bool Spilled(const internal::NaiveRunContext& ctx, const std::string& up) {
          ctx.report->cached_artifacts.count(up) == 0;
 }
 
-/// Metadata key of catalog table `name` in the run's resolved table map.
+/// Metadata key of catalog table `name` in the run's commit.
 Result<std::string> CatalogKey(const internal::NaiveRunContext& ctx,
                                const std::string& name) {
-  BAUPLAN_RETURN_NOT_OK(ctx.tables->status());
-  return catalog::FindTableKey(**ctx.tables, name, ctx.ref);
+  return catalog::FindTableKey(ctx.commit->tables, name, ctx.commit->id);
 }
 
 /// Metadata key of an upstream read from the lake rather than the spill
@@ -158,7 +152,7 @@ runtime::ContainerSpec PipelineRunner::SpecForNode(
 }
 
 Result<RunReport> PipelineRunner::Execute(
-    const Dag& dag, const std::string& ref,
+    const Dag& dag, const catalog::Commit& commit,
     const PipelineRunOptions& options,
     const std::map<std::string, std::vector<std::string>>& required_columns) {
   for (const auto& name : options.selected) {
@@ -182,15 +176,14 @@ Result<RunReport> PipelineRunner::Execute(
   if (cache_on) {
     std::vector<std::string> all = SelectOrAll(dag, options.selected);
     keys = cache::ComputeNodeFingerprints(
-        dag, std::set<std::string>(all.begin(), all.end()), catalog_,
-        ref);
+        dag, std::set<std::string>(all.begin(), all.end()), commit.tables);
   }
   const cache::NodeFingerprints* keys_ptr = cache_on ? &keys : nullptr;
 
   uint64_t run_span = 0;
   if (tracer_ != nullptr) {
     run_span = tracer_->StartSpan("run", observability::span_kind::kRun);
-    tracer_->AddAttribute(run_span, "ref", ref);
+    tracer_->AddAttribute(run_span, "commit", commit.id);
     tracer_->AddAttribute(
         run_span, "mode",
         options.fused ? "fused"
@@ -202,9 +195,9 @@ Result<RunReport> PipelineRunner::Execute(
 
   Result<RunReport> result =
       options.fused
-          ? ExecuteFused(dag, ref, SelectOrAll(dag, options.selected),
+          ? ExecuteFused(dag, commit, SelectOrAll(dag, options.selected),
                          options.exec, required_columns, keys_ptr, run_span)
-          : ExecuteWavefront(dag, ref, SelectOrAll(dag, options.selected),
+          : ExecuteWavefront(dag, commit, SelectOrAll(dag, options.selected),
                              options.exec, options.parallelism, keys_ptr,
                              run_span);
 
@@ -272,7 +265,7 @@ std::optional<cache::CachedArtifact> PipelineRunner::Probe(
 // --------------------------------------------------------------- fused
 
 Result<RunReport> PipelineRunner::ExecuteFused(
-    const Dag& dag, const std::string& ref,
+    const Dag& dag, const catalog::Commit& commit,
     const std::vector<std::string>& selected,
     const sql::ExecOptions& exec,
     const std::map<std::string, std::vector<std::string>>& required_columns,
@@ -333,7 +326,7 @@ Result<RunReport> PipelineRunner::ExecuteFused(
     // Computed intermediates live in the source overlay; cache hits scan
     // their committed versions from the lake. The engine pushes WHERE
     // filters and projections into the lakehouse scans.
-    LakehouseSource source(catalog_, ops_, ref);
+    LakehouseSource source(ops_, commit.id, commit.tables);
     for (const auto& [name, metadata_key] : report.cached_artifacts) {
       source.AddCommittedTable(name, metadata_key);
     }
@@ -400,14 +393,6 @@ runtime::FunctionRequest PipelineRunner::BuildNaiveRequest(
   request.name = name;
   request.spec = SpecForNode(node);
   request.output_artifact = SpillKey(name);
-
-  bool reads_catalog = !dag_node.source_tables.empty();
-  for (const auto& up : dag_node.upstream_nodes) {
-    if (ctx.selected_set.count(up) == 0) reads_catalog = true;
-  }
-  if (reads_catalog && !ctx.tables.has_value()) {
-    ctx.tables = catalog_->GetTables(ctx.ref);
-  }
 
   int64_t input_bytes = 0;
   {
@@ -522,7 +507,7 @@ void PipelineRunner::Memoize(
 }
 
 Result<RunReport> PipelineRunner::ExecuteWavefront(
-    const Dag& dag, const std::string& ref,
+    const Dag& dag, const catalog::Commit& commit,
     const std::vector<std::string>& selected,
     const sql::ExecOptions& exec, int parallelism,
     const cache::NodeFingerprints* keys, uint64_t run_span) {
@@ -531,7 +516,7 @@ Result<RunReport> PipelineRunner::ExecuteWavefront(
 
   internal::NaiveRunContext ctx;
   ctx.dag = &dag;
-  ctx.ref = ref;
+  ctx.commit = &commit;
   ctx.selected_set = std::set<std::string>(selected.begin(),
                                            selected.end());
   ctx.exec = exec;

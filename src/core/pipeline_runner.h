@@ -8,7 +8,7 @@
 
 #include "cache/artifact_cache.h"
 #include "cache/fingerprint.h"
-#include "catalog/catalog.h"
+#include "catalog/commit.h"
 #include "common/clock.h"
 #include "core/run_report.h"
 #include "observability/metrics.h"
@@ -43,7 +43,7 @@ struct PipelineRunOptions {
   /// nothing to parallelize over).
   int parallelism = 1;
   /// Run only these nodes (replay selection); empty = all. Upstream
-  /// artifacts of unselected nodes are read from the catalog.
+  /// artifacts of unselected nodes are read from the run's commit.
   std::vector<std::string> selected;
   /// Static pre-flight: analyze the project before scheduling and refuse
   /// to run (FailedPrecondition, no container acquired) when the
@@ -87,15 +87,13 @@ class PipelineRunner {
   /// reservation and container acquisition entirely), and Memoize
   /// records what a committed run executed; `metrics` hosts the
   /// runner's own cache.skipped_invocations counter.
-  PipelineRunner(Clock* clock, const catalog::Catalog* catalog,
-                 const table::TableOps* ops,
+  PipelineRunner(Clock* clock, const table::TableOps* ops,
                  runtime::ServerlessExecutor* executor,
                  storage::MeteredObjectStore* spill_store,
                  observability::Tracer* tracer = nullptr,
                  cache::ArtifactCache* cache = nullptr,
                  observability::MetricsRegistry* metrics = nullptr)
       : clock_(clock),
-        catalog_(catalog),
         ops_(ops),
         executor_(executor),
         spill_store_(spill_store),
@@ -106,14 +104,16 @@ class PipelineRunner {
                 ? nullptr
                 : metrics->GetCounter("cache.skipped_invocations")) {}
 
-  /// Runs `dag` reading source tables at `ref`. Expectation failures are
-  /// reported in the result (not as an error Status); infrastructure
+  /// Runs `dag` against `commit`, the one snapshot the caller resolved:
+  /// cache keys, source tables and replayed upstreams all come from its
+  /// table map, so no node body touches the catalog. Expectation failures
+  /// are reported in the result (not as an error Status); infrastructure
   /// failures are errors. A fused run narrows each node listed in
   /// `required_columns` to those output columns (the lineage graph's
   /// RequiredOutputColumns, which Bauplan::Run passes for
   /// trim_unused_columns).
   Result<RunReport> Execute(
-      const pipeline::Dag& dag, const std::string& ref,
+      const pipeline::Dag& dag, const catalog::Commit& commit,
       const PipelineRunOptions& options,
       const std::map<std::string, std::vector<std::string>>&
           required_columns = {});
@@ -132,7 +132,7 @@ class PipelineRunner {
   /// empty. Otherwise one function runs the misses in execution order,
   /// reading hits from the lake through its LakehouseSource.
   Result<RunReport> ExecuteFused(const pipeline::Dag& dag,
-                                 const std::string& ref,
+                                 const catalog::Commit& commit,
                                  const std::vector<std::string>& selected,
                                  const sql::ExecOptions& exec,
                                  const std::map<std::string,
@@ -149,7 +149,7 @@ class PipelineRunner {
   /// artifacts, expectation outcomes and spill metrics (the bodies are
   /// identical; only the schedule differs).
   Result<RunReport> ExecuteWavefront(
-      const pipeline::Dag& dag, const std::string& ref,
+      const pipeline::Dag& dag, const catalog::Commit& commit,
       const std::vector<std::string>& selected,
       const sql::ExecOptions& exec, int parallelism,
       const cache::NodeFingerprints* keys, uint64_t run_span);
@@ -189,7 +189,6 @@ class PipelineRunner {
   runtime::ContainerSpec SpecForNode(const pipeline::PipelineNode& node);
 
   Clock* clock_;
-  const catalog::Catalog* catalog_;
   const table::TableOps* ops_;
   runtime::ServerlessExecutor* executor_;
   storage::MeteredObjectStore* spill_store_;

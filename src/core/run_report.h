@@ -65,7 +65,9 @@ struct RunReport {
   // -- identity / merge outcome (filled by the Bauplan facade) ---------
   int64_t run_id = 0;
   std::string status;
-  /// Commit the target branch ended at ("" when not merged).
+  /// Commit the run's outputs are at on the target branch: the merge
+  /// commit, or the pinned commit the run read when it changed no table
+  /// ("" when not merged).
   std::string merged_commit_id;
   bool merged = false;
 

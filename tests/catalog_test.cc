@@ -41,7 +41,7 @@ class CatalogTest : public ::testing::Test {
 };
 
 TEST_F(CatalogTest, FreshCatalogHasMainWithRootCommit) {
-  EXPECT_TRUE(catalog_->HasBranch("main"));
+  EXPECT_TRUE(catalog_->ResolveBranch("main").ok());
   auto log = catalog_->Log("main");
   ASSERT_TRUE(log.ok());
   ASSERT_EQ(log->size(), 1u);
@@ -141,6 +141,11 @@ TEST_F(CatalogTest, ResolveRefKinds) {
   EXPECT_EQ(*catalog_->ResolveRef("main"), *c1);
   EXPECT_EQ(*catalog_->ResolveRef(*c1), *c1);
   EXPECT_TRUE(catalog_->ResolveRef("bogus").status().IsNotFound());
+  // Only a branch name resolves as a branch head.
+  ASSERT_TRUE(catalog_->CreateTag("v1", "main").ok());
+  EXPECT_EQ(*catalog_->ResolveBranch("main"), *c1);
+  EXPECT_TRUE(catalog_->ResolveBranch("v1").status().IsNotFound());
+  EXPECT_TRUE(catalog_->ResolveBranch(*c1).status().IsNotFound());
 }
 
 TEST_F(CatalogTest, FastForwardMerge) {
@@ -213,7 +218,7 @@ TEST_F(CatalogTest, EphemeralBranchNamesAreUnique) {
   ASSERT_TRUE(b1.ok());
   ASSERT_TRUE(b2.ok());
   EXPECT_NE(*b1, *b2);
-  EXPECT_TRUE(catalog_->HasBranch(*b1));
+  EXPECT_TRUE(catalog_->ResolveBranch(*b1).ok());
 }
 
 TEST_F(CatalogTest, CommitTimestampsComeFromClock) {

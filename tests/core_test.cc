@@ -1,7 +1,9 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
+#include <functional>
 #include <map>
+#include <mutex>
 #include <set>
 #include <string>
 #include <utility>
@@ -137,6 +139,27 @@ TEST_F(BauplanTest, QueryErrors) {
                   .status()
                   .IsNotFound());
   EXPECT_FALSE(platform_->Query("SELEC bad syntax").ok());
+}
+
+// An as-of ref older than the branch's history resolves to no commit:
+// the query fails NotFound, as ReadTable does, instead of reading the
+// branch head. It still records its audit entry.
+TEST_F(BauplanTest, QueryBeforeTheFirstCommitIsNotFound) {
+  auto log = platform_->Log("main");
+  ASSERT_TRUE(log.ok()) << log.status().ToString();
+  const catalog::RefSpec before_history("main",
+                                        log->back().timestamp_micros - 1);
+  auto result =
+      platform_->Query("SELECT COUNT(*) AS n FROM taxi_table", before_history);
+  EXPECT_TRUE(result.status().IsNotFound()) << result.status().ToString();
+  EXPECT_TRUE(platform_->ReadTable(before_history, "taxi_table")
+                  .status()
+                  .IsNotFound());
+  auto audit = platform_->audit_log().Tail(1);
+  ASSERT_TRUE(audit.ok());
+  ASSERT_EQ(audit->size(), 1u);
+  EXPECT_EQ(audit->back().operation, "query");
+  EXPECT_NE(audit->back().outcome, "ok");
 }
 
 TEST_F(BauplanTest, RunPaperPipelineFused) {
@@ -706,6 +729,203 @@ TEST_F(MetadataGetsTest, CheckLoadsTableMetadataOnce) {
 }
 
 // ---------------------------------------------------------------------
+// One pinned commit per run: a run resolves its branch once, reads only
+// that commit, and writes the catalog only to commit a change.
+// ---------------------------------------------------------------------
+
+/// A memory store that counts requests by operation and key prefix, and
+/// can run a hook once, before the first PUT of a key under a prefix.
+class RequestCountingStore : public storage::MemoryObjectStore {
+ public:
+  Result<Bytes> Get(const std::string& key) const override {
+    Record("GET", key);
+    return MemoryObjectStore::Get(key);
+  }
+  Status Put(const std::string& key, Bytes data) override {
+    Record("PUT", key);
+    std::function<void()> hook;
+    {
+      std::lock_guard<std::mutex> lock(mu_);
+      if (hook_ && StartsWith(key, hook_prefix_)) std::swap(hook, hook_);
+    }
+    if (hook) hook();
+    return MemoryObjectStore::Put(key, std::move(data));
+  }
+  Status Delete(const std::string& key) override {
+    Record("DELETE", key);
+    return MemoryObjectStore::Delete(key);
+  }
+
+  /// Requests of `op` on keys under `prefix` since the last Reset.
+  int Count(const std::string& op, const std::string& prefix) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    int n = 0;
+    for (const auto& [logged_op, key] : log_) {
+      if (logged_op == op && StartsWith(key, prefix)) ++n;
+    }
+    return n;
+  }
+  void Reset() {
+    std::lock_guard<std::mutex> lock(mu_);
+    log_.clear();
+  }
+  void BeforeFirstPut(std::string prefix, std::function<void()> hook) {
+    std::lock_guard<std::mutex> lock(mu_);
+    hook_prefix_ = std::move(prefix);
+    hook_ = std::move(hook);
+  }
+
+ private:
+  void Record(const char* op, const std::string& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    log_.emplace_back(op, key);
+  }
+
+  mutable std::mutex mu_;
+  mutable std::vector<std::pair<std::string, std::string>> log_;
+  std::string hook_prefix_;
+  std::function<void()> hook_;
+};
+
+class PinnedRunTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    platform_ = Bauplan::Open(&store_, &clock_).ValueOrDie();
+    ASSERT_TRUE(platform_->CreateTable("main", "taxi_table",
+                                       Taxi(500, 1).schema())
+                    .ok());
+    ASSERT_TRUE(platform_->WriteTable("main", "taxi_table", Taxi(500, 1))
+                    .ok());
+  }
+
+  static Table Taxi(int64_t rows, uint64_t seed) {
+    workload::TaxiGenOptions gen;
+    gen.rows = rows;
+    gen.seed = seed;
+    gen.start_date = "2019-03-01";
+    gen.days = 90;
+    return workload::GenerateTaxiTable(gen).ValueOrDie();
+  }
+
+  std::string Head(const std::string& branch) {
+    return platform_->mutable_catalog()->ResolveRef(branch).ValueOrDie();
+  }
+
+  RequestCountingStore store_;
+  SimClock clock_{1700000000000000ull};
+  std::unique_ptr<Bauplan> platform_;
+};
+
+// A run the cache serves whole reads its branch's ref once and writes
+// nothing under catalog/: no ephemeral branch, no commit, no merge. Its
+// result is the commit it read.
+TEST_F(PinnedRunTest, FullyCachedRunReadsOneRefAndWritesNoCatalog) {
+  const pipeline::PipelineProject wide = pipeline::MakeWideTaxiPipeline(4);
+  for (bool fused : {true, false}) {
+    PipelineRunOptions options;
+    options.fused = fused;
+    options.parallelism = fused ? 1 : 4;
+    auto fill = platform_->Run(wide, "main", options);
+    ASSERT_TRUE(fill.ok()) << fill.status().ToString();
+    ASSERT_TRUE(fill->merged);
+    const std::string head = Head("main");
+    store_.Reset();
+    auto warm = platform_->Run(wide, "main", options);
+    ASSERT_TRUE(warm.ok()) << warm.status().ToString();
+    EXPECT_TRUE(warm->merged);
+    for (const NodeExecution& node : warm->nodes) {
+      EXPECT_TRUE(node.cache_hit) << node.name;
+    }
+    EXPECT_EQ(store_.Count("GET", "catalog/refs/"), 1) << fused;
+    EXPECT_EQ(store_.Count("PUT", "catalog/"), 0) << fused;
+    EXPECT_EQ(store_.Count("DELETE", "catalog/"), 0) << fused;
+    EXPECT_EQ(warm->merged_commit_id, head);
+    EXPECT_EQ(Head("main"), head);
+    auto record = platform_->run_registry().GetRun(warm->run_id);
+    ASSERT_TRUE(record.ok());
+    EXPECT_EQ(record->data_commit_id, head);
+    EXPECT_EQ(record->result_commit_id, head);
+  }
+}
+
+// A replay reads its recorded commit and writes nothing to the catalog.
+TEST_F(PinnedRunTest, ReplayWritesNoCatalog) {
+  auto run = platform_->Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(run->merged);
+  for (const char* selector : {"", "pickups+", "trips"}) {
+    store_.Reset();
+    auto replay = platform_->ReplayRun(run->run_id, selector);
+    ASSERT_TRUE(replay.ok()) << replay.status().ToString();
+    EXPECT_FALSE(replay->artifacts.empty()) << selector;
+    EXPECT_EQ(store_.Count("PUT", "catalog/"), 0) << selector;
+    EXPECT_EQ(store_.Count("DELETE", "catalog/"), 0) << selector;
+  }
+  EXPECT_EQ(platform_->ListBranches()->size(), 1u);
+}
+
+// A commit that lands on main while the run registers is not read by the
+// run: its output counts the rows of the commit its record names, and
+// the merge is three-way, keeping the concurrent append.
+TEST_F(PinnedRunTest, CommitLandingAfterRegistrationIsNotRead) {
+  pipeline::PipelineProject project("counter");
+  ASSERT_TRUE(
+      project.AddSqlNode("counted", "SELECT COUNT(*) AS n FROM taxi_table")
+          .ok());
+  store_.BeforeFirstPut("runs/", [this] {
+    auto catalog = catalog::Catalog::Open(&store_, &clock_).ValueOrDie();
+    table::TableOps ops(&store_, &clock_);
+    auto key = catalog.GetTable("main", "taxi_table");
+    ASSERT_TRUE(key.ok()) << key.status().ToString();
+    auto appended = ops.Append(*key, Taxi(100, 2));
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    catalog::TableChanges changes;
+    changes.puts["taxi_table"] = *appended;
+    ASSERT_TRUE(
+        catalog.CommitChanges("main", "append 100 rows", "other", changes)
+            .ok());
+  });
+  auto report = platform_->Run(project, "main");
+  ASSERT_TRUE(report.ok()) << report.status().ToString();
+  ASSERT_TRUE(report->merged) << report->status;
+
+  auto record = platform_->run_registry().GetRun(report->run_id);
+  ASSERT_TRUE(record.ok());
+  auto read = platform_->ReadTable(record->data_commit_id, "taxi_table");
+  ASSERT_TRUE(read.ok()) << read.status().ToString();
+  EXPECT_EQ(read->num_rows(), 500);
+  ASSERT_EQ(report->artifacts.at("counted").num_rows(), 1);
+  EXPECT_EQ(report->artifacts.at("counted").GetValue(0, 0).int64_value(),
+            read->num_rows());
+
+  auto merge = platform_->mutable_catalog()->GetCommit(
+      report->merged_commit_id);
+  ASSERT_TRUE(merge.ok());
+  EXPECT_FALSE(merge->merge_parent_id.empty());
+  EXPECT_EQ(platform_->ReadTable("main", "taxi_table")->num_rows(), 600);
+  EXPECT_EQ(platform_->ListBranches()->size(), 1u);
+}
+
+// A run writes to a branch: a tag, a commit id or an as-of ref is
+// refused before anything runs, with no run registered and no branch or
+// commit written.
+TEST_F(PinnedRunTest, RunOnANonBranchRefIsRefused) {
+  ASSERT_TRUE(platform_->mutable_catalog()->CreateTag("v1", "main").ok());
+  const std::string head = Head("main");
+  store_.Reset();
+  for (const std::string& ref : {std::string("v1"), head,
+                                 std::string("main@2999-01-01")}) {
+    auto report =
+        platform_->Run(pipeline::MakePaperTaxiPipeline(1.0), ref);
+    EXPECT_TRUE(report.status().IsNotFound()) << ref;
+  }
+  EXPECT_TRUE(platform_->run_registry().ListRuns()->empty());
+  EXPECT_EQ(platform_->ListBranches()->size(), 1u);
+  EXPECT_EQ(store_.Count("PUT", "catalog/"), 0);
+  EXPECT_EQ(Head("main"), head);
+}
+
+// ---------------------------------------------------------------------
 // Runner output pins. Per run mode and scenario: a fingerprint of the
 // whole RunReport JSON (per-node timing fields, spill counts, the span
 // tree with its intervals, the metrics dump), a fingerprint of every
@@ -885,64 +1105,64 @@ TEST_F(RunnerPinTest, FusedRunsArePinned) {
   RunScenarios(/*fused=*/true, /*parallelism=*/1);
   ExpectPins({
       {"cold",
-       "json=fe6de39135110a2b artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000003842156 "
+       "json=a1b7c4ee2703bbbd artifacts=e806a55aedbaec9b "
+       "spill_us=0 clock=1700000003797156 "
        "lake=581e55ee9da7814f"},
       {"warm",
-       "json=943c0f1d589f639b artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000004432229 "
+       "json=38a0cc17e407d037 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000004242229 "
        "lake=581e55ee9da7814f"},
       {"edit",
-       "json=94b95678a4420dc0 artifacts=0d4e8fc9c7c30b2a "
-       "spill_us=0 clock=1700000005431867 "
+       "json=f6d62548caa966ed artifacts=0d4e8fc9c7c30b2a "
+       "spill_us=0 clock=1700000005211867 "
        "lake=52c68cdec1c9256d"},
       {"rerun",
-       "json=98410d1a930f452b artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000006126946 "
+       "json=27c97f58af777535 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000005876946 "
        "lake=581e55ee9da7814f"},
       {"append",
-       "json=5bfe2170a9f2b862 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000008188657 "
+       "json=ef41dbc20048e1e0 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000007893657 "
        "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
-       "json=aefc5d61c5ee0be8 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000009725115 "
+       "json=ce211d4529c3db2b artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000009400115 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay",
-       "json=aa45ea09e2fe9b15 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000010154698 "
+       "json=15727ded44fe7fd5 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000009714698 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
-       "json=eb59965046d0a1ec artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000011571308 "
+       "json=bf9da557752348c2 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000011016308 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
-       "json=e64e75915b575445 artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000011795855 "
+       "json=88d41ce30b5023fe artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000011125855 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
-       "json=42cc62e7bda9f345 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000012630632 "
+       "json=1f3fa44c1593fb79 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000011930632 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
-       "json=91653b7bbf8420e2 artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000013375287 "
+       "json=55f05497f2cbdece artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000012630287 "
        "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
-       "json=9ca5adf808494eb9 artifacts=9c126063619cbad8 "
-       "spill_us=0 clock=1700000013940674 "
+       "json=e7aa72d4d03e5901 artifacts=9c126063619cbad8 "
+       "spill_us=0 clock=1700000013065674 "
        "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
-       "json=2753453cecce1b8b artifacts=73702ea648b0fbfa "
-       "spill_us=0 clock=1700000014731862 "
+       "json=0b4829e267fc3d99 artifacts=73702ea648b0fbfa "
+       "spill_us=0 clock=1700000013811862 "
        "lake=a3463be649f0635d"},
       {"paper_warm",
-       "json=ec1589f014d841c8 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000015141886 "
+       "json=ac67faaba853c594 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000014076886 "
        "lake=a3463be649f0635d"},
       {"trimmed",
-       "json=710b0e6e9c9aea99 artifacts=4d6ea1a425ca7b82 "
-       "spill_us=0 clock=1700000016678011 "
+       "json=75cdd4b7d6972c5a artifacts=4d6ea1a425ca7b82 "
+       "spill_us=0 clock=1700000015583011 "
        "lake=3d6c62b4a6123059"}});
 }
 
@@ -950,60 +1170,60 @@ TEST_F(RunnerPinTest, NaiveWidthOneRunsArePinned) {
   RunScenarios(/*fused=*/false, /*parallelism=*/1);
   ExpectPins({
       {"cold",
-       "json=b8027d9b329f8689 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000007833018 "
+       "json=e10383c58b05a4bd artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000007788018 "
        "lake=581e55ee9da7814f"},
       {"warm",
-       "json=2ef196e3ee505900 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000008423091 "
+       "json=8e326229c439a10f artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000008233091 "
        "lake=581e55ee9da7814f"},
       {"edit",
-       "json=f33b6bbb786b21c6 artifacts=0d4e8fc9c7c30b2a "
-       "spill_us=75172 clock=1700000010176021 "
+       "json=eaec25fb0d384c75 artifacts=0d4e8fc9c7c30b2a "
+       "spill_us=75172 clock=1700000009956021 "
        "lake=52c68cdec1c9256d"},
       {"rerun",
-       "json=5cd24472c9161908 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000010871100 "
+       "json=a534c2429ee192c1 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000010621100 "
        "lake=581e55ee9da7814f"},
       {"append",
-       "json=ea529e0f082699a0 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000016371245 "
+       "json=9f26d8a48a0a6685 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000016076245 "
        "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
-       "json=41586a434c4d3545 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000021346137 "
+       "json=3aa62260eb7d802a artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000021021137 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay",
-       "json=f0a93f558fd1087c artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000022072720 "
+       "json=c7bf23ddc3708fd6 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000021632720 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
-       "json=6e090fbf4e8449dd artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000022639330 "
+       "json=d162639cf11ee00f artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000022084330 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
-       "json=457eb0c71a269d58 artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000022863877 "
+       "json=cb9ac5c1ea163bfc artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000022193877 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
-       "json=e2a5db74afdd1ed1 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000024184961 "
+       "json=80cd38a0fd052ce8 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000023484961 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
-       "json=f72a500072b4da3e artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000025312302 "
+       "json=c3e776adc885f719 artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000024567302 "
        "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
-       "json=3a26a85af0de3254 artifacts=9c126063619cbad8 "
-       "spill_us=201308 clock=1700000027478997 "
+       "json=b1555d87f387be70 artifacts=9c126063619cbad8 "
+       "spill_us=201308 clock=1700000026603997 "
        "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
-       "json=652d8cc041c19d77 artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000029379320 "
+       "json=cf3ca689a5d8686f artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000028459320 "
        "lake=a3463be649f0635d"},
       {"paper_warm",
-       "json=bbd887d1bd50dc49 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000029789344 "
+       "json=636dfbc088b0da9a artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000028724344 "
        "lake=a3463be649f0635d"}});
 }
 
@@ -1011,60 +1231,60 @@ TEST_F(RunnerPinTest, NaiveWidthFourRunsArePinned) {
   RunScenarios(/*fused=*/false, /*parallelism=*/4);
   ExpectPins({
       {"cold",
-       "json=aee0201fba77ebe6 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000007391675 "
+       "json=7c1f1d735629c15a artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000007346675 "
        "lake=581e55ee9da7814f"},
       {"warm",
-       "json=cc2c806a62acc881 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000007981748 "
+       "json=a0708708a247dde0 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000007791748 "
        "lake=581e55ee9da7814f"},
       {"edit",
-       "json=212930afbfb9a03a artifacts=0d4e8fc9c7c30b2a "
-       "spill_us=75172 clock=1700000009734678 "
+       "json=52271c98912a714a artifacts=0d4e8fc9c7c30b2a "
+       "spill_us=75172 clock=1700000009514678 "
        "lake=52c68cdec1c9256d"},
       {"rerun",
-       "json=c4ac5fd7f276b5ef artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000010429757 "
+       "json=1958dea533ae715c artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000010179757 "
        "lake=581e55ee9da7814f"},
       {"append",
-       "json=92d5a23cf06111fc artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000014592862 "
+       "json=4003d8e762dc0cda artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000014297862 "
        "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
-       "json=5a94b884ed82bd9b artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000018230714 "
+       "json=48bde0b862a0bb05 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000017905714 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay",
-       "json=af489f3c94c820e6 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000018957297 "
+       "json=03bbca838b57b4bf artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000018517297 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
-       "json=b45de35b2fc730dc artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000019523907 "
+       "json=7dfbd106194bed10 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000018968907 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
-       "json=d04066936209a00f artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000019748454 "
+       "json=5e2622898b8c511a artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000019078454 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
-       "json=f0c301b86a813b82 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000021069538 "
+       "json=a828c801a44afb27 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000020369538 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
-       "json=3a62617b49e08fe0 artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000022196879 "
+       "json=57adc5ab3cd1bcf9 artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000021451879 "
        "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
-       "json=c15e6c5c53e9a8dc artifacts=9c126063619cbad8 "
-       "spill_us=201308 clock=1700000024323574 "
+       "json=37dc31fc3177c9b4 artifacts=9c126063619cbad8 "
+       "spill_us=201308 clock=1700000023448574 "
        "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
-       "json=85d01d5a393b22e8 artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000026183897 "
+       "json=d9aeae0ae05b6db9 artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000025263897 "
        "lake=a3463be649f0635d"},
       {"paper_warm",
-       "json=d00b2d89da1108b5 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000026593921 "
+       "json=d0d51309e125630d artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000025528921 "
        "lake=a3463be649f0635d"}});
 }
 
@@ -1091,8 +1311,8 @@ TEST_F(RunnerPinTest, BouncedWaveMembersArePinned) {
   Pin("bounced", report);
   ExpectPins({
       {"bounced",
-       "json=18898ad04151d406 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000008643018 "
+       "json=f544559de9dac284 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000008598018 "
        "lake=581e55ee9da7814f"}});
 }
 

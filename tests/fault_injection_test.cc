@@ -6,8 +6,16 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <mutex>
+#include <string>
+#include <utility>
+#include <vector>
+
 #include "catalog/catalog.h"
+#include "columnar/serialize.h"
 #include "common/clock.h"
+#include "common/strings.h"
 #include "core/bauplan.h"
 #include "pipeline/project.h"
 #include "storage/fault_injection_store.h"
@@ -204,6 +212,148 @@ TEST(FaultInjectionPlatformTest, RunThatFailsToCommitLeavesNoCacheEntry) {
     EXPECT_FALSE(node.cache_hit) << node.name;
   }
   EXPECT_GT(bp.artifact_cache_stats().inserts, inserts_before);
+}
+
+/// Passes every request through to `base`, logging operation and key
+/// while recording.
+class RecordingStore : public storage::ObjectStore {
+ public:
+  explicit RecordingStore(storage::ObjectStore* base) : base_(base) {}
+
+  Status Put(const std::string& key, Bytes data) override {
+    Log("PUT", key);
+    return base_->Put(key, std::move(data));
+  }
+  Result<Bytes> Get(const std::string& key) const override {
+    Log("GET", key);
+    return base_->Get(key);
+  }
+  Result<uint64_t> Head(const std::string& key) const override {
+    Log("HEAD", key);
+    return base_->Head(key);
+  }
+  Status Delete(const std::string& key) override {
+    Log("DELETE", key);
+    return base_->Delete(key);
+  }
+  Result<std::vector<storage::ObjectMeta>> List(
+      const std::string& prefix) const override {
+    Log("LIST", prefix);
+    return base_->List(prefix);
+  }
+
+  /// (operation, key) of every request made while `recording` is set,
+  /// in order. Read both only while no request is in flight.
+  bool recording = false;
+  mutable std::vector<std::pair<std::string, std::string>> log;
+
+ private:
+  void Log(const char* op, const std::string& key) const {
+    std::lock_guard<std::mutex> lock(mu_);
+    if (recording) log.emplace_back(op, key);
+  }
+
+  storage::ObjectStore* base_;
+  mutable std::mutex mu_;
+};
+
+/// A lake with the 500-row taxi_table on main, behind a fault-injecting
+/// store, with the artifact cache at `cache_bytes` (0 = off).
+struct CrashLake {
+  explicit CrashLake(uint64_t cache_bytes) {
+    core::BauplanOptions options;
+    options.artifact_cache_bytes = cache_bytes;
+    bp = core::Bauplan::Open(&fault, &clock, options).ValueOrDie();
+    workload::TaxiGenOptions gen;
+    gen.rows = 500;
+    gen.start_date = "2019-04-01";
+    auto taxi = workload::GenerateTaxiTable(gen);
+    EXPECT_TRUE(bp->CreateTable("main", "taxi_table", taxi->schema()).ok());
+    EXPECT_TRUE(bp->WriteTable("main", "taxi_table", *taxi).ok());
+  }
+
+  Result<core::RunReport> Run() {
+    return bp->Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+  }
+
+  /// Every table on main, name then scanned bytes, read past the faults.
+  std::string MainTables() {
+    auto catalog = catalog::Catalog::Open(&base, &clock);
+    if (!catalog.ok()) return catalog.status().ToString();
+    auto tables = catalog->GetTables("main");
+    if (!tables.ok()) return tables.status().ToString();
+    table::TableOps ops(&base, &clock);
+    std::string out;
+    for (const auto& [name, key] : *tables) {
+      auto table = ops.ScanTable(key);
+      if (!table.ok()) return table.status().ToString();
+      Bytes bytes = columnar::SerializeTable(*table);
+      out += name;
+      out.append(bytes.begin(), bytes.end());
+    }
+    return out;
+  }
+
+  storage::MemoryObjectStore base;
+  RecordingStore recording{&base};
+  storage::FaultInjectionStore fault{&recording};
+  SimClock clock{1700000000000000ull};
+  std::unique_ptr<core::Bauplan> bp;
+};
+
+// The crash sweep. For every k over the store operations of an
+// uninterrupted run, every operation from the k-th on fails (a crash at
+// k, after which not even the rollback can write), then the store heals.
+// main is never torn: it holds the tables from before the run or those
+// of the uninterrupted run, and a re-run merges the latter. A crashed
+// run leaves its ephemeral branch behind only if the PUT creating it
+// went through.
+TEST(FaultInjectionPlatformTest, CrashSweepNeverTearsMain) {
+  for (uint64_t cache_bytes : {uint64_t{0}, uint64_t{1} << 30}) {
+    CrashLake reference(cache_bytes);
+    const std::string before = reference.MainTables();
+    reference.recording.recording = true;
+    auto run = reference.Run();
+    reference.recording.recording = false;
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    ASSERT_TRUE(run->merged);
+    const std::string after = reference.MainTables();
+    ASSERT_NE(before, after);
+    const auto& ops = reference.recording.log;
+    size_t branch_put = 0;
+    while (branch_put < ops.size() &&
+           !(ops[branch_put].first == "PUT" &&
+             StartsWith(ops[branch_put].second, "catalog/refs/branch/run_"))) {
+      ++branch_put;
+    }
+    ASSERT_LT(branch_put, ops.size());
+
+    size_t stray = 0;
+    for (size_t k = 0; k < ops.size(); ++k) {
+      SCOPED_TRACE(StrCat("cache ", cache_bytes, ", crash at ", k, ": ",
+                          ops[k].first, " ", ops[k].second));
+      CrashLake lake(cache_bytes);
+      lake.fault.FailAfter(static_cast<int64_t>(k));
+      (void)lake.Run();
+      lake.fault.Heal();
+      const std::string main = lake.MainTables();
+      EXPECT_TRUE(main == before || main == after);
+      auto branches = lake.bp->ListBranches();
+      ASSERT_TRUE(branches.ok());
+      if (branches->size() > 1) {
+        ++stray;
+        EXPECT_GT(k, branch_put);
+      }
+      auto rerun = lake.Run();
+      ASSERT_TRUE(rerun.ok()) << rerun.status().ToString();
+      EXPECT_TRUE(rerun->merged) << rerun->status;
+      EXPECT_EQ(lake.MainTables(), after);
+    }
+    std::printf("crash sweep, cache %s: %zu of %zu crash points leave a "
+                "run branch (its PUT is operation %zu)\n",
+                cache_bytes == 0 ? "off" : "on", stray, ops.size(),
+                branch_put);
+  }
 }
 
 TEST(FaultInjectionPlatformTest, QueryFailureIsCleanError) {
