@@ -1,9 +1,11 @@
 // Section 4.3 (Fig. 4): the transform-audit-write pattern is only viable
 // if git-for-data operations are cheap next to compute. The bench
-// measures the full branch lifecycle (create ephemeral branch, commit
+// measures the paper's full branch lifecycle (create a run branch, commit
 // artifacts into it, merge back, delete) against catalogs of growing
 // size and growing history, on both the simulated S3 clock and real wall
-// time.
+// time. `Bauplan::Run` does a subset of this cycle without naming the
+// branch: one commit on the commit it read, then the branch moves to it
+// (DESIGN.md section 10).
 //
 // The history sweep reopens the catalog before its cycle, so no cached
 // commit hides a walk over history. Exits 1 when a cycle fails or when
@@ -56,14 +58,14 @@ Status SeedTables(Catalog* catalog, int tables) {
   return catalog->CommitChanges("main", "seed", "bench", seed).status();
 }
 
-/// One transform-audit-write cycle: ephemeral branch, two artifact
-/// commits, merge, delete (exactly the Fig. 4 flow).
+/// One transform-audit-write cycle: run branch, two artifact commits,
+/// merge, delete (exactly the Fig. 4 flow).
 Result<CycleCost> RunCycle(Catalog* catalog, SimClock* clock) {
   CycleCost cost;
   uint64_t sim_start = clock->NowMicros();
   uint64_t wall_start = WallMicrosNow();
-  BAUPLAN_ASSIGN_OR_RETURN(std::string run_branch,
-                           catalog->CreateEphemeralBranch("main", "run"));
+  const std::string run_branch = "run_1";
+  BAUPLAN_RETURN_NOT_OK(catalog->CreateBranch(run_branch, "main"));
   TableChanges artifact1;
   artifact1.puts["trips"] = "meta/trips/v1";
   uint64_t commit_start = clock->NowMicros();

@@ -276,12 +276,8 @@ Result<std::string> Catalog::CommitChanges(const std::string& branch,
                                            const TableChanges& changes,
                                            const std::string& expected_head) {
   BAUPLAN_ASSIGN_OR_RETURN(std::string head, ResolveBranch(branch));
-  if (!expected_head.empty() && head != expected_head) {
-    return Status::Conflict(
-        StrCat("branch '", branch, "' moved from ", expected_head, " to ",
-               head, "; rebase and retry"));
-  }
-  BAUPLAN_ASSIGN_OR_RETURN(auto parent, LoadCommit(head));
+  const std::string& base = expected_head.empty() ? head : expected_head;
+  BAUPLAN_ASSIGN_OR_RETURN(auto parent, LoadCommit(base));
 
   Commit next;
   next.parent_id = parent->id;
@@ -298,6 +294,10 @@ Result<std::string> Catalog::CommitChanges(const std::string& branch,
   for (const auto& [name, key] : changes.puts) next.tables[name] = key;
 
   BAUPLAN_ASSIGN_OR_RETURN(std::string id, WriteCommit(std::move(next)));
+  if (base != head) {
+    BAUPLAN_ASSIGN_OR_RETURN(MergeResult merged, Merge(id, branch, author));
+    return merged.commit_id;
+  }
   BAUPLAN_RETURN_NOT_OK(WriteRef("branch", branch, id));
   return id;
 }
@@ -399,17 +399,6 @@ Result<MergeResult> Catalog::Merge(const std::string& from_ref,
   BAUPLAN_ASSIGN_OR_RETURN(std::string id, WriteCommit(std::move(merge)));
   BAUPLAN_RETURN_NOT_OK(WriteRef("branch", to_branch, id));
   return MergeResult{id, false};
-}
-
-Result<std::string> Catalog::CreateEphemeralBranch(
-    const std::string& from_ref, const std::string& prefix) {
-  for (int attempt = 0; attempt < 1000; ++attempt) {
-    std::string name = StrCat(prefix, "_", ++ephemeral_counter_);
-    Status st = CreateBranch(name, from_ref);
-    if (st.ok()) return name;
-    if (!st.IsAlreadyExists()) return st;
-  }
-  return Status::Internal("could not allocate an ephemeral branch name");
 }
 
 }  // namespace bauplan::catalog

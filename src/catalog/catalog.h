@@ -44,9 +44,10 @@ struct MergeResult {
 /// ref (branch name, tag name, or commit id), which is what makes
 /// `bauplan query -b feat_1` and time travel work.
 ///
-/// Commit concurrency follows compare-and-swap semantics: a commit states
-/// the head it was computed against and fails with Conflict if the branch
-/// has moved, exactly like Nessie's optimistic locking.
+/// Commit concurrency is optimistic: a commit states the head it was
+/// computed against and is built on it. If the branch has moved since,
+/// the commit merges into the new head three-way, and only a table both
+/// sides changed is a Conflict, like Nessie's per-key commit check.
 ///
 /// Commits are content-addressed and never rewritten, so decoded commits
 /// are cached by id without invalidation; refs are mutable and always
@@ -114,9 +115,10 @@ class Catalog {
 
   // -- writes ---------------------------------------------------------
 
-  /// Applies `changes` on top of `branch`, creating a new commit and
-  /// advancing the branch. When `expected_head` is non-empty and the
-  /// branch has moved past it, fails with Conflict and writes nothing.
+  /// Applies `changes` on top of `expected_head` (`branch`'s head when
+  /// empty) as a new commit, and moves `branch` to it if `branch` is still
+  /// there; otherwise merges it in (Merge: Conflict, branch unmoved, when
+  /// both changed a table). Returns the commit `branch` ends at.
   Result<std::string> CommitChanges(const std::string& branch,
                                     const std::string& message,
                                     const std::string& author,
@@ -130,11 +132,6 @@ class Catalog {
   Result<MergeResult> Merge(const std::string& from_ref,
                             const std::string& to_branch,
                             const std::string& author);
-
-  /// Creates a uniquely-named ephemeral branch "<prefix>_<n>" off
-  /// `from_ref` and returns its name (paper's run_12 branches, Fig. 4).
-  Result<std::string> CreateEphemeralBranch(const std::string& from_ref,
-                                            const std::string& prefix);
 
   /// Bytes the commit cache currently charges (at most
   /// kCommitCacheBytes).
@@ -166,7 +163,6 @@ class Catalog {
   storage::ObjectStore* store_;
   Clock* clock_;
   std::string prefix_;
-  uint64_t ephemeral_counter_ = 0;
   std::shared_ptr<CommitCache> commits_;
 };
 

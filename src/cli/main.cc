@@ -780,7 +780,12 @@ int Main(int argc, char** argv) {
     }
     const std::string& branch = ref->name();
     std::string name = args.Get("-t");
-    auto metadata_key = bp.mutable_catalog()->GetTable(branch, name);
+    // Committed against the head read here: a concurrent write conflicts.
+    auto head = bp.mutable_catalog()->ResolveBranch(branch);
+    if (!head.ok()) return Fail(head.status());
+    auto read = bp.mutable_catalog()->GetCommit(*head);
+    if (!read.ok()) return Fail(read.status());
+    auto metadata_key = catalog::FindTableKey(read->tables, name, branch);
     if (!metadata_key.ok()) return Fail(metadata_key.status());
     // Maintenance runs against the same store the platform writes to.
     table::TableOps ops(store->get(), &clock);
@@ -815,7 +820,7 @@ int Main(int argc, char** argv) {
     catalog::TableChanges changes;
     changes.puts[name] = new_key;
     auto commit = bp.mutable_catalog()->CommitChanges(
-        branch, StrCat(command, " ", name), "bauplan-cli", changes);
+        branch, StrCat(command, " ", name), "bauplan-cli", changes, *head);
     if (!commit.ok()) return Fail(commit.status());
     return 0;
   }

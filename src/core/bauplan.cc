@@ -34,6 +34,14 @@ Status ValidateRunOptions(const PipelineRunOptions& options) {
   return Status::OK();
 }
 
+/// The head commit of `branch`, which writers build on and state as their
+/// commit's expected head; NotFound when `branch` is not a branch.
+Result<catalog::Commit> BranchHead(const catalog::Catalog& catalog,
+                                   const std::string& branch) {
+  BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog.ResolveBranch(branch));
+  return catalog.GetCommit(head);
+}
+
 }  // namespace
 
 Bauplan::Bauplan(storage::ObjectStore* base_store, Clock* clock,
@@ -113,7 +121,9 @@ Status Bauplan::CreateTable(const std::string& branch,
                             const std::string& name,
                             const columnar::Schema& schema,
                             const table::PartitionSpec& spec) {
-  if (catalog_->GetTable(branch, name).ok()) {
+  BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit head,
+                           BranchHead(*catalog_, branch));
+  if (head.tables.count(name) > 0) {
     return Status::AlreadyExists(
         StrCat("table '", name, "' already exists on '", branch, "'"));
   }
@@ -123,7 +133,7 @@ Status Bauplan::CreateTable(const std::string& branch,
   changes.puts[name] = metadata_key;
   Status st = catalog_
                   ->CommitChanges(branch, StrCat("create table ", name),
-                                  options_.author, changes)
+                                  options_.author, changes, head.id)
                   .status();
   Audit("create_table", branch, name, st);
   return st;
@@ -132,8 +142,10 @@ Status Bauplan::CreateTable(const std::string& branch,
 Status Bauplan::WriteTable(const std::string& branch,
                            const std::string& name,
                            const columnar::Table& data, bool overwrite) {
+  BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit head,
+                           BranchHead(*catalog_, branch));
   BAUPLAN_ASSIGN_OR_RETURN(std::string metadata_key,
-                           catalog_->GetTable(branch, name));
+                           catalog::FindTableKey(head.tables, name, branch));
   Result<std::string> updated =
       overwrite ? table_ops_->Overwrite(metadata_key, data)
                 : table_ops_->Append(metadata_key, data);
@@ -145,7 +157,7 @@ Status Bauplan::WriteTable(const std::string& branch,
           ->CommitChanges(branch,
                           StrCat(overwrite ? "overwrite" : "append", " ",
                                  data.num_rows(), " rows into ", name),
-                          options_.author, changes)
+                          options_.author, changes, head.id)
           .status();
   Audit("write_table", branch,
         StrCat(name, " (", data.num_rows(), " rows)"), st);
@@ -319,11 +331,11 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
                                const PipelineRunOptions& options) {
   BAUPLAN_RETURN_NOT_OK(ValidateRunOptions(options));
   // The run reads one commit, the branch's head now: the pre-flight, the
-  // run record, the DAG, the cache keys and every node body see it, so a
-  // commit landing on the branch meanwhile reaches the run only through
-  // the merge. A run writes to a branch, so a tag or a commit is refused.
-  BAUPLAN_ASSIGN_OR_RETURN(std::string head, catalog_->ResolveBranch(branch));
-  BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit pinned, catalog_->GetCommit(head));
+  // run record, the DAG, the cache keys and every node body see it, and
+  // the outputs are committed on it. A run writes to a branch, so a tag
+  // or a commit is refused.
+  BAUPLAN_ASSIGN_OR_RETURN(catalog::Commit pinned,
+                           BranchHead(*catalog_, branch));
   // Pre-flight: refuse to schedule a project the analyzer rejects —
   // before a run is registered or any container is acquired.
   // `--no-verify` (options.verify = false) skips this. A trimmed run
@@ -350,14 +362,9 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
                  project.nodes().size(), " nodes, ",
                  options.fused ? "fused" : "naive", ")"));
 
-  // Fig. 4: the outputs reach `branch` through an ephemeral branch at
-  // the pinned commit, created only once the audit passed and the run
-  // has something to commit.
-  std::string run_branch;
   auto fail = [&](const std::string& why) -> Result<RunReport> {
-    if (!run_branch.empty()) (void)catalog_->DeleteBranch(run_branch);
     BAUPLAN_RETURN_NOT_OK(
-        registry_->FinishRun(record.run_id, StrCat("failed: ", why)));
+        registry_->FinishRun(record, StrCat("failed: ", why)));
     report.status = StrCat("failed: ", why);
     report.merged = false;
     report.metrics = metrics_->Snapshot();
@@ -402,8 +409,9 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   // Audit passed. Each computed artifact becomes a fresh table version,
   // and a cache hit commits the version its entry names. Tables whose
   // key the pinned commit already holds stay out; the rest land in one
-  // commit on the ephemeral branch, which merges into `branch`. A run
-  // that changes nothing touches no branch and ends at the pinned commit.
+  // commit on the pinned commit (Fig. 4's run branch, unnamed), which
+  // CommitChanges publishes in one step, merging it if `branch` moved. A
+  // run that changes nothing writes no commit and ends at the pinned one.
   std::map<std::string, std::string> computed;
   for (const auto& [name, data] : report.artifacts) {
     auto key = table_ops_->WriteVersion(name, data);
@@ -423,18 +431,11 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   for (const auto& [name, key] : changes.puts) changed.push_back(name);
   std::string result_commit = pinned.id;
   if (!changed.empty()) {
-    auto created = catalog_->CreateEphemeralBranch(pinned.id, "run");
-    if (!created.ok()) return fail(created.status().ToString());
-    run_branch = std::move(*created);
     auto commit = catalog_->CommitChanges(
-        run_branch,
-        StrCat("run ", report.run_id, ": ", StrJoin(changed, ", ")),
-        options_.author, changes);
+        branch, StrCat("run ", report.run_id, ": ", StrJoin(changed, ", ")),
+        options_.author, changes, pinned.id);
     if (!commit.ok()) return fail(commit.status().ToString());
-    auto merged = catalog_->Merge(run_branch, branch, options_.author);
-    if (!merged.ok()) return fail(merged.status().ToString());
-    BAUPLAN_RETURN_NOT_OK(catalog_->DeleteBranch(run_branch));
-    result_commit = merged->commit_id;
+    result_commit = std::move(*commit);
   }
   // The outputs are durable now, so entries naming them may serve later
   // runs.
@@ -445,7 +446,7 @@ Result<RunReport> Bauplan::Run(const pipeline::PipelineProject& project,
   for (const auto& node : report.nodes) {
     if (node.cache_hit) cached_nodes.push_back(node.name);
   }
-  BAUPLAN_RETURN_NOT_OK(registry_->FinishRun(record.run_id, "succeeded",
+  BAUPLAN_RETURN_NOT_OK(registry_->FinishRun(record, "succeeded",
                                              result_commit, cached_nodes));
   report.merged = true;
   report.merged_commit_id = result_commit;

@@ -69,7 +69,8 @@ class Bauplan {
                      const columnar::Schema& schema,
                      const table::PartitionSpec& spec = {});
 
-  /// Appends rows to (or overwrites) a table on `branch`.
+  /// Appends rows to (or overwrites) a table on `branch`; Conflict when
+  /// another write to the table lands between its read and its commit.
   Status WriteTable(const std::string& branch, const std::string& name,
                     const columnar::Table& data, bool overwrite = false);
 
@@ -127,15 +128,16 @@ class Bauplan {
   /// runs against H alone — the pre-flight check, the run record's data
   /// commit, the DAG, the cache keys and every node body
   /// (transform-audit-write). Only when all expectations pass, and only
-  /// when the outputs change a table of H, does it create an ephemeral
-  /// branch at H, write one commit there and merge it into `branch`
-  /// (three-way if `branch` moved meanwhile). The commit holds a fresh
+  /// when the outputs change a table of H, does it publish them, with
+  /// one `CommitChanges` against H: a commit on H that `branch` moves to,
+  /// merged three-way when `branch` moved meanwhile (Conflict when both
+  /// changed a table). No branch is created. The commit holds a fresh
   /// table version for every SQL artifact the run computed (with the
   /// node's output schema, whatever the previous version's) and, by
   /// reference, the version each cache hit names; tables whose key H
-  /// already holds stay out. A run that changes nothing touches no
-  /// branch and reports H. Cache entries for what the run executed are
-  /// written after the merge. The run records one `run` audit entry
+  /// already holds stay out. A run that changes nothing writes no
+  /// commit and reports H. Cache entries for what the run executed are
+  /// written after the commit. The run records one `run` audit entry
   /// naming the tables it changed. `branch` must name a branch: a tag, a
   /// commit id or "name@timestamp" is NotFound. Option combinations the
   /// run would silently ignore (trimming a naive run, a fused run wider

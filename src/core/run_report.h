@@ -65,9 +65,9 @@ struct RunReport {
   // -- identity / merge outcome (filled by the Bauplan facade) ---------
   int64_t run_id = 0;
   std::string status;
-  /// Commit the run's outputs are at on the target branch: the merge
-  /// commit, or the pinned commit the run read when it changed no table
-  /// ("" when not merged).
+  /// Commit the run left the target branch at: its own commit (or the
+  /// merge of it when the branch moved), or the pinned commit when it
+  /// changed no table ("" when not merged).
   std::string merged_commit_id;
   bool merged = false;
 

@@ -21,7 +21,7 @@ struct ExpectationOutcome {
 /// A statistical check over a produced artifact: the audit step of the
 /// paper's transform-audit-write pattern. Expectations play the role of
 /// integration tests for data (section 4.1 fn. 7): they gate whether a
-/// run's ephemeral branch may merge.
+/// run's outputs are committed to its branch at all.
 class Expectation {
  public:
   using CheckFn =

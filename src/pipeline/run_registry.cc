@@ -88,10 +88,9 @@ Result<RunRecord> RunRegistry::RegisterRun(
   return record;
 }
 
-Status RunRegistry::FinishRun(int64_t run_id, const std::string& status,
+Status RunRegistry::FinishRun(RunRecord record, const std::string& status,
                               const std::string& result_commit_id,
                               const std::vector<std::string>& cached_nodes) {
-  BAUPLAN_ASSIGN_OR_RETURN(RunRecord record, GetRun(run_id));
   record.status = status;
   if (!result_commit_id.empty()) {
     record.result_commit_id = result_commit_id;
@@ -99,7 +98,7 @@ Status RunRegistry::FinishRun(int64_t run_id, const std::string& status,
   if (!cached_nodes.empty()) {
     record.cached_nodes = cached_nodes;
   }
-  return store_->Put(RunKey(run_id), record.Serialize());
+  return store_->Put(RunKey(record.run_id), record.Serialize());
 }
 
 Result<RunRecord> RunRegistry::GetRun(int64_t run_id) const {

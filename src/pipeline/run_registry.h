@@ -24,7 +24,7 @@ struct RunRecord {
   std::string fingerprint;
   /// Catalog commit id the run's data was read at.
   std::string data_commit_id;
-  /// Commit the target branch ended at after the merge; empty until the
+  /// Commit the target branch ended at after the run; empty until the
   /// run succeeds. Replays with a node selector read upstream artifacts
   /// here ("same code over the same data", section 4.6).
   std::string result_commit_id;
@@ -57,9 +57,10 @@ class RunRegistry {
                                 const std::string& branch,
                                 const std::string& data_commit_id);
 
-  /// Updates the stored record's status (and, for successful runs, the
-  /// commit the merge produced and the nodes the artifact cache served).
-  Status FinishRun(int64_t run_id, const std::string& status,
+  /// Stores `record`, the one RegisterRun returned, with its status set
+  /// (and, for successful runs, the commit the run ended at and the nodes
+  /// the artifact cache served). Reads nothing.
+  Status FinishRun(RunRecord record, const std::string& status,
                    const std::string& result_commit_id = "",
                    const std::vector<std::string>& cached_nodes = {});
 

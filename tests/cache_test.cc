@@ -538,10 +538,8 @@ TEST(RunRegistryCacheTest, CachedNodesRoundTrip) {
   ASSERT_TRUE(project.AddSqlNode("n", "SELECT 1 AS one", {}).ok());
   auto record = registry.RegisterRun(project, "main", "commit-1");
   ASSERT_TRUE(record.ok());
-  ASSERT_TRUE(registry
-                  .FinishRun(record->run_id, "succeeded", "commit-2",
-                             {"n", "m"})
-                  .ok());
+  ASSERT_TRUE(
+      registry.FinishRun(*record, "succeeded", "commit-2", {"n", "m"}).ok());
   auto loaded = registry.GetRun(record->run_id);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->cached_nodes,

@@ -90,16 +90,32 @@ TEST_F(CatalogTest, CommitDeletesTable) {
       catalog_->CommitChanges("main", "drop again", "tester", changes).ok());
 }
 
+// A commit states the head it read. If the branch moved since, the
+// commit merges into the new head, and only a table both sides changed
+// is a Conflict.
 TEST_F(CatalogTest, OptimisticConcurrencyConflict) {
-  auto head = catalog_->ResolveRef("main");
+  auto head = catalog_->ResolveBranch("main");
   ASSERT_TRUE(head.ok());
-  ASSERT_TRUE(Commit("main", "a", "k1").ok());  // branch moves
+  auto moved = Commit("main", "a", "k1");  // branch moves
+  ASSERT_TRUE(moved.ok());
   auto stale = Commit("main", "b", "k2", *head);
-  ASSERT_FALSE(stale.ok());
-  EXPECT_TRUE(stale.status().IsConflict());
-  // With the right head it succeeds.
-  auto fresh_head = catalog_->ResolveRef("main");
-  EXPECT_TRUE(Commit("main", "b", "k2", *fresh_head).ok());
+  ASSERT_TRUE(stale.ok()) << stale.status().ToString();
+  EXPECT_EQ(*catalog_->ResolveBranch("main"), *stale);
+  EXPECT_EQ(*catalog_->GetTable("main", "a"), "k1");
+  EXPECT_EQ(*catalog_->GetTable("main", "b"), "k2");
+  auto merge = catalog_->GetCommit(*stale);
+  ASSERT_TRUE(merge.ok());
+  EXPECT_EQ(merge->parent_id, *moved);
+  EXPECT_FALSE(merge->merge_parent_id.empty());
+  // The new commit was built on the head it stated.
+  EXPECT_EQ(catalog_->GetCommit(merge->merge_parent_id)->parent_id, *head);
+
+  // Table a changed on main since `head`, too.
+  auto conflict = Commit("main", "a", "k3", *head);
+  ASSERT_FALSE(conflict.ok());
+  EXPECT_TRUE(conflict.status().IsConflict()) << conflict.status().ToString();
+  EXPECT_EQ(*catalog_->ResolveBranch("main"), *stale);
+  EXPECT_EQ(*catalog_->GetTable("main", "a"), "k1");
 }
 
 TEST_F(CatalogTest, BranchesAreIsolated) {
@@ -210,15 +226,6 @@ TEST_F(CatalogTest, ThreeWayMergeDeletionPropagates) {
   ASSERT_TRUE(merged.ok());
   EXPECT_TRUE(catalog_->GetTable("main", "taxi").status().IsNotFound());
   EXPECT_EQ(*catalog_->GetTable("main", "other"), "o/v1");
-}
-
-TEST_F(CatalogTest, EphemeralBranchNamesAreUnique) {
-  auto b1 = catalog_->CreateEphemeralBranch("main", "run");
-  auto b2 = catalog_->CreateEphemeralBranch("main", "run");
-  ASSERT_TRUE(b1.ok());
-  ASSERT_TRUE(b2.ok());
-  EXPECT_NE(*b1, *b2);
-  EXPECT_TRUE(catalog_->ResolveBranch(*b1).ok());
 }
 
 TEST_F(CatalogTest, CommitTimestampsComeFromClock) {

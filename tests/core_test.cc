@@ -730,7 +730,9 @@ TEST_F(MetadataGetsTest, CheckLoadsTableMetadataOnce) {
 
 // ---------------------------------------------------------------------
 // One pinned commit per run: a run resolves its branch once, reads only
-// that commit, and writes the catalog only to commit a change.
+// that commit, and writes the catalog only to commit a change, with one
+// commit on the commit it read. Table writes commit against the head
+// they read, too.
 // ---------------------------------------------------------------------
 
 /// A memory store that counts requests by operation and key prefix, and
@@ -925,6 +927,70 @@ TEST_F(PinnedRunTest, RunOnANonBranchRefIsRefused) {
   EXPECT_EQ(Head("main"), head);
 }
 
+// A run that changes tables publishes them with one commit on the commit
+// it read: it reads its branch's ref to pin the run and again to publish,
+// and the one ref it writes is the branch's. No run branch is created or
+// deleted.
+TEST_F(PinnedRunTest, CommittingRunWritesOneCommitAndOneRef) {
+  const std::string head = Head("main");
+  store_.Reset();
+  auto run = platform_->Run(pipeline::MakePaperTaxiPipeline(1.0), "main");
+  ASSERT_TRUE(run.ok()) << run.status().ToString();
+  ASSERT_TRUE(run->merged) << run->status;
+  EXPECT_EQ(store_.Count("GET", "catalog/refs/"), 2);
+  EXPECT_EQ(store_.Count("PUT", "catalog/commits/"), 1);
+  EXPECT_EQ(store_.Count("PUT", "catalog/refs/"), 1);
+  EXPECT_EQ(store_.Count("PUT", "catalog/refs/branch/main"), 1);
+  EXPECT_EQ(store_.Count("DELETE", "catalog/"), 0);
+  EXPECT_EQ(Head("main"), run->merged_commit_id);
+  auto commit =
+      platform_->mutable_catalog()->GetCommit(run->merged_commit_id);
+  ASSERT_TRUE(commit.ok()) << commit.status().ToString();
+  EXPECT_EQ(commit->parent_id, head);
+  EXPECT_TRUE(commit->merge_parent_id.empty());
+  EXPECT_EQ(platform_->ListBranches()->size(), 1u);
+}
+
+// A run finishes the record it registered without reading it back,
+// whether it commits, is served by the cache or fails its audit.
+TEST_F(PinnedRunTest, RunReadsNoRunRecord) {
+  const pipeline::PipelineProject paper =
+      pipeline::MakePaperTaxiPipeline(1.0);
+  const pipeline::PipelineProject failing =
+      pipeline::MakePaperTaxiPipeline(1000.0);
+  for (const pipeline::PipelineProject* project : {&paper, &paper, &failing}) {
+    store_.Reset();
+    auto run = platform_->Run(*project, "main");
+    ASSERT_TRUE(run.ok()) << run.status().ToString();
+    EXPECT_EQ(store_.Count("GET", "runs/"), 0) << run->status;
+    auto record = platform_->run_registry().GetRun(run->run_id);
+    ASSERT_TRUE(record.ok()) << record.status().ToString();
+    EXPECT_EQ(record->status, run->status);
+  }
+}
+
+// A table write commits against the head it read. An append that lands
+// on the same table between that read and the commit is a Conflict, and
+// main keeps it, instead of losing its rows to the write.
+TEST_F(PinnedRunTest, TableWriteOverAConcurrentAppendConflicts) {
+  store_.BeforeFirstPut("lake/taxi_table/data/", [this] {
+    auto catalog = catalog::Catalog::Open(&store_, &clock_).ValueOrDie();
+    table::TableOps ops(&store_, &clock_);
+    auto key = catalog.GetTable("main", "taxi_table");
+    ASSERT_TRUE(key.ok()) << key.status().ToString();
+    auto appended = ops.Append(*key, Taxi(100, 2));
+    ASSERT_TRUE(appended.ok()) << appended.status().ToString();
+    catalog::TableChanges changes;
+    changes.puts["taxi_table"] = *appended;
+    ASSERT_TRUE(
+        catalog.CommitChanges("main", "append 100 rows", "other", changes)
+            .ok());
+  });
+  Status st = platform_->WriteTable("main", "taxi_table", Taxi(50, 3));
+  EXPECT_TRUE(st.IsConflict()) << st.ToString();
+  EXPECT_EQ(platform_->ReadTable("main", "taxi_table")->num_rows(), 600);
+}
+
 // ---------------------------------------------------------------------
 // Runner output pins. Per run mode and scenario: a fingerprint of the
 // whole RunReport JSON (per-node timing fields, spill counts, the span
@@ -1105,64 +1171,64 @@ TEST_F(RunnerPinTest, FusedRunsArePinned) {
   RunScenarios(/*fused=*/true, /*parallelism=*/1);
   ExpectPins({
       {"cold",
-       "json=a1b7c4ee2703bbbd artifacts=e806a55aedbaec9b "
-       "spill_us=0 clock=1700000003797156 "
+       "json=b5cfde2a95822faa artifacts=e806a55aedbaec9b "
+       "spill_us=0 clock=1700000003637139 "
        "lake=581e55ee9da7814f"},
       {"warm",
-       "json=38a0cc17e407d037 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000004242229 "
+       "json=d550e3b8e786655f artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000004067195 "
        "lake=581e55ee9da7814f"},
       {"edit",
-       "json=f6d62548caa966ed artifacts=0d4e8fc9c7c30b2a "
-       "spill_us=0 clock=1700000005211867 "
+       "json=101b16c2a56bbb16 artifacts=0d4e8fc9c7c30b2a "
+       "spill_us=0 clock=1700000004876816 "
        "lake=52c68cdec1c9256d"},
       {"rerun",
-       "json=27c97f58af777535 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000005876946 "
+       "json=49e0eb4b6fa04ec7 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000005381878 "
        "lake=581e55ee9da7814f"},
       {"append",
-       "json=ef41dbc20048e1e0 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000007893657 "
+       "json=6de2d2ffc91025bd artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000007238572 "
        "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
-       "json=ce211d4529c3db2b artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000009400115 "
+       "json=029988b82b9af6c4 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000008585013 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay",
-       "json=15727ded44fe7fd5 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000009714698 "
+       "json=1859b4a51c085519 artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000008899596 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
-       "json=bf9da557752348c2 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000011016308 "
+       "json=c71e2edb048df90e artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000010201206 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
-       "json=88d41ce30b5023fe artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000011125855 "
+       "json=e400ae4d460a6640 artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000010310753 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
-       "json=1f3fa44c1593fb79 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000011930632 "
+       "json=c4dd364f80ee92d7 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000010955513 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
-       "json=55f05497f2cbdece artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000012630287 "
+       "json=57b9562442610a49 artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000011495151 "
        "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
-       "json=e7aa72d4d03e5901 artifacts=9c126063619cbad8 "
-       "spill_us=0 clock=1700000013065674 "
+       "json=286a1eb824aa1732 artifacts=9c126063619cbad8 "
+       "spill_us=0 clock=1700000011915521 "
        "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
-       "json=0b4829e267fc3d99 artifacts=73702ea648b0fbfa "
-       "spill_us=0 clock=1700000013811862 "
+       "json=9b275cccf450a5f8 artifacts=73702ea648b0fbfa "
+       "spill_us=0 clock=1700000012501704 "
        "lake=a3463be649f0635d"},
       {"paper_warm",
-       "json=ac67faaba853c594 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000014076886 "
+       "json=2e619997c99c6115 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000012751723 "
        "lake=a3463be649f0635d"},
       {"trimmed",
-       "json=75cdd4b7d6972c5a artifacts=4d6ea1a425ca7b82 "
-       "spill_us=0 clock=1700000015583011 "
+       "json=cae3fae19b817742 artifacts=4d6ea1a425ca7b82 "
+       "spill_us=0 clock=1700000014097831 "
        "lake=3d6c62b4a6123059"}});
 }
 
@@ -1170,60 +1236,60 @@ TEST_F(RunnerPinTest, NaiveWidthOneRunsArePinned) {
   RunScenarios(/*fused=*/false, /*parallelism=*/1);
   ExpectPins({
       {"cold",
-       "json=e10383c58b05a4bd artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000007788018 "
+       "json=944dc9b0c1874210 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000007628001 "
        "lake=581e55ee9da7814f"},
       {"warm",
-       "json=8e326229c439a10f artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000008233091 "
+       "json=b0249e41f9de9d24 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000008058057 "
        "lake=581e55ee9da7814f"},
       {"edit",
-       "json=eaec25fb0d384c75 artifacts=0d4e8fc9c7c30b2a "
-       "spill_us=75172 clock=1700000009956021 "
+       "json=4480e0e1dd05104f artifacts=0d4e8fc9c7c30b2a "
+       "spill_us=75172 clock=1700000009620970 "
        "lake=52c68cdec1c9256d"},
       {"rerun",
-       "json=a534c2429ee192c1 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000010621100 "
+       "json=308727379dbf1b91 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000010126032 "
        "lake=581e55ee9da7814f"},
       {"append",
-       "json=9f26d8a48a0a6685 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000016076245 "
+       "json=8b1c0bcfa1132f57 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000015421160 "
        "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
-       "json=3aa62260eb7d802a artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000021021137 "
+       "json=4a5a44ea56efddf7 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000020206035 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay",
-       "json=c7bf23ddc3708fd6 artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000021632720 "
+       "json=c70070ec2110c0af artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000020817618 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
-       "json=d162639cf11ee00f artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000022084330 "
+       "json=d06a06327823333c artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000021269228 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
-       "json=cb9ac5c1ea163bfc artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000022193877 "
+       "json=306c2c25b5fda088 artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000021378775 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
-       "json=80cd38a0fd052ce8 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000023484961 "
+       "json=4e1c67f6e2121750 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000022509842 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
-       "json=c3e776adc885f719 artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000024567302 "
+       "json=246829f952a1d54f artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000023432166 "
        "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
-       "json=b1555d87f387be70 artifacts=9c126063619cbad8 "
-       "spill_us=201308 clock=1700000026603997 "
+       "json=485c8e7c740f8273 artifacts=9c126063619cbad8 "
+       "spill_us=201308 clock=1700000025453844 "
        "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
-       "json=cf3ca689a5d8686f artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000028459320 "
+       "json=d351c3cf36e50ea4 artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000027149162 "
        "lake=a3463be649f0635d"},
       {"paper_warm",
-       "json=636dfbc088b0da9a artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000028724344 "
+       "json=926d5cdac777c6d1 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000027399181 "
        "lake=a3463be649f0635d"}});
 }
 
@@ -1231,60 +1297,60 @@ TEST_F(RunnerPinTest, NaiveWidthFourRunsArePinned) {
   RunScenarios(/*fused=*/false, /*parallelism=*/4);
   ExpectPins({
       {"cold",
-       "json=7c1f1d735629c15a artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000007346675 "
+       "json=0211d62a5b24e382 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000007186658 "
        "lake=581e55ee9da7814f"},
       {"warm",
-       "json=a0708708a247dde0 artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000007791748 "
+       "json=0073afe1f91bae22 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000007616714 "
        "lake=581e55ee9da7814f"},
       {"edit",
-       "json=52271c98912a714a artifacts=0d4e8fc9c7c30b2a "
-       "spill_us=75172 clock=1700000009514678 "
+       "json=0c5f4556badab02f artifacts=0d4e8fc9c7c30b2a "
+       "spill_us=75172 clock=1700000009179627 "
        "lake=52c68cdec1c9256d"},
       {"rerun",
-       "json=1958dea533ae715c artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000010179757 "
+       "json=a792a0ae0440aabc artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000009684689 "
        "lake=581e55ee9da7814f"},
       {"append",
-       "json=4003d8e762dc0cda artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000014297862 "
+       "json=93b2f77cc3cce4d3 artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000013642777 "
        "lake=fb01d7aeb1c2e7a0"},
       {"uncached",
-       "json=48bde0b862a0bb05 artifacts=ce2940f6a3884772 "
-       "spill_us=321418 clock=1700000017905714 "
+       "json=c65f2371c792875d artifacts=ce2940f6a3884772 "
+       "spill_us=321418 clock=1700000017090612 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay",
-       "json=03bbca838b57b4bf artifacts=ce2940f6a3884772 "
-       "spill_us=0 clock=1700000018517297 "
+       "json=62535166f244bdee artifacts=ce2940f6a3884772 "
+       "spill_us=0 clock=1700000017702195 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_cone",
-       "json=7dfbd106194bed10 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=0 clock=1700000018968907 "
+       "json=b5f8931d4cc85545 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=0 clock=1700000018153805 "
        "lake=fb01d7aeb1c2e7a0"},
       {"replay_node",
-       "json=5e2622898b8c511a artifacts=8ff297b26bf6064c "
-       "spill_us=0 clock=1700000019078454 "
+       "json=1d73cf323b42f01d artifacts=8ff297b26bf6064c "
+       "spill_us=0 clock=1700000018263352 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_cone",
-       "json=a828c801a44afb27 artifacts=d4aefa9b9b91a4d9 "
-       "spill_us=75172 clock=1700000020369538 "
+       "json=a74a955e6c28e448 artifacts=d4aefa9b9b91a4d9 "
+       "spill_us=75172 clock=1700000019394419 "
        "lake=fb01d7aeb1c2e7a0"},
       {"selected_node",
-       "json=57adc5ab3cd1bcf9 artifacts=8ff297b26bf6064c "
-       "spill_us=30058 clock=1700000021451879 "
+       "json=ccc600ed7d1cf69b artifacts=8ff297b26bf6064c "
+       "spill_us=30058 clock=1700000020316743 "
        "lake=fb01d7aeb1c2e7a0"},
       {"failing_audit",
-       "json=37dc31fc3177c9b4 artifacts=9c126063619cbad8 "
-       "spill_us=201308 clock=1700000023448574 "
+       "json=d20386544e6b4ed2 artifacts=9c126063619cbad8 "
+       "spill_us=201308 clock=1700000022298421 "
        "lake=fb01d7aeb1c2e7a0"},
       {"paper_cold",
-       "json=d9aeae0ae05b6db9 artifacts=73702ea648b0fbfa "
-       "spill_us=92135 clock=1700000025263897 "
+       "json=7fef798390f1149b artifacts=73702ea648b0fbfa "
+       "spill_us=92135 clock=1700000023953739 "
        "lake=a3463be649f0635d"},
       {"paper_warm",
-       "json=d0d51309e125630d artifacts=cbf29ce484222325 "
-       "spill_us=0 clock=1700000025528921 "
+       "json=3c95cadf148e51c0 artifacts=cbf29ce484222325 "
+       "spill_us=0 clock=1700000024203758 "
        "lake=a3463be649f0635d"}});
 }
 
@@ -1311,8 +1377,8 @@ TEST_F(RunnerPinTest, BouncedWaveMembersArePinned) {
   Pin("bounced", report);
   ExpectPins({
       {"bounced",
-       "json=f544559de9dac284 artifacts=e806a55aedbaec9b "
-       "spill_us=320850 clock=1700000008598018 "
+       "json=e3843caaf0fbfdf0 artifacts=e806a55aedbaec9b "
+       "spill_us=320850 clock=1700000008438001 "
        "lake=581e55ee9da7814f"}});
 }
 

@@ -196,7 +196,8 @@ TEST_F(RunRegistryTest, RegisterAssignsDenseIds) {
 TEST_F(RunRegistryTest, FinishUpdatesStatusAndResultCommit) {
   PipelineProject project = MakePaperTaxiPipeline();
   auto r = registry_.RegisterRun(project, "main", "commit_a");
-  ASSERT_TRUE(registry_.FinishRun(r->run_id, "succeeded", "commit_m").ok());
+  ASSERT_TRUE(r.ok());
+  ASSERT_TRUE(registry_.FinishRun(*r, "succeeded", "commit_m").ok());
   auto loaded = registry_.GetRun(r->run_id);
   ASSERT_TRUE(loaded.ok());
   EXPECT_EQ(loaded->status, "succeeded");
@@ -217,7 +218,6 @@ TEST_F(RunRegistryTest, SnapshotReproducesProject) {
 
 TEST_F(RunRegistryTest, MissingRunIsNotFound) {
   EXPECT_TRUE(registry_.GetRun(99).status().IsNotFound());
-  EXPECT_TRUE(registry_.FinishRun(99, "x").IsNotFound());
 }
 
 // A corrupt count or size in a run record is an IOError before any
